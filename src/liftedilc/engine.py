@@ -1,51 +1,55 @@
 """Iteration engine: explicit learning runs and the closed-form fast-forward.
 
-For any of the three laws the model iteration matrix W = I - P_M L_M is
-symmetric, so W = M diag(lambda) M^T with orthogonal M. In that eigenbasis n
-learning updates collapse to a geometric sum: the input and error after n
-model iterations are
+For every law the model iteration matrix is diagonal in the left singular
+vectors U of the model's lifted matrix P = U diag(sigma) V^T:
+I - P L = U diag(lambda) U^T, with
 
-    u_n = u_0 + L M S_n M^T e_0,   S_n = diag(sum of lambda^m, m = 0..n-1)
-    e_n = M diag(lambda^n) M^T e_0
+    p_transpose:      lambda = 1 - phi sigma^2,        L U = phi P^T U
+    partial_isometry: lambda = 1 - phi sigma,          L U = phi V
+    norm_optimal:     lambda = phi / (phi + sigma^2),  L U = P^T U diag(1 / (phi + sigma^2))
 
-which costs three matrix-vector products instead of n full iterations. The
-decomposition and the products derived from it are cached per (model, law)
-pair; cached operators are immutable, so concurrent runs may share them.
+so the input and error after n model iterations are
 
-`run_iterations` is the explicit counterpart (it applies every update to the
-plant and records the full history) and doubles as the benchmark reference
-for the fast path.
+    u_n = u_0 + (L U) S_n U^T e_0,   S_n = diag(sum of lambda^m, m = 0..n-1)
+    e_n = U diag(lambda^n) U^T e_0
+
+which costs two matrix-vector products instead of n full iterations, and a
+whole model-phase history one matrix product.
+
+The factorization is computed once per LiftedSystem, on first use:
+eigh(P P^T), which gives U and sigma^2, for p_transpose and norm_optimal,
+whose formulas never divide by sigma; the thin SVD for partial_isometry,
+which needs V. It lives in a cache keyed weakly on the model object, together
+with the products derived from it for each law, so every fast-forward, run
+and switch evaluation on one model shares it, and it is freed with the model.
+
+`run_iterations` is the explicit counterpart: it builds the dense gain with
+`build_gain`, applies every update to the plant and records the full
+history, so it doubles as the independent reference for the fast path.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, InvalidParameterError, NotSymmetricError
-from .laws import GainMatrix, LearningLaw, build_gain, iteration_matrix, update_input
-from .lifted import LiftedSystem, Trajectory, _wrap_trajectory, lifted_output
+from .errors import DimensionError, DivergenceError, EmptyInputError, InvalidParameterError
+from .laws import LearningLaw, build_gain, update_input
+from .lifted import Trajectory, _wrap_trajectory, lifted_output
 
 __all__ = [
     "IterationRecord",
     "IterationHistory",
-    "SpectralDecomposition",
+    "rms",
     "run_iterations",
     "run_hybrid",
-    "spectral_decompose",
     "geometric_sum",
     "fast_forward",
 ]
 
 PHASES = ("model", "world")
-
-# eigenvalues this close to 1 make the closed-form geometric sum cancel
-# catastrophically; fall back to direct summation
-NEAR_ONE = 1e-9
-# and this close they are treated as exactly 1
-UNIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,60 +77,46 @@ class IterationHistory:
     switch_index: Optional[int] = None
 
 
-@dataclass(eq=False)
-class SpectralDecomposition:
-    """Symmetric eigendecomposition W = M diag(eigenvalues) M^T."""
-
-    eigenvector_matrix: np.ndarray
-    eigenvalues: np.ndarray
-    source: np.ndarray
-
-
-def _rms(values):
-    return math.sqrt(float(np.dot(values, values)) / values.size)
+def rms(error):
+    """Root mean square of a trajectory, sqrt(e'e / len)."""
+    v = error.values
+    if v.size == 0:
+        raise EmptyInputError("cannot take the RMS of an empty trajectory")
+    return math.sqrt(float(np.dot(v, v)) / v.size)
 
 
-def _rms_db(rms):
-    return 20.0 * math.log10(rms) if rms > 0 else None
+def _rms_db(value):
+    return 20.0 * math.log10(value) if value > 0 else None
 
 
-def spectral_decompose(iter_matrix):
-    """Eigendecomposition of a symmetric iteration matrix.
-
-    Parameters
-    ----------
-    iter_matrix : (m, m) ndarray
-        Must be symmetric within 1e-8; model-built iteration matrices are,
-        world ones generally are not.
-
-    Returns
-    -------
-    SpectralDecomposition
-
-    Raises
-    ------
-    NotSymmetricError
-        If the asymmetry exceeds tolerance.
-    """
-    w = np.asarray(iter_matrix, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DimensionError(f"iteration matrix must be square, got {w.shape}")
-    asym = float(np.max(np.abs(w - w.T))) if w.size else 0.0
-    if asym > 1e-8:
-        raise NotSymmetricError(
-            f"matrix asymmetry {asym:.3e} exceeds 1e-8; the symmetric "
-            "decomposition only applies to model-built iteration matrices"
+def _record(iteration, phase, u, e):
+    r = rms(e)
+    if not math.isfinite(r):
+        raise DivergenceError(
+            f"{phase} phase diverged: error RMS is {r} at iteration {iteration}"
         )
-    lam, m = np.linalg.eigh((w + w.T) / 2.0)
-    return SpectralDecomposition(m, lam, w)
+    return IterationRecord(iteration, phase, u, e, r, _rms_db(r))
+
+
+def _power_minus_one(lam, n):
+    """lambda^n - 1 elementwise, without cancellation where lambda^n is near 1.
+
+    Formed as expm1(n log|lambda|), with the sign restored for odd n, where
+    the direct 1 - lambda^n would lose digits as lambda approaches 1. n is an
+    int >= 1, or an integer column broadcasting against lam.
+    """
+    with np.errstate(divide="ignore"):
+        r = np.expm1(n * np.log(np.abs(lam)))
+    # for negative lambda and odd n, lambda^n - 1 = -(|lambda|^n - 1) - 2
+    return np.where((np.asarray(n) % 2 == 1) & (lam < 0), -2.0 - r, r)
 
 
 def geometric_sum(eigenvalues, power_count):
     """Per-eigenvalue partial sums S_i = sum of lambda_i^m for m = 0..power_count.
 
-    Uses the closed form (1 - lambda^(power_count+1)) / (1 - lambda) except
-    near lambda = 1, where direct summation avoids cancellation; within
-    UNIT_TOL of 1 the limit value power_count + 1 is returned.
+    Uses the closed form (1 - lambda^(power_count+1)) / (1 - lambda), with
+    the numerator formed so that it keeps full accuracy for lambda near 1;
+    at lambda = 1 exactly the limit power_count + 1 is returned.
 
     Raises
     ------
@@ -146,79 +136,121 @@ def geometric_sum(eigenvalues, power_count):
             "geometric sum diverges"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (1.0 - lam ** (count + 1)) / (1.0 - lam)
-    near = np.abs(1.0 - lam) < NEAR_ONE
-    for i in np.nonzero(near)[0]:
-        if abs(1.0 - lam[i]) < UNIT_TOL:
-            out[i] = float(count + 1)
-        else:
-            out[i] = _direct_sum(lam[i], count + 1)
+        out = _power_minus_one(lam, count + 1) / (lam - 1.0)
+    out[lam == 1.0] = count + 1
     return out
 
 
-def _direct_sum(lam, terms):
-    total = 0.0
-    power = 1.0
-    for _ in range(terms):
-        total += power
-        power *= lam
-    return total
+class _Factorization:
+    """Factorizations of one model's lifted matrix P, each computed on first use.
+
+    gram() is (U, sigma^2) from eigh(P P^T), svd() is (U, sigma, V) from the
+    thin SVD. `laws` holds one _LawOperator per (law kind, gain).
+    """
+
+    def __init__(self, p_matrix):
+        self.p_matrix = p_matrix
+        self.laws = {}
+        self._gram = None
+        self._svd = None
+
+    def gram(self):
+        if self._gram is None:
+            sigma2, u = np.linalg.eigh(self.p_matrix @ self.p_matrix.T)
+            # rounding can leave the smallest sigma^2 a hair below zero
+            self._gram = (u, np.maximum(sigma2, 0.0))
+        return self._gram
+
+    def svd(self):
+        if self._svd is None:
+            u, sigma, vt = np.linalg.svd(self.p_matrix, full_matrices=False)
+            self._svd = (u, sigma, vt.T)
+        return self._svd
+
+
+# id(model) -> _Factorization of that model; a finalizer on the model drops
+# the entry when the model is collected, so the cache never keeps one alive
+_FACTORIZATIONS = {}
 
 
 @dataclass(eq=False)
-class _FastOperator:
-    """Precomputed products for the fast-forward kernel, one per (model, law).
+class _LawOperator:
+    """One law's products on one model's factorization.
 
-    Expanding the geometric sum, with G = 1/(1 - lambda) elementwise,
+    With G = 1/(1 - lambda) elementwise and R = (lambda^n - 1) * U^T e_0,
+    the input and error after n model iterations are
 
-        u_n = u_0 + (L M diag(G)) (1 - lambda^n) (M^T e_0)
-        e_n = M lambda^n (M^T e_0)
+        [u_n - u_0; e_n - e_0] = [-L U diag(G); U] R
 
-    so one call needs three matrix-vector products and a handful of
-    elementwise operations. The log_abs/sign split forms lambda^n by exp,
-    which is faster than a general power for the negative eigenvalues the
-    p-transpose law produces. Eigenvalues within NEAR_ONE of 1 have G zeroed
-    in lm_scaled; their rank-one contribution to u_n is restored by direct
-    summation over lm_columns.
+    so one fast-forward costs two matrix-vector products. lambda^n - 1 is
+    formed as in _power_minus_one, from the precomputed log|lambda|, sign and
+    1 - sign.
     """
 
-    decomposition: SpectralDecomposition
-    gain: GainMatrix
     lam: np.ndarray
-    mt_c: np.ndarray        # M^T
-    lm_scaled: np.ndarray   # L M diag(G)
-    m_c: np.ndarray         # M
-    lm_columns: np.ndarray  # L M, used only for near-one eigenvalues
+    spectral_radius: float
+    ut: np.ndarray             # U^T, contiguous: faster than a transposed view
+    out_map: np.ndarray        # [-L U diag(G); U], N + (N - d) rows
+    lu_neg: np.ndarray         # -L U diag(G), the top rows of out_map
     log_abs_lam: np.ndarray
-    sign_lam: np.ndarray
-    near_one_idx: tuple
-    max_abs_lam: float
+    sign_lam: np.ndarray       # -1 for negative lambda, else +1
+    odd_offset: np.ndarray     # 1 - sign_lam
+    has_negative: bool
 
 
-@lru_cache(maxsize=16)
-def _fast_operator(model, law):
-    gain = build_gain(law, model)
-    dec = spectral_decompose(iteration_matrix(model, gain))
-    lam = dec.eigenvalues
-    m = dec.eigenvector_matrix
+def _convergent_operator(model, law):
+    """The cached _LawOperator of (model, law); raises if the law diverges."""
+    key = id(model)
+    entry = _FACTORIZATIONS.get(key)
+    if entry is None:
+        entry = _FACTORIZATIONS[key] = _Factorization(model.p_matrix)
+        weakref.finalize(model, _FACTORIZATIONS.pop, key, None)
+    # keyed by value: hashing the tuple is cheaper than the dataclass hash
+    law_key = (law.kind, law.gain)
+    op = entry.laws.get(law_key)
+    if op is None:
+        op = entry.laws[law_key] = _build_operator(entry, law)
+    if op.spectral_radius >= 1.0:
+        raise DivergenceError(
+            f"model iteration matrix has eigenvalue magnitude "
+            f"{op.spectral_radius:.12g}, outside (-1, 1); iterations diverge"
+        )
+    return op
+
+
+def _build_operator(entry, law):
+    phi = law.gain
+    if law.kind == "partial_isometry":
+        u, sigma, v = entry.svd()
+        lam = 1.0 - phi * sigma
+        lu = phi * v
+    else:
+        u, sigma2 = entry.gram()
+        lu = entry.p_matrix.T @ u
+        if law.kind == "p_transpose":
+            lam = 1.0 - phi * sigma2
+            lu *= phi
+        else:
+            lam = phi / (phi + sigma2)
+            lu /= phi + sigma2
     abs_lam = np.abs(lam)
-    with np.errstate(divide="ignore"):
-        log_abs = np.where(abs_lam > 0.0, np.log(np.where(abs_lam > 0.0, abs_lam, 1.0)), -np.inf)
-    near = np.abs(1.0 - lam) < NEAR_ONE
-    inv_one_minus = np.where(near, 0.0, 1.0 / np.where(near, 1.0, 1.0 - lam))
-    lm = gain.l_matrix @ m
-    return _FastOperator(
-        decomposition=dec,
-        gain=gain,
+    sign = np.where(lam < 0.0, -1.0, 1.0)
+    # an eigenvalue of exactly 1 makes G infinite; such a law is refused as
+    # divergent before the operator is used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lu /= lam - 1.0
+        log_abs = np.log(abs_lam)
+    out_map = np.vstack([lu, u])
+    return _LawOperator(
         lam=lam,
-        mt_c=np.ascontiguousarray(m.T),
-        lm_scaled=np.ascontiguousarray(lm * inv_one_minus),
-        m_c=np.ascontiguousarray(m),
-        lm_columns=lm,
+        spectral_radius=float(np.max(abs_lam)) if lam.size else 0.0,
+        ut=np.ascontiguousarray(u.T),
+        out_map=out_map,
+        lu_neg=out_map[: lu.shape[0]],
         log_abs_lam=log_abs,
-        sign_lam=np.sign(lam),
-        near_one_idx=tuple(np.nonzero(near)[0]),
-        max_abs_lam=float(np.max(abs_lam)) if lam.size else 0.0,
+        sign_lam=sign,
+        odd_offset=1.0 - sign,
+        has_negative=bool(np.any(lam < 0.0)),
     )
 
 
@@ -251,12 +283,7 @@ def fast_forward(model, law, u0, e0, n):
     """
     if n < 0 or int(n) != n:
         raise InvalidParameterError(f"n must be a nonnegative integer, got {n}")
-    op = _fast_operator(model, law)
-    if op.max_abs_lam >= 1.0:
-        raise DivergenceError(
-            f"model iteration matrix has eigenvalue magnitude "
-            f"{op.max_abs_lam:.12g}, outside (-1, 1); iterations diverge"
-        )
+    op = _convergent_operator(model, law)
     u0v = u0.values
     e0v = e0.values
     if u0v.size != model.horizon:
@@ -272,24 +299,45 @@ def fast_forward(model, law, u0, e0, n):
             _wrap_trajectory(u0v.copy(), u0.start_step, u0.sample_period),
             _wrap_trajectory(e0v.copy(), e0.start_step, e0.sample_period),
         )
-    ep0 = np.dot(op.mt_c, e0v)
-    lam_n = np.multiply(op.log_abs_lam, float(n))
-    np.exp(lam_n, out=lam_n)
-    if n % 2:
-        np.multiply(lam_n, op.sign_lam, out=lam_n)
-    np.multiply(lam_n, ep0, out=lam_n)      # lambda^n (M^T e_0)
-    shrunk = np.subtract(ep0, lam_n)        # (1 - lambda^n) (M^T e_0)
-    u_vals = np.dot(op.lm_scaled, shrunk)
+    ep0 = np.dot(op.ut, e0v)
+    r = np.multiply(op.log_abs_lam, float(n))
+    np.expm1(r, out=r)                      # |lambda|^n - 1
+    if n % 2 and op.has_negative:
+        np.multiply(r, op.sign_lam, out=r)
+        np.subtract(r, op.odd_offset, out=r)  # lambda^n - 1
+    np.multiply(r, ep0, out=r)
+    out = np.dot(op.out_map, r)
+    u_vals = out[: u0v.size]
+    e_vals = out[u0v.size :]
     np.add(u_vals, u0v, out=u_vals)
-    for i in op.near_one_idx:
-        # same series as geometric_sum but with exclusive upper bound n-1
-        s = float(n) if abs(1.0 - op.lam[i]) < UNIT_TOL else _direct_sum(op.lam[i], n)
-        u_vals += (s * ep0[i]) * op.lm_columns[:, i]
-    e_vals = np.dot(op.m_c, lam_n)
+    np.add(e_vals, e0v, out=e_vals)
     return (
         _wrap_trajectory(u_vals, u0.start_step, u0.sample_period),
         _wrap_trajectory(e_vals, e0.start_step, e0.sample_period),
     )
+
+
+def _model_phase(op, u0v, e0v, count):
+    """Inputs and errors after n = 0..count-1 model iterations, one row per n.
+
+    The batched form of fast_forward: with R[n] = (lambda^n - 1) * U^T e_0
+    as rows, R out_map^T holds every [u_n - u_0; e_n - e_0] from one matrix
+    product instead of one fast-forward per record.
+    """
+    steps = np.zeros((count, op.lam.size))
+    steps[1:] = _power_minus_one(op.lam, np.arange(1, count)[:, None])
+    steps *= np.dot(op.ut, e0v)
+    out = steps @ op.out_map.T
+    out[:, : u0v.size] += u0v
+    out[:, u0v.size :] += e0v
+    return out[:, : u0v.size], out[:, u0v.size :]
+
+
+def _learn(model, law, u, e):
+    """One learning update u + L e, with L applied through the factorization."""
+    op = _convergent_operator(model, law)
+    step = np.dot(op.lu_neg, (op.lam - 1.0) * np.dot(op.ut, e.values))
+    return Trajectory(u.values + step, u.start_step, u.sample_period)
 
 
 def _check_run_dimensions(applied, model, u0, desired):
@@ -339,6 +387,13 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
     Returns
     -------
     IterationHistory
+
+    Raises
+    ------
+    DivergenceError
+        In the model phase, before iterating, if the model iteration matrix
+        has an eigenvalue outside (-1, 1); in either phase, if an error RMS
+        becomes non-finite.
     """
     if phase not in PHASES:
         raise InvalidParameterError(f"phase must be one of {PHASES}, got {phase!r}")
@@ -346,15 +401,18 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
         raise InvalidParameterError(f"count must be nonnegative, got {count}")
     applied = model if phase == "model" else world
     _check_run_dimensions(applied, model, u0, desired)
+    if phase == "model":
+        _convergent_operator(model, law)
     gain = build_gain(law, model)
     records = []
     u = u0
-    for j in range(count + 1):
-        e = _measure(applied, u, x0, desired)
-        r = _rms(e.values)
-        records.append(IterationRecord(j, phase, u, e, r, _rms_db(r)))
-        if j < count:
-            u = update_input(u, gain, e)
+    # a diverging run overflows; _record reports it as a DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(count + 1):
+            e = _measure(applied, u, x0, desired)
+            records.append(_record(j, phase, u, e))
+            if j < count:
+                u = update_input(u, gain, e)
     return IterationHistory(records, law)
 
 
@@ -362,30 +420,36 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     """Model iterations fast-forwarded, then a switch to world iterations.
 
     Produces model_count model-phase records (indices 0..model_count-1,
-    computed through the fast-forward formulas), then applies the final
-    model-phase input u_{M,model_count} to the world as the first world
-    record, then runs world_count learning iterations against the world.
-    switch_index marks that first world record.
+    computed in one batched pass of the fast-forward formulas), then applies
+    the final model-phase input u_{M,model_count} to the world as the first
+    world record, then runs world_count learning iterations against the
+    world. switch_index marks that first world record.
+
+    Raises
+    ------
+    DivergenceError
+        If the model iteration matrix has an eigenvalue outside (-1, 1), or
+        a world-phase error RMS becomes non-finite.
     """
     if model_count < 0 or world_count < 0:
         raise InvalidParameterError(
             f"iteration counts must be nonnegative, got {model_count}, {world_count}"
         )
     _check_run_dimensions(world, model, u0, desired)
-    gain = build_gain(law, model)
+    op = _convergent_operator(model, law)
     e0 = _measure(model, u0, x0, desired)
     records = []
-    for j in range(model_count):
-        u_j, e_j = fast_forward(model, law, u0, e0, j)
-        r = _rms(e_j.values)
-        records.append(IterationRecord(j, "model", u_j, e_j, r, _rms_db(r)))
+    if model_count:
+        inputs, errors = _model_phase(op, u0.values, e0.values, model_count)
+        for j in range(model_count):
+            u_j = _wrap_trajectory(inputs[j], u0.start_step, u0.sample_period)
+            e_j = _wrap_trajectory(errors[j], e0.start_step, e0.sample_period)
+            records.append(_record(j, "model", u_j, e_j))
     u, _ = fast_forward(model, law, u0, e0, model_count)
-    for i in range(world_count + 1):
-        e = _measure(world, u, x0, desired)
-        r = _rms(e.values)
-        records.append(
-            IterationRecord(model_count + i, "world", u, e, r, _rms_db(r))
-        )
-        if i < world_count:
-            u = update_input(u, gain, e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(world_count + 1):
+            e = _measure(world, u, x0, desired)
+            records.append(_record(model_count + i, "world", u, e))
+            if i < world_count:
+                u = _learn(model, law, u, e)
     return IterationHistory(records, law, switch_index=model_count)

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Numerical failure modes (divergent iterations, rank deficiency, asymmetric
-matrices handed to the symmetric eigensolver) get their own exception classes
-so callers can react to them individually; the CLI maps them onto exit codes.
+Numerical failure modes (divergent iterations, rank deficiency) get their own
+exception classes so callers can react to them individually; the CLI maps
+them onto exit codes.
 """
 
 
@@ -48,10 +48,6 @@ class RankDeficiencyError(LiftedIlcError):
     def __init__(self, message, numerical_rank):
         super().__init__(message)
         self.numerical_rank = numerical_rank
-
-
-class NotSymmetricError(LiftedIlcError):
-    """A matrix required to be symmetric is not, beyond tolerance."""
 
 
 class DivergenceError(LiftedIlcError):

@@ -2,8 +2,9 @@
 
 Each law turns the model's lifted matrix into a gain L applied as
 u_{j+1} = u_j + L e_j. All three make I - P L symmetric when P is the model
-itself, which is what allows the iteration engine to fast-forward the model
-phase through a symmetric eigendecomposition.
+itself, diagonal in the left singular vectors of P, which is what allows the
+iteration engine to fast-forward the model phase from one factorization of
+P. The dense gain built here is the explicit reference for that fast path.
 """
 
 from dataclasses import dataclass

@@ -19,13 +19,12 @@ import numpy as np
 import scipy.linalg
 
 from .config import PlantParams, continuous_plant
-from .engine import fast_forward, run_hybrid, run_iterations
+from .engine import _measure, fast_forward, run_hybrid, run_iterations
 from .laws import LAW_KINDS, LearningLaw, build_gain, iteration_matrix
 from .lifted import (
     Trajectory,
     build_lifted,
     delete_rows,
-    lifted_output,
     pseudo_inverse_input,
 )
 from .lti import (
@@ -88,11 +87,6 @@ def _target(t, freq):
     return math.pi * (1.0 - np.cos(freq * t)) ** 2
 
 
-def _initial_error(model, u0, desired):
-    y = lifted_output(model, u0)
-    return Trajectory(desired.values - y.values, y.start_step, y.sample_period)
-
-
 def _rel_gap(candidate, reference):
     scale = max(float(np.max(np.abs(reference))), 1e-12)
     return float(np.max(np.abs(candidate - reference))) / scale
@@ -104,7 +98,7 @@ def check_fast_forward_matches_explicit():
     worst = 0.0
     for kind in ("second_order", "third_order"):
         _, model, u0, desired = _example_pair(kind)
-        e0 = _initial_error(model, u0, desired)
+        e0 = _measure(model, u0, None, desired)
         for law_kind in LAW_KINDS:
             law = LearningLaw(law_kind, 1.0)
             gain = build_gain(law, model)
@@ -421,7 +415,7 @@ def check_fast_forward_speedup():
     """10: the closed form beats 100 explicit iterations by > 100x."""
     world, model, u0, desired = _example_pair("second_order")
     law = LearningLaw("p_transpose", 1.0)
-    e0 = _initial_error(model, u0, desired)
+    e0 = _measure(model, u0, None, desired)
     fast_forward(model, law, u0, e0, 100)  # populate the operator cache
 
     t0 = time.perf_counter()

@@ -11,14 +11,10 @@ consumed, which is the entire cost of asking.
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .engine import _learn, _measure, fast_forward, rms
+from .errors import InvalidParameterError, UndefinedDbError
 
-from .engine import fast_forward
-from .errors import EmptyInputError, InvalidParameterError, UndefinedDbError
-from .laws import build_gain, update_input
-from .lifted import Trajectory, lifted_output
-
-__all__ = ["SwitchReport", "rms", "to_db", "evaluate_switch"]
+__all__ = ["SwitchReport", "to_db", "evaluate_switch"]
 
 
 @dataclass(frozen=True)
@@ -40,14 +36,6 @@ class SwitchReport:
     jump: float
     recommend_switch: bool
     slope_factor: float
-
-
-def rms(error):
-    """Root mean square of a trajectory, sqrt(e'e / len)."""
-    if len(error) == 0:
-        raise EmptyInputError("cannot take the RMS of an empty trajectory")
-    v = error.values
-    return math.sqrt(float(np.dot(v, v)) / v.size)
 
 
 def to_db(rms_value):
@@ -88,24 +76,14 @@ def evaluate_switch(world, model, law, u0, x0, candidate_n, slope_factor, desire
         raise InvalidParameterError(
             f"candidate_n must be at least 1, got {candidate_n}"
         )
-    gain = build_gain(law, model)
-    y0 = lifted_output(model, u0, x0)
-    e0 = Trajectory(desired.values - y0.values, y0.start_step, y0.sample_period)
-
+    e0 = _measure(model, u0, x0, desired)
     u_n, e_model_n = fast_forward(model, law, u0, e0, candidate_n)
     r_model_n = rms(e_model_n)
+    r_model_n1 = rms(_measure(model, _learn(model, law, u_n, e_model_n), x0, desired))
 
-    u_next = update_input(u_n, gain, e_model_n)
-    y = lifted_output(model, u_next, x0)
-    r_model_n1 = rms(Trajectory(desired.values - y.values, y.start_step, y.sample_period))
-
-    y = lifted_output(world, u_n, x0)
-    e_world_n = Trajectory(desired.values - y.values, y.start_step, y.sample_period)
+    e_world_n = _measure(world, u_n, x0, desired)
     r_world_n = rms(e_world_n)
-
-    u_world_next = update_input(u_n, gain, e_world_n)
-    y = lifted_output(world, u_world_next, x0)
-    r_world_n1 = rms(Trajectory(desired.values - y.values, y.start_step, y.sample_period))
+    r_world_n1 = rms(_measure(world, _learn(model, law, u_n, e_world_n), x0, desired))
 
     model_slope = r_model_n - r_model_n1
     world_slope = r_world_n - r_world_n1

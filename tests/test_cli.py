@@ -56,6 +56,39 @@ def test_run_reports_divergence_as_numerical_error(write_cfg, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, phase",
+    [
+        # a divergent model law is refused before the first iteration
+        ({"run.mode": "model", "law.kind": "partial_isometry", "law.gain": "2.5",
+          "run.model_count": "1000"}, "model"),
+        # the model-built gain cannot stabilize a lightly damped world
+        ({"run.mode": "world", "world.damping_ratio": "0.05",
+          "run.world_count": "1000"}, "world"),
+        ({"run.mode": "hybrid", "world.damping_ratio": "0.05",
+          "run.world_count": "1000"}, "world"),
+    ],
+    ids=["model", "world", "hybrid"],
+)
+def test_divergence_in_every_mode_exits_2_and_writes_nothing(
+    write_cfg, tmp_path, capsys, overrides, phase
+):
+    csv_path = tmp_path / "out.csv"
+    svg_path = tmp_path / "out.svg"
+    path = write_cfg(
+        {**overrides, "output.csv": str(csv_path), "output.plot": str(svg_path)}
+    )
+    code, _ = run_cli(["run", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    if phase == "model":
+        assert "error: model iteration matrix has eigenvalue magnitude" in err
+    else:
+        assert "error: world phase diverged" in err
+    assert not csv_path.exists()
+    assert not svg_path.exists()
+
+
 def test_figure_writes_into_the_output_directory(tmp_path):
     code, text = run_cli(
         ["figure", "fig5", "--law", "norm_optimal", "--switch", "10",

@@ -1,25 +1,34 @@
+import dataclasses
 import decimal
+import gc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+import liftedilc.engine as engine
+import liftedilc.laws as laws
 from liftedilc import (
     DimensionError,
     DivergenceError,
     InvalidParameterError,
     LAW_KINDS,
     LearningLaw,
-    NotSymmetricError,
+    LiftedSystem,
+    PlantParams,
     Trajectory,
     build_gain,
+    build_lifted,
+    continuous_plant,
+    discretize_zoh,
+    evaluate_switch,
     fast_forward,
     geometric_sum,
     iteration_matrix,
     lifted_output,
     run_hybrid,
     run_iterations,
-    spectral_decompose,
 )
 
 from conftest import SAMPLE_PERIOD, explicit_iterates, random_stable_lifted
@@ -71,26 +80,105 @@ def test_geometric_sum_validates_power_count():
         geometric_sum(0.5, 2.5)
 
 
-# ----------------------------------------------------------- spectral_decompose
+# ---------------------------------------------------------------- factorization
 
 
-def test_spectral_decompose_reconstructs_the_matrix(second_order_pair):
-    _, model, _, _ = second_order_pair
-    w = iteration_matrix(model, build_gain(LearningLaw("p_transpose", 1.0), model))
-    dec = spectral_decompose(w)
-    m = dec.eigenvector_matrix
-    rebuilt = m @ np.diag(dec.eigenvalues) @ m.T
-    assert np.max(np.abs(rebuilt - w)) < 1e-9
-    assert np.max(np.abs(m.T @ m - np.eye(100))) < 1e-10
+def _predicted_spectrum(kind, phi, sigma):
+    return {
+        "p_transpose": 1.0 - phi * sigma**2,
+        "partial_isometry": 1.0 - phi * sigma,
+        "norm_optimal": phi / (phi + sigma**2),
+    }[kind]
 
 
-def test_spectral_decompose_rejects_asymmetric_input(second_order_pair):
-    world, model, _, _ = second_order_pair
-    gain = build_gain(LearningLaw("p_transpose", 1.0), model)
-    with pytest.raises(NotSymmetricError):
-        spectral_decompose(iteration_matrix(world, gain))
-    with pytest.raises(DimensionError):
-        spectral_decompose(np.ones((2, 3)))
+def test_factorization_reconstructs_the_iteration_matrix(
+    second_order_pair, third_order_pair
+):
+    """U diag(lambda) U^T is I - P L and (L U) U^T is L, for every law."""
+    for _, model, _, _ in (second_order_pair, third_order_pair):
+        rows = model.row_count
+        for kind in LAW_KINDS:
+            law = LearningLaw(kind, 1.0)
+            op = engine._convergent_operator(model, law)
+            gain = build_gain(law, model)
+            w = iteration_matrix(model, gain)
+            u = op.ut.T
+            assert np.max(np.abs(op.ut @ u - np.eye(rows))) < 1e-10
+            assert np.max(np.abs(u @ np.diag(op.lam) @ op.ut - w)) < 1e-9
+            l_rebuilt = (op.lu_neg * (op.lam - 1.0)) @ op.ut
+            scale = np.max(np.abs(gain.l_matrix))
+            assert np.max(np.abs(l_rebuilt - gain.l_matrix)) < 1e-9 * scale
+
+
+@given(st.integers(0, 10_000), st.sampled_from(LAW_KINDS), st.floats(0.1, 1.9))
+def test_factorization_spectra_follow_the_singular_values(seed, kind, phi):
+    rng = np.random.default_rng(seed)
+    model, _ = random_stable_lifted(rng)
+    sigma = np.linalg.svd(model.p_matrix, compute_uv=False)
+    op = engine._build_operator(
+        engine._Factorization(model.p_matrix), LearningLaw(kind, phi)
+    )
+    want = np.sort(_predicted_spectrum(kind, phi, sigma))
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(np.sort(op.lam) - want)) < 1e-8 * scale
+
+
+def _fresh(model):
+    """A new LiftedSystem object over the same matrices, with an empty cache."""
+    return dataclasses.replace(model)
+
+
+def test_run_hybrid_and_switch_advice_never_build_the_dense_gain(
+    second_order_pair, third_order_pair, monkeypatch
+):
+    def refuse(law, model):
+        raise AssertionError("build_gain called")
+
+    monkeypatch.setattr(engine, "build_gain", refuse)
+    monkeypatch.setattr(laws, "build_gain", refuse)
+    for world, model, u0, desired in (second_order_pair, third_order_pair):
+        model = _fresh(model)
+        for kind in LAW_KINDS:
+            law = LearningLaw(kind, 1.0)
+            run_hybrid(world, model, law, u0, None, 20, 5, desired)
+            evaluate_switch(world, model, law, u0, None, 10, 1.0, desired)
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_one_factorization_serves_a_run_and_twenty_switch_evaluations(
+    second_order_pair, monkeypatch, kind
+):
+    world, model, u0, desired = second_order_pair
+    model = _fresh(model)
+    calls = []
+    for name in ("eigh", "svd"):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    law = LearningLaw(kind, 1.0)
+    run_hybrid(world, model, law, u0, None, 50, 10, desired)
+    for candidate in range(1, 21):
+        evaluate_switch(world, model, law, u0, None, candidate, 1.0, desired)
+    assert calls == ["svd" if kind == "partial_isometry" else "eigh"]
+
+
+def test_factorization_is_freed_with_its_model(second_order_pair):
+    _, model, u0, desired = second_order_pair
+    model = _fresh(model)
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values, 1, SAMPLE_PERIOD)
+    fast_forward(model, LearningLaw("p_transpose", 1.0), u0, e0, 10)
+    key = id(model)
+    entry_ref = weakref.ref(engine._FACTORIZATIONS[key])
+    model_ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert model_ref() is None
+    assert entry_ref() is None
+    assert key not in engine._FACTORIZATIONS
 
 
 # ----------------------------------------------------------------- fast_forward
@@ -102,6 +190,9 @@ def test_spectral_decompose_rejects_asymmetric_input(second_order_pair):
     st.sampled_from(LAW_KINDS),
     st.floats(0.1, 1.9),
 )
+# cond(P) = 2e8: an eigenvalue 5e-9 below 1, where forming 1 - lambda^n
+# directly loses eight digits
+@example(seed=5, n=2, kind="partial_isometry", phi_raw=1.0)
 def test_fast_forward_equals_explicit_updates(seed, n, kind, phi_raw):
     """The closed form is defined by the explicit loop it replaces."""
     rng = np.random.default_rng(seed)
@@ -236,16 +327,74 @@ def test_run_hybrid_record_layout(second_order_pair):
     assert np.allclose(history.records[5].error.values, desired.values - y5.values)
 
 
-def test_run_hybrid_model_records_match_explicit_loop(second_order_pair):
-    world, model, u0, desired = second_order_pair
-    law = LearningLaw("p_transpose", 1.0)
-    history = run_hybrid(world, model, law, u0, None, 5, 0, desired)
+def test_run_hybrid_model_records_match_explicit_loop(
+    second_order_pair, third_order_pair
+):
+    """Every batched model-phase record equals the explicit update loop."""
+    for world, model, u0, desired in (second_order_pair, third_order_pair):
+        for kind in LAW_KINDS:
+            law = LearningLaw(kind, 1.0)
+            history = run_hybrid(world, model, law, u0, None, 60, 0, desired)
+            gain = build_gain(law, model)
+            ref = explicit_iterates(model, gain.l_matrix, u0.values, desired.values, 59)
+            for j, (u_ref, e_ref) in enumerate(ref):
+                record = history.records[j]
+                assert record.phase == "model"
+                assert np.max(np.abs(record.input.values - u_ref)) < 1e-9
+                assert np.max(np.abs(record.error.values - e_ref)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "kind, smallest_sigma",
+    [("p_transpose", 1e-5), ("partial_isometry", 1e-10), ("norm_optimal", 1e-5)],
+)
+def test_eigenvalues_near_one_keep_full_accuracy(kind, smallest_sigma):
+    # a singular value this small puts one eigenvalue within 1e-9 of 1,
+    # where 1 - lambda^n computed directly would cancel to a few digits
+    rng = np.random.default_rng(5)
+    q_left, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    q_right, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    sigma = np.array([1.2, 0.9, 0.6, 0.4, 0.2, smallest_sigma])
+    model = LiftedSystem(
+        q_left @ np.diag(sigma) @ q_right.T, np.zeros((6, 1)), 6, 0,
+        SAMPLE_PERIOD, None,
+    )
+    law = LearningLaw(kind, 0.5)
+    op = engine._convergent_operator(model, law)
+    assert 0.0 < 1.0 - np.max(op.lam) < 1e-9
+    u0 = Trajectory(rng.standard_normal(6), 0, SAMPLE_PERIOD)
+    desired = Trajectory(rng.standard_normal(6), 1, SAMPLE_PERIOD)
+    # records 0..39 come from the batched pass, record 40 (the first "world"
+    # record, on the same plant) from one fast_forward call
+    history = run_hybrid(model, model, law, u0, None, 40, 0, desired)
     gain = build_gain(law, model)
-    ref = explicit_iterates(model, gain.l_matrix, u0.values, desired.values, 4)
-    for j in (0, 3, 4):
-        u_ref, e_ref = ref[j]
-        assert np.max(np.abs(history.records[j].input.values - u_ref)) < 1e-9
-        assert np.max(np.abs(history.records[j].error.values - e_ref)) < 1e-9
+    ref = explicit_iterates(model, gain.l_matrix, u0.values, desired.values, 40)
+    for record, (u_ref, e_ref) in zip(history.records, ref, strict=True):
+        assert np.max(np.abs(record.input.values - u_ref)) < 1e-9
+        assert np.max(np.abs(record.error.values - e_ref)) < 1e-9
+
+
+def test_model_phase_divergence_is_caught_before_iterating(second_order_pair):
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw("partial_isometry", 2.5)
+    with pytest.raises(DivergenceError, match="eigenvalue magnitude"):
+        run_iterations(world, model, law, u0, None, 1000, "model", desired)
+
+
+def test_world_phase_divergence_names_phase_and_iteration(second_order_pair):
+    # the model-built gain on a plant it cannot stabilize: the world error
+    # grows until its RMS overflows
+    _, model, u0, desired = second_order_pair
+    world = build_lifted(
+        discretize_zoh(continuous_plant("second_order", PlantParams(0.05, 37.0)),
+                       SAMPLE_PERIOD),
+        model.horizon,
+    )
+    law = LearningLaw("p_transpose", 1.0)
+    with pytest.raises(DivergenceError, match=r"world phase diverged.*iteration \d+"):
+        run_iterations(world, model, law, u0, None, 1000, "world", desired)
+    with pytest.raises(DivergenceError, match=r"world phase diverged.*iteration \d+"):
+        run_hybrid(world, model, law, u0, None, 10, 1000, desired)
 
 
 def test_run_hybrid_zero_counts_yield_one_world_record(second_order_pair):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import liftedilc.switching as switching
+import liftedilc.engine as engine
 from liftedilc import (
     EmptyInputError,
     InvalidParameterError,
@@ -71,13 +71,13 @@ def test_advisor_consumes_exactly_two_world_runs(
     world, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
     counts = {"world": 0, "model": 0}
-    real = switching.lifted_output
+    real = engine.lifted_output
 
     def counting(plant, u, x0=None):
         counts["world" if plant is world else "model"] += 1
         return real(plant, u, x0)
 
-    monkeypatch.setattr(switching, "lifted_output", counting)
+    monkeypatch.setattr(engine, "lifted_output", counting)
     evaluate_switch(world, model, law, u0, None, 25, 1.0, desired)
     assert counts["world"] == 2
 
