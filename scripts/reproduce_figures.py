@@ -8,9 +8,8 @@ per law.
 """
 
 import argparse
-import math
 
-from liftedilc import reproduce_figure
+from liftedilc import reproduce_figure, to_db
 
 LAYOUTS = [
     ("fig2", ["p_transpose"], 50),
@@ -31,7 +30,7 @@ def main():
                 figure_id, law_kind, switch_n, args.output_dir
             )
             finals = ", ".join(
-                f"{name} {20 * math.log10(v):.2f} dB"
+                f"{name} {to_db(v):.2f} dB"
                 for name, v in artifacts.summary["final_rms"].items()
             )
             print(f"{figure_id} {law_kind}: {artifacts.plot_paths[0]} ({finals})")

@@ -8,14 +8,17 @@ more time spent converging toward the wrong (model) fixed point.
 """
 
 import argparse
-import math
 
 from liftedilc import (
     LearningLaw,
+    build_desired_trajectory,
+    build_initial_input,
+    build_lifted_pair,
     evaluate_switch,
+    load_preset,
     run_hybrid,
+    to_db,
 )
-from liftedilc.selfcheck import _example_pair
 
 
 def main():
@@ -26,7 +29,10 @@ def main():
     parser.add_argument("--candidates", default="5,10,25,50,100,200")
     args = parser.parse_args()
 
-    world, model, u0, desired = _example_pair("second_order")
+    config = load_preset("second_order")
+    world, model = build_lifted_pair(config)
+    u0 = build_initial_input(config)
+    desired = build_desired_trajectory(config)
     law = LearningLaw(args.law, 1.0)
     print(f"law {args.law}, hardware budget {args.budget}")
     print("     n   R_M,n      jump       model slope  world slope  "
@@ -35,7 +41,7 @@ def main():
         n = int(text)
         report = evaluate_switch(world, model, law, u0, None, n, 1.0, desired)
         hybrid = run_hybrid(world, model, law, u0, None, n, args.budget, desired)
-        final_db = 20.0 * math.log10(hybrid.records[-1].rms)
+        final_db = to_db(hybrid.records[-1].rms)
         advice = "switch" if report.recommend_switch else "stay"
         print(
             f"  {n:4d}   {report.r_model_n:.4f}     {report.jump:+.4f}    "

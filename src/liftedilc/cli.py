@@ -6,10 +6,10 @@ rank deficiency, and the like) or failed self-checks.
 """
 
 import argparse
-import math
 import sys
 
 from .config import continuous_plant, load_config
+from .engine import to_db
 from .errors import ConfigError, LiftedIlcError
 from .experiments import (
     FIGURE_IDS,
@@ -29,7 +29,7 @@ __all__ = ["main"]
 def _format_db(rms_value):
     if rms_value is None or rms_value <= 0.0:
         return "-inf dB"
-    return f"{20.0 * math.log10(rms_value):.2f} dB"
+    return f"{to_db(rms_value):.2f} dB"
 
 
 def _print_switch_report(report, out):

@@ -16,6 +16,7 @@ the configuration exactly.
 
 import math
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -28,12 +29,17 @@ __all__ = [
     "TrajectoryShape",
     "ExperimentConfig",
     "load_config",
+    "load_preset",
     "write_config",
 ]
 
 SYSTEM_KINDS = ("second_order", "third_order")
 MODES = ("model", "world", "hybrid")
 INITIAL_INPUT_NAMES = ("zero", "desired_output")
+PRESET_FILES = {
+    "second_order": "second_order_fig3.cfg",
+    "third_order": "third_order_fig5.cfg",
+}
 
 
 @dataclass(frozen=True)
@@ -256,6 +262,17 @@ def load_config(path):
         csv_path=merged["output.csv"],
         plot_path=plot_path if plot_path else None,
     )
+
+
+def load_preset(kind):
+    """Load the packaged preset of one bundled plant pair.
+
+    kind is 'second_order' or 'third_order'. The two presets are the one
+    definition of the pairs: figures and self-checks read them through here.
+    """
+    ref = resources.files(__package__).joinpath("presets", PRESET_FILES[kind])
+    with resources.as_file(ref) as path:
+        return load_config(path)
 
 
 def _plant_params(merged, section, kind):

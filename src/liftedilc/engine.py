@@ -35,7 +35,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, EmptyInputError, InvalidParameterError
+from .errors import (
+    DimensionError,
+    DivergenceError,
+    EmptyInputError,
+    InvalidParameterError,
+    UndefinedDbError,
+)
 from .laws import LearningLaw, build_gain, update_input
 from .lifted import Trajectory, _wrap_trajectory, lifted_output
 
@@ -43,6 +49,7 @@ __all__ = [
     "IterationRecord",
     "IterationHistory",
     "rms",
+    "to_db",
     "run_iterations",
     "run_hybrid",
     "geometric_sum",
@@ -85,8 +92,13 @@ def rms(error):
     return math.sqrt(float(np.dot(v, v)) / v.size)
 
 
-def _rms_db(value):
-    return 20.0 * math.log10(value) if value > 0 else None
+def to_db(rms_value):
+    """20 log10 of an RMS value; only defined for positive values."""
+    if not rms_value > 0:
+        raise UndefinedDbError(
+            f"dB conversion undefined for non-positive value {rms_value}"
+        )
+    return 20.0 * math.log10(rms_value)
 
 
 def _record(iteration, phase, u, e):
@@ -95,7 +107,7 @@ def _record(iteration, phase, u, e):
         raise DivergenceError(
             f"{phase} phase diverged: error RMS is {r} at iteration {iteration}"
         )
-    return IterationRecord(iteration, phase, u, e, r, _rms_db(r))
+    return IterationRecord(iteration, phase, u, e, r, to_db(r) if r > 0 else None)
 
 
 def _power_minus_one(lam, n):

@@ -7,20 +7,19 @@ as CSV (one row per iteration) plus an optional SVG chart. The CSV column
 is the quantity the fast-forward scheme is designed to save.
 """
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .config import ExperimentConfig, PlantParams, TrajectoryShape, continuous_plant
-from .engine import run_hybrid, run_iterations
+from .config import _unstable_zero_count, continuous_plant, load_preset
+from .engine import run_hybrid, run_iterations, to_db
 from .errors import ConfigError
 from .laws import LearningLaw
 from .lifted import LiftedSystem, Trajectory, build_lifted, delete_rows
-from .lti import discretize_zoh, sampled_zeros
-from .switching import evaluate_switch, to_db
+from .lti import discretize_zoh
+from .switching import evaluate_switch
 from .svg import Marker, Series, render_line_chart
 
 __all__ = [
@@ -38,8 +37,8 @@ CSV_HEADER = "iteration,phase,rms,rms_db,hardware_iterations_consumed"
 
 CURVE_COLORS = {"model": "#000000", "world": "#1f5fbf", "hybrid": "#c62828"}
 
-# Figure layouts: the two bundled plant pairs, each in a plain comparison
-# variant and a variant annotated with the four switch-decision markers.
+# Figure layouts: the two bundled plant pairs (their packaged presets), each
+# in a plain comparison variant and one annotated with the switch markers.
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5")
 _FIGURE_FAMILY = {
     "fig2": ("second_order", True),
@@ -89,14 +88,12 @@ def build_lifted_pair(config):
 
 def unhandled_zero_warning(config):
     """Warning text when deleted_rows leaves unstable zeros uncovered, else None."""
-    dss = discretize_zoh(
-        continuous_plant(config.system_kind, config.model_params),
-        config.sample_period,
+    outside = _unstable_zero_count(
+        config.system_kind, config.model_params, config.sample_period
     )
-    outside = [z for z in sampled_zeros(dss) if abs(z) > 1.0]
-    if len(outside) > config.deleted_rows:
+    if outside > config.deleted_rows:
         return (
-            f"model has {len(outside)} sampled zero(s) outside the unit circle "
+            f"model has {outside} sampled zero(s) outside the unit circle "
             f"but only {config.deleted_rows} deleted row(s); the inverse "
             "problem is effectively unstable"
         )
@@ -155,20 +152,10 @@ def write_history_csv(history, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _history_series(history, name, color):
-    xs, ys = [], []
-    for record in history.records:
-        if record.rms_db is not None:
-            xs.append(float(record.iteration))
-            ys.append(record.rms_db)
-    return Series(name, xs, ys, color)
-
-
-def _final_rms_by_phase(history):
-    final = {}
-    for record in history.records:
-        final[record.phase] = record.rms
-    return final
+def _series(records, name, color):
+    kept = [r for r in records if r.rms_db is not None]
+    xs = [float(r.iteration) for r in kept]
+    return Series(name, xs, [r.rms_db for r in kept], color)
 
 
 def run_experiment(config):
@@ -211,7 +198,7 @@ def run_experiment(config):
     summary = {
         "mode": config.mode,
         "law": config.law_kind,
-        "final_rms": _final_rms_by_phase(history),
+        "final_rms": {r.phase: r.rms for r in history.records},
         "switch_index": history.switch_index,
         "switch_reports": reports,
         "warnings": [warning] if warning else [],
@@ -223,14 +210,7 @@ def run_experiment(config):
         for phase, color in (("model", "#000000"), ("world", "#c62828")):
             sub = [r for r in history.records if r.phase == phase]
             if sub:
-                series.append(
-                    Series(
-                        phase,
-                        [float(r.iteration) for r in sub if r.rms_db is not None],
-                        [r.rms_db for r in sub if r.rms_db is not None],
-                        color,
-                    )
-                )
+                series.append(_series(sub, phase, color))
         render_line_chart(
             config.plot_path,
             series,
@@ -240,39 +220,6 @@ def run_experiment(config):
         )
         plot_paths.append(config.plot_path)
     return RunArtifacts(config.csv_path, summary, plot_paths)
-
-
-def _figure_config(figure_id, law_kind, switch_n):
-    family, _ = _FIGURE_FAMILY[figure_id]
-    if family == "second_order":
-        model = PlantParams(0.5, 37.0)
-        world = PlantParams(0.3, 37.0)
-        shape = TrajectoryShape(math.pi, 20.0 * math.pi, 2.0)
-        deleted = 0
-    else:
-        model = PlantParams(0.5, 37.0, 8.8)
-        world = PlantParams(0.5, 44.4, 8.8)
-        shape = TrajectoryShape(math.pi, 10.0 * math.pi, 2.0)
-        deleted = 1
-    return ExperimentConfig(
-        system_kind=family,
-        model_params=model,
-        world_params=world,
-        sample_period=0.01,
-        horizon=100,
-        deleted_rows=deleted,
-        trajectory=shape,
-        law_kind=law_kind,
-        gain=1.0,
-        initial_input="desired_output",
-        mode="hybrid",
-        model_count=switch_n,
-        world_count=_WORLD_SEGMENT,
-        switch_candidates=(switch_n,),
-        slope_factor=1.0,
-        csv_path="",
-        plot_path=None,
-    )
 
 
 def reproduce_figure(figure_id, law_kind, switch_n, output_dir="."):
@@ -302,7 +249,8 @@ def reproduce_figure(figure_id, law_kind, switch_n, output_dir="."):
         raise ConfigError(
             f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}"
         )
-    config = _figure_config(figure_id, law_kind, switch_n)
+    family, with_markers = _FIGURE_FAMILY[figure_id]
+    config = load_preset(family)
     world, model = build_lifted_pair(config)
     desired = build_desired_trajectory(config)
     u0 = build_initial_input(config)
@@ -316,16 +264,8 @@ def reproduce_figure(figure_id, law_kind, switch_n, output_dir="."):
                              _WORLD_SEGMENT, desired),
     }
 
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = f"{figure_id}_{law_kind}_switch{switch_n}"
-    curve_paths = {}
-    for name, history in histories.items():
-        path = out / f"{stem}_{name}.csv"
-        write_history_csv(history, path)
-        curve_paths[name] = str(path)
-
-    _, with_markers = _FIGURE_FAMILY[figure_id]
+    # every numerical step runs before the first file is written, so a
+    # failure leaves the output directory untouched
     report = None
     markers = []
     if with_markers:
@@ -339,13 +279,22 @@ def reproduce_figure(figure_id, law_kind, switch_n, output_dir="."):
             Marker("B2", switch_n + 1, to_db(report.r_world_n1), "#c62828"),
         ]
 
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stem = f"{figure_id}_{law_kind}_switch{switch_n}"
+    curve_paths = {}
+    for name, history in histories.items():
+        path = out / f"{stem}_{name}.csv"
+        write_history_csv(history, path)
+        curve_paths[name] = str(path)
+
     plot_path = out / f"{stem}.svg"
     render_line_chart(
         plot_path,
         [
-            _history_series(histories["model"], "model only", CURVE_COLORS["model"]),
-            _history_series(histories["world"], "world only", CURVE_COLORS["world"]),
-            _history_series(histories["hybrid"], "hybrid", CURVE_COLORS["hybrid"]),
+            _series(histories["model"].records, "model only", CURVE_COLORS["model"]),
+            _series(histories["world"].records, "world only", CURVE_COLORS["world"]),
+            _series(histories["hybrid"].records, "hybrid", CURVE_COLORS["hybrid"]),
         ],
         f"{figure_id}: {law_kind}, switch at {switch_n}",
         "iteration",

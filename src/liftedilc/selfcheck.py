@@ -7,6 +7,7 @@ example systems. The acceptance tests call the same functions, so the CLI
 and the test suite cannot drift apart.
 """
 
+import dataclasses
 import io
 import math
 import tempfile
@@ -18,15 +19,11 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .config import PlantParams, continuous_plant
+from .config import continuous_plant, load_preset
 from .engine import _measure, fast_forward, run_hybrid, run_iterations
+from .experiments import build_desired_trajectory, build_initial_input, build_lifted_pair
 from .laws import LAW_KINDS, LearningLaw, build_gain, iteration_matrix
-from .lifted import (
-    Trajectory,
-    build_lifted,
-    delete_rows,
-    pseudo_inverse_input,
-)
+from .lifted import build_lifted, delete_rows, pseudo_inverse_input
 from .lti import (
     DiscreteStateSpace,
     FirstOrderFeedbackSpec,
@@ -62,29 +59,20 @@ def format_result(result):
 
 @lru_cache(maxsize=None)
 def _example_pair(kind):
-    """(world, model, u0, desired) for one of the two bundled plant pairs."""
-    if kind == "second_order":
-        model_params = PlantParams(0.5, 37.0)
-        world_params = PlantParams(0.3, 37.0)
-        freq, deleted = 20.0 * math.pi, 0
-    else:
-        model_params = PlantParams(0.5, 37.0, 8.8)
-        world_params = PlantParams(0.5, 44.4, 8.8)
-        freq, deleted = 10.0 * math.pi, 1
-    model = build_lifted(discretize_zoh(continuous_plant(kind, model_params), _T), _N)
-    world = build_lifted(discretize_zoh(continuous_plant(kind, world_params), _T), _N)
-    if deleted:
-        model = delete_rows(model, deleted)
-        world = delete_rows(world, deleted)
-    desired = Trajectory(
-        _target(np.arange(1 + deleted, _N + 1) * _T, freq), 1 + deleted, _T
-    )
-    u0 = Trajectory(_target(np.arange(1, _N + 1) * _T, freq), 0, _T)
-    return world, model, u0, desired
+    """(world, model, u0, desired) for one of the two bundled plant pairs.
+
+    Cached so that the checks share one model object and its factorization.
+    """
+    config = load_preset(kind)
+    world, model = build_lifted_pair(config)
+    return world, model, build_initial_input(config), build_desired_trajectory(config)
 
 
-def _target(t, freq):
-    return math.pi * (1.0 - np.cos(freq * t)) ** 2
+def _model_plant(kind):
+    """The sampled model plant of one bundled pair, with its preset."""
+    config = load_preset(kind)
+    plant = continuous_plant(kind, config.model_params)
+    return discretize_zoh(plant, config.sample_period), config
 
 
 def _rel_gap(candidate, reference):
@@ -178,7 +166,7 @@ def check_first_order_discretization():
     t0 = time.perf_counter()
     spec = FirstOrderFeedbackSpec(3.0, 40.0, initial_output=0.25)
     grid = np.arange(_N + 1) * _T
-    held = _target(grid[:-1], 4.0 * math.pi)
+    held = math.pi * (1.0 - np.cos(4.0 * math.pi * grid[:-1])) ** 2
 
     def staircase(t):
         return float(held[min(int(t / _T), _N - 1)])
@@ -206,14 +194,8 @@ def check_first_order_discretization():
 def check_sampled_zero_detection():
     """4: third-order plant has one zero outside, on the negative real axis."""
     t0 = time.perf_counter()
-    third = discretize_zoh(
-        continuous_plant("third_order", PlantParams(0.5, 37.0, 8.8)), _T
-    )
-    second = discretize_zoh(
-        continuous_plant("second_order", PlantParams(0.5, 37.0)), _T
-    )
-    z3 = sampled_zeros(third)
-    z2 = sampled_zeros(second)
+    z3 = sampled_zeros(_model_plant("third_order")[0])
+    z2 = sampled_zeros(_model_plant("second_order")[0])
     outside3 = [z for z in z3 if abs(z) > 1.0]
     outside2 = [z for z in z2 if abs(z) > 1.0]
     passed = (
@@ -237,15 +219,11 @@ def check_sampled_zero_detection():
 def check_stable_inverse_boundedness():
     """5: one deleted row shrinks the inverse input by >= 10x."""
     t0 = time.perf_counter()
-    dss = discretize_zoh(
-        continuous_plant("third_order", PlantParams(0.5, 37.0, 8.8)), _T
-    )
-    full = build_lifted(dss, _N)
-    deleted = delete_rows(build_lifted(dss, _N), 1)
-    y_full = Trajectory(_target(np.arange(1, _N + 1) * _T, 10.0 * math.pi), 1, _T)
-    y_deleted = Trajectory(
-        _target(np.arange(2, _N + 1) * _T, 10.0 * math.pi), 2, _T
-    )
+    dss, config = _model_plant("third_order")
+    full = build_lifted(dss, config.horizon)
+    deleted = delete_rows(build_lifted(dss, config.horizon), 1)
+    y_full = build_desired_trajectory(dataclasses.replace(config, deleted_rows=0))
+    y_deleted = build_desired_trajectory(dataclasses.replace(config, deleted_rows=1))
     u_star = pseudo_inverse_input(deleted, y_deleted)
     u_exact = scipy.linalg.solve_triangular(
         full.p_matrix, y_full.values, lower=True

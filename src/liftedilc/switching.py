@@ -8,11 +8,10 @@ learning faster than the model predicts. Only two world applications are
 consumed, which is the entire cost of asking.
 """
 
-import math
 from dataclasses import dataclass
 
-from .engine import _learn, _measure, fast_forward, rms
-from .errors import InvalidParameterError, UndefinedDbError
+from .engine import _learn, _measure, fast_forward, rms, to_db
+from .errors import InvalidParameterError
 
 __all__ = ["SwitchReport", "to_db", "evaluate_switch"]
 
@@ -36,15 +35,6 @@ class SwitchReport:
     jump: float
     recommend_switch: bool
     slope_factor: float
-
-
-def to_db(rms_value):
-    """20 log10 of an RMS value; only defined for positive values."""
-    if not rms_value > 0:
-        raise UndefinedDbError(
-            f"dB conversion undefined for non-positive value {rms_value}"
-        )
-    return 20.0 * math.log10(rms_value)
 
 
 def evaluate_switch(world, model, law, u0, x0, candidate_n, slope_factor, desired):

@@ -1,16 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from liftedilc import (
-    PlantParams,
-    Trajectory,
+    build_desired_trajectory,
+    build_initial_input,
     build_lifted,
-    continuous_plant,
-    delete_rows,
-    discretize_zoh,
+    build_lifted_pair,
+    load_preset,
 )
 
 # timing variance from BLAS warmup makes per-example deadlines meaningless
@@ -18,53 +15,24 @@ settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
 
 SAMPLE_PERIOD = 0.01
-HORIZON = 100
 
 
-def target_values(steps, angular_frequency):
-    t = np.asarray(steps, dtype=float) * SAMPLE_PERIOD
-    return math.pi * (1.0 - np.cos(angular_frequency * t)) ** 2
-
-
-def _build_pair(kind):
-    if kind == "second_order":
-        model_params = PlantParams(0.5, 37.0)
-        world_params = PlantParams(0.3, 37.0)
-        frequency, deleted = 20.0 * math.pi, 0
-    else:
-        model_params = PlantParams(0.5, 37.0, 8.8)
-        world_params = PlantParams(0.5, 44.4, 8.8)
-        frequency, deleted = 10.0 * math.pi, 1
-    model = build_lifted(
-        discretize_zoh(continuous_plant(kind, model_params), SAMPLE_PERIOD), HORIZON
-    )
-    world = build_lifted(
-        discretize_zoh(continuous_plant(kind, world_params), SAMPLE_PERIOD), HORIZON
-    )
-    if deleted:
-        model = delete_rows(model, deleted)
-        world = delete_rows(world, deleted)
-    desired = Trajectory(
-        target_values(np.arange(1 + deleted, HORIZON + 1), frequency),
-        1 + deleted,
-        SAMPLE_PERIOD,
-    )
-    u0 = Trajectory(
-        target_values(np.arange(1, HORIZON + 1), frequency), 0, SAMPLE_PERIOD
-    )
-    return world, model, u0, desired
+def _preset_pair(kind):
+    config = load_preset(kind)
+    world, model = build_lifted_pair(config)
+    return world, model, build_initial_input(config), build_desired_trajectory(config)
 
 
 @pytest.fixture(scope="session")
 def second_order_pair():
-    """(world, model, u0, desired) for the second-order example."""
-    return _build_pair("second_order")
+    """(world, model, u0, desired) for the second-order preset."""
+    return _preset_pair("second_order")
 
 
 @pytest.fixture(scope="session")
 def third_order_pair():
-    """(world, model, u0, desired) for the third-order example, one row deleted."""
-    return _build_pair("third_order")
+    """(world, model, u0, desired) for the third-order preset, one row deleted."""
+    return _preset_pair("third_order")
 
 
 def explicit_iterates(model, l_matrix, u0_values, desired_values, count):

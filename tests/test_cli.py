@@ -1,8 +1,12 @@
 import io
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from liftedilc import LAW_KINDS, reproduce_figure
 from liftedilc.cli import main
+from liftedilc.config import PRESET_FILES
 
 from conftest import MINIMAL_THIRD_ORDER
 
@@ -134,3 +138,28 @@ def test_zeros_reports_both_plants(write_cfg):
     assert "world plant sampled zeros (1 outside unit circle):" in text
     assert "configured deleted rows: 1" in text
     assert "-3.31042889" in text
+
+
+@pytest.mark.parametrize("fig_id, code", [("fig2", 2), ("fig3", 0), ("fig4", 2)])
+def test_switch_zero_fails_only_for_marker_figures_and_then_writes_nothing(
+    fig_id, code, tmp_path
+):
+    argv = ["figure", fig_id, "--switch", "0", "--output-dir", str(tmp_path)]
+    assert run_cli(argv)[0] == code
+    written = list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.svg"))
+    assert len(written) == (4 if code == 0 else 0)
+
+
+@pytest.mark.parametrize("law", LAW_KINDS)
+@pytest.mark.parametrize("kind, fig_id, switch_n",
+                         [("second_order", "fig3", 50), ("third_order", "fig5", 100)])
+def test_run_on_a_preset_writes_its_figure_hybrid_curve(
+    kind, fig_id, switch_n, law, tmp_path, monkeypatch
+):
+    preset = resources.files("liftedilc").joinpath("presets", PRESET_FILES[kind])
+    text = preset.read_text().replace("law.kind = p_transpose", f"law.kind = {law}")
+    (tmp_path / "preset.cfg").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["run", "preset.cfg"])[0] == 0
+    figure = reproduce_figure(fig_id, law, switch_n, "figures")
+    assert Path(f"{kind}_results.csv").read_bytes() == Path(figure.csv_path).read_bytes()

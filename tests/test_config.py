@@ -1,5 +1,4 @@
 import math
-from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,20 +9,15 @@ from liftedilc import (
     PlantParams,
     TrajectoryShape,
     load_config,
+    load_preset,
     write_config,
 )
 
 from conftest import MINIMAL_THIRD_ORDER
 
 
-def load_preset(name):
-    ref = resources.files("liftedilc").joinpath(f"presets/{name}")
-    with resources.as_file(ref) as path:
-        return load_config(path)
-
-
 def test_second_order_preset_loads():
-    cfg = load_preset("second_order_fig3.cfg")
+    cfg = load_preset("second_order")
     assert cfg.system_kind == "second_order"
     assert cfg.model_params == PlantParams(0.5, 37.0)
     assert cfg.world_params == PlantParams(0.3, 37.0)
@@ -36,7 +30,7 @@ def test_second_order_preset_loads():
 
 
 def test_third_order_preset_loads():
-    cfg = load_preset("third_order_fig5.cfg")
+    cfg = load_preset("third_order")
     assert cfg.system_kind == "third_order"
     assert cfg.model_params.real_pole == 8.8
     assert cfg.world_params.natural_frequency == 44.4

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,17 +10,20 @@ from liftedilc import (
     InvalidParameterError,
     RankDeficiencyError,
     Trajectory,
+    build_desired_trajectory,
     build_lifted,
+    build_lifted_pair,
     delete_rows,
     discretize_zoh,
     lifted_output,
+    load_preset,
     make_second_order,
     make_third_order,
     pseudo_inverse_input,
     simulate,
 )
 
-from conftest import SAMPLE_PERIOD, random_stable_lifted, target_values
+from conftest import SAMPLE_PERIOD, random_stable_lifted
 
 
 def markov(dss, count):
@@ -109,13 +114,11 @@ def test_pseudo_inverse_reproduces_minimum_phase_target(second_order_pair):
 
 
 def test_pseudo_inverse_refuses_effectively_singular_rows():
-    dss = discretize_zoh(make_third_order(8.8, 0.5, 37.0), SAMPLE_PERIOD)
-    full = build_lifted(dss, 100)
-    desired = Trajectory(
-        target_values(np.arange(1, 101), 10.0 * np.pi), 1, SAMPLE_PERIOD
-    )
+    # the third-order preset with its unstable zero left in place
+    config = dataclasses.replace(load_preset("third_order"), deleted_rows=0)
+    _, full = build_lifted_pair(config)
     with pytest.raises(RankDeficiencyError) as info:
-        pseudo_inverse_input(full, desired)
+        pseudo_inverse_input(full, build_desired_trajectory(config))
     assert 0 < info.value.numerical_rank < 100
 
 
