@@ -8,7 +8,7 @@ rank deficiency, and the like) or failed self-checks.
 import argparse
 import sys
 
-from .config import continuous_plant, load_config
+from .config import _parse_candidates, continuous_plant, load_config
 from .engine import to_db
 from .errors import ConfigError, LiftedIlcError
 from .experiments import (
@@ -92,15 +92,7 @@ def _cmd_figure(args, out):
 def _cmd_advise_switch(args, out):
     config = load_config(args.config)
     if args.candidates is not None:
-        try:
-            candidates = tuple(
-                int(c) for c in args.candidates.split(",") if c.strip()
-            )
-        except ValueError:
-            raise ConfigError(
-                f"--candidates must be comma-separated integers, "
-                f"got {args.candidates!r}"
-            ) from None
+        candidates = _parse_candidates(args.candidates, "--candidates")
     else:
         candidates = config.switch_candidates
     if not candidates:

@@ -101,10 +101,14 @@ def _parse_int(text, key):
 
 
 def _parse_candidates(text, key):
+    """Comma-separated switch candidates, each >= 1; empty text gives ()."""
     text = text.strip()
     if not text:
         return ()
-    return tuple(_parse_int(part, key) for part in text.split(","))
+    candidates = tuple(_parse_int(part, key) for part in text.split(","))
+    if any(c < 1 for c in candidates):
+        raise ConfigError(f"key {key!r}: candidates must be >= 1")
+    return candidates
 
 
 _REQUIRED = (
@@ -238,8 +242,6 @@ def load_config(path):
         raise ConfigError("keys 'run.model_count'/'run.world_count': must be >= 0")
 
     candidates = _parse_candidates(merged["switch.candidates"], "switch.candidates")
-    if any(c < 1 for c in candidates):
-        raise ConfigError("key 'switch.candidates': candidates must be >= 1")
     slope_factor = _parse_float(merged["switch.slope_factor"], "switch.slope_factor")
 
     plot_path = merged["output.plot"]

@@ -23,9 +23,11 @@ which needs V. It lives in a cache keyed weakly on the model object, together
 with the products derived from it for each law, so every fast-forward, run
 and switch evaluation on one model shares it, and it is freed with the model.
 
-`run_iterations` is the explicit counterpart: it builds the dense gain with
-`build_gain`, applies every update to the plant and records the full
-history, so it doubles as the independent reference for the fast path.
+`run_iterations` is the explicit counterpart: it applies every input to the
+plant and records the full history. Every learning update u + L e, in the
+explicit runs, the world phase of a hybrid run and the switch advisor alike,
+goes through the same cached factorization as two matrix-vector products;
+the dense gain built in `laws` is only the independent reference.
 """
 
 import math
@@ -42,7 +44,7 @@ from .errors import (
     InvalidParameterError,
     UndefinedDbError,
 )
-from .laws import LearningLaw, build_gain, update_input
+from .laws import LearningLaw
 from .lifted import Trajectory, _wrap_trajectory, lifted_output
 
 __all__ = [
@@ -52,7 +54,6 @@ __all__ = [
     "to_db",
     "run_iterations",
     "run_hybrid",
-    "geometric_sum",
     "fast_forward",
 ]
 
@@ -110,49 +111,6 @@ def _record(iteration, phase, u, e):
     return IterationRecord(iteration, phase, u, e, r, to_db(r) if r > 0 else None)
 
 
-def _power_minus_one(lam, n):
-    """lambda^n - 1 elementwise, without cancellation where lambda^n is near 1.
-
-    Formed as expm1(n log|lambda|), with the sign restored for odd n, where
-    the direct 1 - lambda^n would lose digits as lambda approaches 1. n is an
-    int >= 1, or an integer column broadcasting against lam.
-    """
-    with np.errstate(divide="ignore"):
-        r = np.expm1(n * np.log(np.abs(lam)))
-    # for negative lambda and odd n, lambda^n - 1 = -(|lambda|^n - 1) - 2
-    return np.where((np.asarray(n) % 2 == 1) & (lam < 0), -2.0 - r, r)
-
-
-def geometric_sum(eigenvalues, power_count):
-    """Per-eigenvalue partial sums S_i = sum of lambda_i^m for m = 0..power_count.
-
-    Uses the closed form (1 - lambda^(power_count+1)) / (1 - lambda), with
-    the numerator formed so that it keeps full accuracy for lambda near 1;
-    at lambda = 1 exactly the limit power_count + 1 is returned.
-
-    Raises
-    ------
-    DivergenceError
-        If any |lambda_i| >= 1 + 1e-12.
-    """
-    lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
-    if power_count < 0 or int(power_count) != power_count:
-        raise InvalidParameterError(
-            f"power_count must be a nonnegative integer, got {power_count}"
-        )
-    count = int(power_count)
-    worst = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if worst >= 1.0 + 1e-12:
-        raise DivergenceError(
-            f"eigenvalue magnitude {worst:.12g} is at or beyond 1; the "
-            "geometric sum diverges"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _power_minus_one(lam, count + 1) / (lam - 1.0)
-    out[lam == 1.0] = count + 1
-    return out
-
-
 class _Factorization:
     """Factorizations of one model's lifted matrix P, each computed on first use.
 
@@ -195,8 +153,9 @@ class _LawOperator:
         [u_n - u_0; e_n - e_0] = [-L U diag(G); U] R
 
     so one fast-forward costs two matrix-vector products. lambda^n - 1 is
-    formed as in _power_minus_one, from the precomputed log|lambda|, sign and
-    1 - sign.
+    formed as expm1(n log|lambda|), with the sign restored for odd n from the
+    precomputed sign and 1 - sign, so it keeps full accuracy where lambda^n is
+    near 1. One learning update is L e = -L U diag(G) ((lambda - 1) * U^T e).
     """
 
     lam: np.ndarray
@@ -204,14 +163,15 @@ class _LawOperator:
     ut: np.ndarray             # U^T, contiguous: faster than a transposed view
     out_map: np.ndarray        # [-L U diag(G); U], N + (N - d) rows
     lu_neg: np.ndarray         # -L U diag(G), the top rows of out_map
+    lam_minus_one: np.ndarray  # lambda - 1, with 1 where lambda is exactly 1
     log_abs_lam: np.ndarray
     sign_lam: np.ndarray       # -1 for negative lambda, else +1
     odd_offset: np.ndarray     # 1 - sign_lam
     has_negative: bool
 
 
-def _convergent_operator(model, law):
-    """The cached _LawOperator of (model, law); raises if the law diverges."""
+def _operator(model, law):
+    """The cached _LawOperator of (model, law), built on first use."""
     key = id(model)
     entry = _FACTORIZATIONS.get(key)
     if entry is None:
@@ -222,6 +182,12 @@ def _convergent_operator(model, law):
     op = entry.laws.get(law_key)
     if op is None:
         op = entry.laws[law_key] = _build_operator(entry, law)
+    return op
+
+
+def _convergent_operator(model, law):
+    """The cached _LawOperator of (model, law); raises if the law diverges."""
+    op = _operator(model, law)
     if op.spectral_radius >= 1.0:
         raise DivergenceError(
             f"model iteration matrix has eigenvalue magnitude "
@@ -247,10 +213,12 @@ def _build_operator(entry, law):
             lu /= phi + sigma2
     abs_lam = np.abs(lam)
     sign = np.where(lam < 0.0, -1.0, 1.0)
-    # an eigenvalue of exactly 1 makes G infinite; such a law is refused as
-    # divergent before the operator is used
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lu /= lam - 1.0
+    # an eigenvalue that rounds to exactly 1 (a singular value below rounding)
+    # keeps its column of L U undivided, so the learning update stays exact;
+    # the closed form refuses such a law as divergent before using out_map
+    lam_minus_one = np.where(lam == 1.0, 1.0, lam - 1.0)
+    lu /= lam_minus_one
+    with np.errstate(divide="ignore"):
         log_abs = np.log(abs_lam)
     out_map = np.vstack([lu, u])
     return _LawOperator(
@@ -259,6 +227,7 @@ def _build_operator(entry, law):
         ut=np.ascontiguousarray(u.T),
         out_map=out_map,
         lu_neg=out_map[: lu.shape[0]],
+        lam_minus_one=lam_minus_one,
         log_abs_lam=log_abs,
         sign_lam=sign,
         odd_offset=1.0 - sign,
@@ -336,8 +305,10 @@ def _model_phase(op, u0v, e0v, count):
     as rows, R out_map^T holds every [u_n - u_0; e_n - e_0] from one matrix
     product instead of one fast-forward per record.
     """
+    n = np.arange(1, count)[:, None]
+    r = np.expm1(n * op.log_abs_lam)        # |lambda|^n - 1
     steps = np.zeros((count, op.lam.size))
-    steps[1:] = _power_minus_one(op.lam, np.arange(1, count)[:, None])
+    steps[1:] = np.where(n % 2 == 1, r * op.sign_lam - op.odd_offset, r)
     steps *= np.dot(op.ut, e0v)
     out = steps @ op.out_map.T
     out[:, : u0v.size] += u0v
@@ -346,9 +317,13 @@ def _model_phase(op, u0v, e0v, count):
 
 
 def _learn(model, law, u, e):
-    """One learning update u + L e, with L applied through the factorization."""
-    op = _convergent_operator(model, law)
-    step = np.dot(op.lu_neg, (op.lam - 1.0) * np.dot(op.ut, e.values))
+    """One learning update u + L e, with L applied through the factorization.
+
+    Fetches the operator without the convergence check: a world phase runs
+    whatever the model spectrum, and fails only when its error overflows.
+    """
+    op = _operator(model, law)
+    step = np.dot(op.lu_neg, op.lam_minus_one * np.dot(op.ut, e.values))
     return Trajectory(u.values + step, u.start_step, u.sample_period)
 
 
@@ -375,10 +350,28 @@ def _measure(applied, u, x0, desired):
     return Trajectory(desired.values - y.values, y.start_step, y.sample_period)
 
 
+def _run_loop(applied, model, law, u, x0, desired, count, phase, first=0):
+    """Apply, measure, record and update, `count` times: count + 1 records.
+
+    Each input goes to `applied` and each update is the model's law; record
+    indices start at `first`.
+    """
+    records = []
+    # a diverging run overflows; _record reports it as a DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(count + 1):
+            e = _measure(applied, u, x0, desired)
+            records.append(_record(first + j, phase, u, e))
+            if j < count:
+                u = _learn(model, law, u, e)
+    return records
+
+
 def run_iterations(world, model, law, u0, x0, count, phase, desired):
     """Explicit learning run: apply, measure, update, `count` times.
 
-    The gain matrix always comes from the model. In the model phase every
+    Every update is the model's law, applied through the model's cached
+    factorization; the dense gain is never formed. In the model phase every
     input is applied to the model itself; in the world phase each update is
     applied to the world plant and the true error is measured. Record 0 is
     the initial run with u0, so the history holds count + 1 records.
@@ -415,16 +408,7 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
     _check_run_dimensions(applied, model, u0, desired)
     if phase == "model":
         _convergent_operator(model, law)
-    gain = build_gain(law, model)
-    records = []
-    u = u0
-    # a diverging run overflows; _record reports it as a DivergenceError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(count + 1):
-            e = _measure(applied, u, x0, desired)
-            records.append(_record(j, phase, u, e))
-            if j < count:
-                u = update_input(u, gain, e)
+    records = _run_loop(applied, model, law, u0, x0, desired, count, phase)
     return IterationHistory(records, law)
 
 
@@ -458,10 +442,7 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
             e_j = _wrap_trajectory(errors[j], e0.start_step, e0.sample_period)
             records.append(_record(j, "model", u_j, e_j))
     u, _ = fast_forward(model, law, u0, e0, model_count)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(world_count + 1):
-            e = _measure(world, u, x0, desired)
-            records.append(_record(model_count + i, "world", u, e))
-            if i < world_count:
-                u = _learn(model, law, u, e)
+    records += _run_loop(
+        world, model, law, u, x0, desired, world_count, "world", model_count
+    )
     return IterationHistory(records, law, switch_index=model_count)

@@ -186,8 +186,8 @@ def run_experiment(config):
             config.world_count, desired,
         )
 
-    write_history_csv(history, config.csv_path)
-
+    # every numerical step runs before the first file is written, so a
+    # failure leaves no output behind
     reports = [
         evaluate_switch(
             world, model, law, u0, None, candidate, config.slope_factor, desired
@@ -204,6 +204,7 @@ def run_experiment(config):
         "warnings": [warning] if warning else [],
     }
 
+    write_history_csv(history, config.csv_path)
     plot_paths = []
     if config.plot_path:
         series = []

@@ -4,7 +4,8 @@ Each law turns the model's lifted matrix into a gain L applied as
 u_{j+1} = u_j + L e_j. All three make I - P L symmetric when P is the model
 itself, diagonal in the left singular vectors of P, which is what allows the
 iteration engine to fast-forward the model phase from one factorization of
-P. The dense gain built here is the explicit reference for that fast path.
+P. The engine applies every law through that factorization; the dense gain
+built here is only the independent reference for it.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, InvalidParameterError
-from .lifted import LiftedSystem, Trajectory
+from .lifted import LiftedSystem
 
 __all__ = [
     "LAW_KINDS",
@@ -21,7 +22,6 @@ __all__ = [
     "GainMatrix",
     "StabilityMetrics",
     "build_gain",
-    "update_input",
     "iteration_matrix",
     "stability_metrics",
 ]
@@ -80,23 +80,6 @@ def build_gain(law, model):
         gram[np.diag_indices_from(gram)] += phi
         l_matrix = scipy.linalg.solve(gram, p.T, assume_a="pos")
     return GainMatrix(l_matrix, law, model)
-
-
-def update_input(u_j, gain, e_j):
-    """One learning update u_{j+1} = u_j + L e_j."""
-    l_matrix = gain.l_matrix
-    if len(u_j) != l_matrix.shape[0]:
-        raise DimensionError(
-            f"input length {len(u_j)} does not match gain rows {l_matrix.shape[0]}"
-        )
-    if len(e_j) != l_matrix.shape[1]:
-        raise DimensionError(
-            f"error length {len(e_j)} does not match gain columns "
-            f"{l_matrix.shape[1]}"
-        )
-    return Trajectory(
-        u_j.values + l_matrix @ e_j.values, u_j.start_step, u_j.sample_period
-    )
 
 
 def iteration_matrix(plant, gain):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
 from liftedilc import (
@@ -33,6 +34,22 @@ def second_order_pair():
 def third_order_pair():
     """(world, model, u0, desired) for the third-order preset, one row deleted."""
     return _preset_pair("third_order")
+
+
+@pytest.fixture
+def factorization_calls(monkeypatch):
+    """Names of the eigh, svd and dense solve calls made while the test runs."""
+    calls = []
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "svd"),
+                         (scipy.linalg, "solve")):
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def explicit_iterates(model, l_matrix, u0_values, desired_values, count):

@@ -93,6 +93,26 @@ def test_divergence_in_every_mode_exits_2_and_writes_nothing(
     assert not svg_path.exists()
 
 
+def test_run_whose_switch_advisor_diverges_writes_nothing(write_cfg, tmp_path, capsys):
+    # world mode runs on the uncovered-zero pair, but the preset's switch
+    # candidates fast-forward a model law with an eigenvalue at 1
+    preset = resources.files("liftedilc").joinpath(
+        "presets", PRESET_FILES["third_order"]
+    )
+    csv_path = tmp_path / "out.csv"
+    svg_path = tmp_path / "out.svg"
+    path = write_cfg(
+        {"lifted.deleted_rows": "0", "run.mode": "world",
+         "output.csv": str(csv_path), "output.plot": str(svg_path)},
+        base=preset.read_text(),
+    )
+    code, _ = run_cli(["run", str(path)])
+    assert code == 2
+    assert "eigenvalue magnitude 1" in capsys.readouterr().err
+    assert not csv_path.exists()
+    assert not svg_path.exists()
+
+
 def test_figure_writes_into_the_output_directory(tmp_path):
     code, text = run_cli(
         ["figure", "fig5", "--law", "norm_optimal", "--switch", "10",
@@ -121,6 +141,14 @@ def test_advise_switch_uses_flag_over_config(write_cfg):
     code, text = run_cli(["advise-switch", str(path)])
     assert code == 0
     assert "candidate 40:" in text
+
+
+def test_advise_switch_flag_rejects_candidates_below_one(write_cfg, capsys):
+    path = write_cfg()
+    code, text = run_cli(["advise-switch", str(path), "--candidates", "5,0"])
+    assert code == 1
+    assert text == ""
+    assert "candidates must be >= 1" in capsys.readouterr().err
 
 
 def test_advise_switch_requires_candidates_somewhere(write_cfg, capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import decimal
 import gc
 import weakref
 
@@ -18,66 +17,23 @@ from liftedilc import (
     LiftedSystem,
     PlantParams,
     Trajectory,
+    build_desired_trajectory,
     build_gain,
+    build_initial_input,
     build_lifted,
+    build_lifted_pair,
     continuous_plant,
     discretize_zoh,
     evaluate_switch,
     fast_forward,
-    geometric_sum,
     iteration_matrix,
     lifted_output,
+    load_preset,
     run_hybrid,
     run_iterations,
 )
 
 from conftest import SAMPLE_PERIOD, explicit_iterates, random_stable_lifted
-
-
-# ---------------------------------------------------------------- geometric_sum
-
-
-def test_geometric_sum_small_cases():
-    assert geometric_sum(0.5, 2)[0] == pytest.approx(1.75, abs=1e-15)
-    assert geometric_sum(1.0, 9)[0] == 10.0
-    assert geometric_sum(-1.0, 4)[0] == pytest.approx(1.0, abs=1e-12)
-    assert geometric_sum(-1.0, 5)[0] == pytest.approx(0.0, abs=1e-12)
-    out = geometric_sum([0.0, 0.5, -0.5], 1)
-    assert np.allclose(out, [1.0, 1.5, 0.5])
-
-
-def high_precision_sum(lam, power_count):
-    decimal.getcontext().prec = 50
-    lam_d = decimal.Decimal(lam)
-    total = decimal.Decimal(0)
-    term = decimal.Decimal(1)
-    for _ in range(power_count + 1):
-        total += term
-        term *= lam_d
-    return float(total)
-
-
-@pytest.mark.parametrize("lam", [1.0 - 3e-10, 1.0 - 8e-10, 1.0 - 1e-6])
-def test_geometric_sum_near_one_accuracy(lam):
-    # the closed form loses digits as lambda approaches 1; both branches
-    # must agree with a 50-digit reference
-    want = high_precision_sum(lam, 500)
-    got = geometric_sum(lam, 500)[0]
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_geometric_sum_rejects_divergent_values():
-    with pytest.raises(DivergenceError):
-        geometric_sum(1.001, 10)
-    with pytest.raises(DivergenceError):
-        geometric_sum([-1.001, 0.3], 10)
-
-
-def test_geometric_sum_validates_power_count():
-    with pytest.raises(InvalidParameterError):
-        geometric_sum(0.5, -1)
-    with pytest.raises(InvalidParameterError):
-        geometric_sum(0.5, 2.5)
 
 
 # ---------------------------------------------------------------- factorization
@@ -134,36 +90,28 @@ def test_run_hybrid_and_switch_advice_never_build_the_dense_gain(
     def refuse(law, model):
         raise AssertionError("build_gain called")
 
-    monkeypatch.setattr(engine, "build_gain", refuse)
     monkeypatch.setattr(laws, "build_gain", refuse)
     for world, model, u0, desired in (second_order_pair, third_order_pair):
         model = _fresh(model)
         for kind in LAW_KINDS:
             law = LearningLaw(kind, 1.0)
+            run_iterations(world, model, law, u0, None, 5, "model", desired)
+            run_iterations(world, model, law, u0, None, 5, "world", desired)
             run_hybrid(world, model, law, u0, None, 20, 5, desired)
             evaluate_switch(world, model, law, u0, None, 10, 1.0, desired)
 
 
 @pytest.mark.parametrize("kind", LAW_KINDS)
 def test_one_factorization_serves_a_run_and_twenty_switch_evaluations(
-    second_order_pair, monkeypatch, kind
+    second_order_pair, factorization_calls, kind
 ):
     world, model, u0, desired = second_order_pair
     model = _fresh(model)
-    calls = []
-    for name in ("eigh", "svd"):
-        real = getattr(np.linalg, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
     law = LearningLaw(kind, 1.0)
     run_hybrid(world, model, law, u0, None, 50, 10, desired)
     for candidate in range(1, 21):
         evaluate_switch(world, model, law, u0, None, candidate, 1.0, desired)
-    assert calls == ["svd" if kind == "partial_isometry" else "eigh"]
+    assert factorization_calls == ["svd" if kind == "partial_isometry" else "eigh"]
 
 
 def test_factorization_is_freed_with_its_model(second_order_pair):
@@ -298,6 +246,27 @@ def test_run_iterations_validates_phase_and_count(second_order_pair):
         run_iterations(world, model, law, u0, None, 3, "both", desired)
     with pytest.raises(InvalidParameterError):
         run_iterations(world, model, law, u0, None, -1, "model", desired)
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_world_phase_matches_the_dense_loop_with_an_eigenvalue_at_one(kind):
+    # without row deletion the third-order model has a singular value below
+    # rounding: one eigenvalue of every law rounds to exactly 1.0, so the world
+    # update must not divide by lambda - 1
+    config = dataclasses.replace(load_preset("third_order"), deleted_rows=0)
+    world, model = build_lifted_pair(config)
+    u0 = build_initial_input(config)
+    desired = build_desired_trajectory(config)
+    law = LearningLaw(kind, config.gain)
+    assert np.any(engine._operator(model, law).lam == 1.0)
+    count = config.world_count
+    history = run_iterations(world, model, law, u0, None, count, "world", desired)
+    gain = build_gain(law, model)
+    ref = explicit_iterates(world, gain.l_matrix, u0.values, desired.values, count)
+    for record, (u_ref, e_ref) in zip(history.records, ref, strict=True):
+        scale = max(1.0, float(np.max(np.abs(u_ref))), float(np.max(np.abs(e_ref))))
+        assert np.max(np.abs(record.input.values - u_ref)) < 1e-9 * scale
+        assert np.max(np.abs(record.error.values - e_ref)) < 1e-9 * scale
 
 
 def test_run_rejects_mismatched_world_and_model(second_order_pair, third_order_pair):

@@ -9,6 +9,7 @@ import pytest
 from liftedilc import (
     CSV_HEADER,
     ConfigError,
+    LAW_KINDS,
     LearningLaw,
     build_desired_trajectory,
     build_initial_input,
@@ -233,6 +234,15 @@ def test_marker_variants_annotate_the_switch(tmp_path):
     plain = reproduce_figure("fig3", "p_transpose", 50, str(tmp_path / "b"))
     assert "A1" not in Path(plain.plot_paths[0]).read_text()
     assert plain.summary["switch_report"] is None
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_reproduce_figure_factorizes_the_model_once(
+    tmp_path, factorization_calls, kind
+):
+    # three curves plus the marker advisor share one factorization of P
+    reproduce_figure("fig2", kind, 10, str(tmp_path))
+    assert factorization_calls == ["svd" if kind == "partial_isometry" else "eigh"]
 
 
 def test_reproduce_figure_rejects_unknown_id(tmp_path):

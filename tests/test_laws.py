@@ -7,14 +7,12 @@ from liftedilc import (
     InvalidParameterError,
     LAW_KINDS,
     LearningLaw,
-    Trajectory,
     build_gain,
     iteration_matrix,
     stability_metrics,
-    update_input,
 )
 
-from conftest import SAMPLE_PERIOD, random_stable_lifted
+from conftest import random_stable_lifted
 
 
 def test_law_rejects_unknown_kind_and_nonpositive_gain():
@@ -60,28 +58,6 @@ def test_norm_optimal_spectrum_stays_in_unit_interval(second_order_pair):
     eig = np.linalg.eigvalsh(w)
     assert np.all(eig > 0.0)
     assert np.all(eig < 1.0)
-
-
-def test_update_input_applies_the_gain(second_order_pair):
-    _, model, u0, desired = second_order_pair
-    gain = build_gain(LearningLaw("p_transpose", 1.0), model)
-    e = Trajectory(desired.values - model.p_matrix @ u0.values, 1, SAMPLE_PERIOD)
-    u1 = update_input(u0, gain, e)
-    assert np.allclose(u1.values, u0.values + gain.l_matrix @ e.values)
-    assert u1.start_step == 0
-
-
-def test_update_input_rejects_mismatched_lengths(third_order_pair):
-    _, model, u0, _ = third_order_pair
-    gain = build_gain(LearningLaw("p_transpose", 1.0), model)
-    with pytest.raises(DimensionError):
-        update_input(u0, gain, Trajectory(np.zeros(100), 2, SAMPLE_PERIOD))
-    with pytest.raises(DimensionError):
-        update_input(
-            Trajectory(np.zeros(99), 0, SAMPLE_PERIOD),
-            gain,
-            Trajectory(np.zeros(99), 2, SAMPLE_PERIOD),
-        )
 
 
 def test_iteration_matrix_rejects_nonconformable_pair(
