@@ -103,13 +103,18 @@ def _cmd_advise_switch(args, out):
     desired = build_desired_trajectory(config)
     u0 = build_initial_input(config)
     law = LearningLaw(config.law_kind, config.gain)
+    # every candidate is evaluated before anything is printed, so a failing
+    # one leaves stdout empty
+    reports = [
+        evaluate_switch(
+            world, model, law, u0, None, candidate, config.slope_factor, desired
+        )
+        for candidate in candidates
+    ]
     print(
         f"law {config.law_kind}, slope factor {config.slope_factor:g}", file=out
     )
-    for candidate in candidates:
-        report = evaluate_switch(
-            world, model, law, u0, None, candidate, config.slope_factor, desired
-        )
+    for report in reports:
         _print_switch_report(report, out)
     return 0
 

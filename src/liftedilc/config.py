@@ -272,6 +272,11 @@ def load_preset(kind):
     kind is 'second_order' or 'third_order'. The two presets are the one
     definition of the pairs: figures and self-checks read them through here.
     """
+    if kind not in PRESET_FILES:
+        raise ConfigError(
+            f"no preset for system kind {kind!r}; expected one of "
+            f"{', '.join(PRESET_FILES)}"
+        )
     ref = resources.files(__package__).joinpath("presets", PRESET_FILES[kind])
     with resources.as_file(ref) as path:
         return load_config(path)

@@ -11,7 +11,6 @@ built here is only the independent reference for it.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, InvalidParameterError
 from .lifted import LiftedSystem
@@ -76,6 +75,8 @@ def build_gain(law, model):
         u_mat, _, vt_mat = np.linalg.svd(p, full_matrices=False)
         l_matrix = phi * (vt_mat.T @ u_mat.T)
     else:
+        import scipy.linalg  # only the dense oracle needs it
+
         gram = p.T @ p
         gram[np.diag_indices_from(gram)] += phi
         l_matrix = scipy.linalg.solve(gram, p.T, assume_a="pos")

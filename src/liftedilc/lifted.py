@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import (
     DegenerateDeletionError,
@@ -120,9 +119,10 @@ def build_lifted(dss, horizon):
         raise EmptyHorizonError(f"horizon must be at least 1, got {horizon}")
     n = int(horizon)
     mk = _markov_parameters(dss, n)
-    first_row = np.zeros(n)
-    first_row[0] = mk[0]
-    p = toeplitz(mk, first_row)
+    # row i of P is mk[i], ..., mk[0] followed by zeros: reversed windows of
+    # n - 1 zeros followed by mk
+    padded = np.concatenate((np.zeros(n - 1), mk))
+    p = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1].copy()
     abar = np.empty((n, dss.order))
     row = dss.c_vector[0] @ dss.ad_matrix
     for k in range(n):

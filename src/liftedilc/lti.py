@@ -3,16 +3,20 @@
 The two plant factories build the example systems used throughout the package
 in controllable canonical form, so the output matrix is read directly off the
 transfer-function numerator. Discretization uses the augmented-matrix
-exponential, which produces Ad and Bd in a single expm evaluation. The
-first-order feedback loop has a closed-form solution by quadrature and serves
-as an independent oracle for the discretization path.
+exponential, which produces Ad and Bd in a single evaluation of a numpy
+scaling-and-squaring Pade exponential. Sampled zeros are the roots of the
+sampled transfer-function numerator. Everything a command runs here uses
+numpy alone: scipy ships its own BLAS, and alternating between the two
+libraries' thread pools stalls the small matrix calls of every command. The
+first-order feedback loop has a closed-form solution by quadrature (scipy,
+imported only there) and serves as an independent oracle for the
+discretization path.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.integrate import quad
 
 from .errors import (
     DimensionError,
@@ -193,7 +197,7 @@ def discretize_zoh(css, sample_period):
     """Zero-order-hold discretization of a continuous plant.
 
     Ad = expm(A T) and Bd = (integral of expm(A tau) over one period) B are
-    both read off the exponential of the augmented matrix [[A, B], [0, 0]].
+    both read off the exponential of the augmented matrix [[A, B], [0, 0]] T.
 
     Parameters
     ----------
@@ -213,8 +217,89 @@ def discretize_zoh(css, sample_period):
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = css.a_matrix
     aug[:n, n:] = css.b_vector
-    phi = scipy.linalg.expm(aug * sample_period)
+    phi = _expm(aug * sample_period)
     return DiscreteStateSpace(phi[:n, :n], phi[:n, n:], css.c_vector, sample_period)
+
+
+# Pade [13/13] coefficients b_0..b_13 (Higham 2005, table 10.4). Each row of
+# _PADE13_SUMS weighs the stacked powers (A^6, A^4, A^2, I) into one of the
+# sums of U = A (A^6 U6 + U0) and V = A^6 V6 + V0, so one product forms all four
+_B = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+)
+_PADE13_SUMS = np.array([
+    [_B[13], _B[11], _B[9], 0.0],   # U6
+    [_B[7], _B[5], _B[3], _B[1]],   # U0
+    [_B[12], _B[10], _B[8], 0.0],   # V6
+    [_B[6], _B[4], _B[2], _B[0]],   # V0
+])
+# Al-Mohy & Higham 2009: the backward error of the [13/13] approximant stays
+# below unit roundoff while ||A^k||^(1/k) <= THETA13 for the powers checked;
+# c_27 is the leading coefficient of that backward error's power series
+_THETA13 = 4.25
+_C27_RECIPROCAL = 113250775606021113483283660800000000.0
+
+
+def _norm1(a):
+    return float(np.abs(a).sum(axis=0).max())
+
+
+def _expm(a):
+    """Matrix exponential by scaling and squaring with the [13/13] Pade form.
+
+    The algorithm of Higham 2005 with the choice of scaling of Al-Mohy and
+    Higham 2009: A is scaled by 2^-s with s taken from ||A^k||^(1/k) for
+    k = 6, 8, 10 rather than from ||A||, which for the non-normal companion
+    forms of the plants here is far smaller and saves squarings that would
+    each add rounding error. The norms of the powers are computed, not
+    estimated: the matrices are small. r(A) = (V - U)^-1 (V + U) is then
+    squared s times.
+    """
+    n = a.shape[0]
+    powers = np.empty((4, n, n))
+    a6, a4, a2, ident = powers
+    np.matmul(a, a, out=a2)
+    np.matmul(a2, a2, out=a4)
+    np.matmul(a2, a4, out=a6)
+    ident[...] = np.eye(n)
+    # one batched product gives A^10, A^8 and A^6 for their 1-norms
+    norms = np.abs(a4 @ powers[:3]).sum(axis=1).max(axis=1)
+    d10, d8, d6 = norms ** (1 / 10, 1 / 8, 1 / 6)
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta > 0 else 0
+    s += _extra_squarings(a / 2.0**s)
+    # scaling by powers of two is exact, so the scaled powers need no products
+    scale = np.array([2.0 ** (-6 * s), 2.0 ** (-4 * s), 2.0 ** (-2 * s), 1.0])
+    u6, u0, v6, v0 = ((_PADE13_SUMS * scale) @ powers.reshape(4, n * n)).reshape(4, n, n)
+    a6 = a6 * scale[0]
+    u = (a * 2.0**-s) @ (a6 @ u6 + u0)
+    v = a6 @ v6 + v0
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _extra_squarings(a):
+    """Further halvings needed so the Pade truncation term stays below roundoff.
+
+    This is ell(A, 13) of Al-Mohy and Higham 2009, with the 1-norm of
+    |A|^27 computed exactly.
+    """
+    norm = _norm1(a)
+    if norm == 0.0:
+        return 0
+    p = np.abs(a)
+    p3 = p @ p @ p
+    p9 = p3 @ p3 @ p3
+    alpha = _norm1(p9 @ p9 @ p9) / (norm * _C27_RECIPROCAL)
+    # |A|^27 vanishes for a nilpotent A, such as that of an integrator chain
+    if not 0.0 < alpha < math.inf:
+        return 0
+    return max(0, math.ceil(math.log2(alpha / 2.0**-53) / 26))
 
 
 def simulate(dss, input_history, initial_state=None):
@@ -286,6 +371,8 @@ def analytic_first_order_response(spec, command_fn, t, breakpoints=None):
     homogeneous = np.exp(-rate * t) * spec.initial_output
     if t == 0:
         return homogeneous
+    from scipy.integrate import quad  # the oracle's only scipy use
+
     points = None
     if breakpoints is not None:
         # change of variable tau = t - time maps command jumps into the
@@ -308,34 +395,30 @@ def analytic_first_order_response(spec, command_fn, t, breakpoints=None):
 def sampled_zeros(dss):
     """Finite transmission zeros of the sampled plant.
 
-    Computed as the finite generalized eigenvalues of the pencil
-    ([Ad, Bd; C, 0], blkdiag(I, 0)). For a plant of order n with one step of
-    input-output delay this yields n - 1 zeros; any zero with modulus above
-    one makes the exact lifted inverse unbounded.
+    Computed as the roots of the transfer-function numerator C adj(zI - Ad) Bd,
+    whose coefficients are the leading n terms of det(zI - Ad) convolved with
+    the Markov parameters; they are the finite generalized eigenvalues of the
+    pencil ([Ad, Bd; C, 0], blkdiag(I, 0)). Leading coefficients below 1e-9
+    of the largest stand for zeros at infinity and are dropped. For a plant
+    of order n with one step of input-output delay this yields n - 1 zeros;
+    any zero with modulus above one makes the exact lifted inverse unbounded.
 
     Returns
     -------
     list of complex
         Sorted by real part, then imaginary part.
     """
-    mk = _markov_parameters(dss, dss.order + 1)
+    n = dss.order
+    mk = _markov_parameters(dss, n + 1)
     if np.max(np.abs(mk)) == 0.0:
         raise SingularSystemError(
             "all Markov parameters are zero; the plant has no "
             "input-output coupling and no zero structure"
         )
-    n = dss.order
-    pencil_a = np.zeros((n + 1, n + 1))
-    pencil_a[:n, :n] = dss.ad_matrix
-    pencil_a[:n, n] = dss.bd_vector[:, 0]
-    pencil_a[n, :n] = dss.c_vector[0]
-    pencil_b = np.zeros((n + 1, n + 1))
-    pencil_b[:n, :n] = np.eye(n)
-    alpha, beta = scipy.linalg.eig(
-        pencil_a, pencil_b, right=False, homogeneous_eigvals=True
-    )
-    finite = np.abs(beta) > 1e-9 * np.max(np.abs(beta))
-    zeros = alpha[finite] / beta[finite]
+    numerator = np.convolve(np.poly(dss.ad_matrix), mk[:n])[:n]
+    significant = np.abs(numerator) > 1e-9 * np.max(np.abs(numerator))
+    numerator = numerator[np.argmax(significant):]
+    zeros = np.roots(numerator).astype(complex)
     return sorted(zeros, key=lambda z: (z.real, z.imag))
 
 

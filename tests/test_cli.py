@@ -1,4 +1,8 @@
 import io
+import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -10,11 +14,24 @@ from liftedilc.config import PRESET_FILES
 
 from conftest import MINIMAL_THIRD_ORDER
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, stdout=out)
     return code, out.getvalue()
+
+
+def write_preset(kind, directory, replacements=()):
+    """Copy a packaged preset into `directory` with line replacements."""
+    text = resources.files("liftedilc").joinpath("presets", PRESET_FILES[kind]).read_text()
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    path = Path(directory) / f"{kind}.cfg"
+    path.write_text(text)
+    return path
 
 
 def test_run_prints_artifacts_and_summary(write_cfg, tmp_path, monkeypatch):
@@ -151,6 +168,15 @@ def test_advise_switch_flag_rejects_candidates_below_one(write_cfg, capsys):
     assert "candidates must be >= 1" in capsys.readouterr().err
 
 
+def test_advise_switch_prints_nothing_when_a_candidate_fails(tmp_path):
+    # a gain of 2.5 makes the model iteration divergent, so every candidate fails
+    path = write_preset("second_order", tmp_path,
+                        [("law.gain = 1.0", "law.gain = 2.5")])
+    code, text = run_cli(["advise-switch", str(path)])
+    assert code == 2
+    assert text == ""
+
+
 def test_advise_switch_requires_candidates_somewhere(write_cfg, capsys):
     path = write_cfg()
     code, _ = run_cli(["advise-switch", str(path)])
@@ -184,10 +210,42 @@ def test_switch_zero_fails_only_for_marker_figures_and_then_writes_nothing(
 def test_run_on_a_preset_writes_its_figure_hybrid_curve(
     kind, fig_id, switch_n, law, tmp_path, monkeypatch
 ):
-    preset = resources.files("liftedilc").joinpath("presets", PRESET_FILES[kind])
-    text = preset.read_text().replace("law.kind = p_transpose", f"law.kind = {law}")
-    (tmp_path / "preset.cfg").write_text(text)
+    path = write_preset(kind, tmp_path,
+                        [("law.kind = p_transpose", f"law.kind = {law}")])
     monkeypatch.chdir(tmp_path)
-    assert run_cli(["run", "preset.cfg"])[0] == 0
+    assert run_cli(["run", path.name])[0] == 0
     figure = reproduce_figure(fig_id, law, switch_n, "figures")
     assert Path(f"{kind}_results.csv").read_bytes() == Path(figure.csv_path).read_bytes()
+
+
+_COMMANDS_WITHOUT_SCIPY = """
+import io, json, sys
+import liftedilc, liftedilc.cli
+codes = [liftedilc.cli.main(argv, stdout=io.StringIO()) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_commands_import_no_scipy_module(tmp_path):
+    argvs = [["figure", "fig2", "--output-dir", str(tmp_path)]]
+    for kind in PRESET_FILES:
+        path = write_preset(kind, tmp_path, [
+            (f"output.csv = {kind}_results.csv",
+             f"output.csv = {tmp_path / (kind + '.csv')}"),
+            (f"output.plot = {kind}_results.svg",
+             f"output.plot = {tmp_path / (kind + '.svg')}"),
+        ])
+        argvs += [["run", str(path)], ["advise-switch", str(path)],
+                  ["zeros", str(path)]]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_WITHOUT_SCIPY, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * len(argvs)
+    assert result["scipy"] == []
+    # fig2's three curves and one history per run
+    assert len(list(tmp_path.glob("*.csv"))) == 3 + len(PRESET_FILES)

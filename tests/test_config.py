@@ -41,6 +41,11 @@ def test_third_order_preset_loads():
     assert cfg.model_count == 100
 
 
+def test_load_preset_rejects_an_unknown_kind():
+    with pytest.raises(ConfigError, match="second_order, third_order"):
+        load_preset("bogus")
+
+
 def test_defaults_fill_every_optional_key(write_cfg):
     cfg = load_config(write_cfg())
     assert cfg.gain == 1.0

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from liftedilc import (
@@ -43,6 +44,28 @@ def test_p_matrix_is_lower_triangular_toeplitz():
         for j in range(6):
             expected = mk[i - j] if i >= j else 0.0
             assert ls.p_matrix[i, j] == pytest.approx(expected, abs=1e-15)
+
+
+def _assert_toeplitz_of_markov_parameters(dss, horizon):
+    ls = build_lifted(dss, horizon)
+    mk = np.array(markov(dss, horizon))
+    first_row = np.zeros(horizon)
+    first_row[0] = mk[0]
+    assert np.array_equal(ls.p_matrix, scipy.linalg.toeplitz(mk, first_row))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 100, 1000])
+@pytest.mark.parametrize("kind", ["second_order", "third_order"])
+def test_p_matrix_is_bit_identical_to_scipy_toeplitz(kind, horizon):
+    world, model = build_lifted_pair(load_preset(kind))
+    for plant in (world, model):
+        _assert_toeplitz_of_markov_parameters(plant.source, horizon)
+
+
+@given(st.integers(0, 10_000))
+def test_p_matrix_of_random_plants_is_bit_identical_to_scipy_toeplitz(seed):
+    ls, dss = random_stable_lifted(np.random.default_rng(seed))
+    _assert_toeplitz_of_markov_parameters(dss, ls.horizon)
 
 
 def test_abar_rows_are_output_row_times_state_powers():

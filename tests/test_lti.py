@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, strategies as st
 
 from liftedilc import (
     ContinuousStateSpace,
@@ -11,8 +13,10 @@ from liftedilc import (
     InvalidParameterError,
     SingularSystemError,
     analytic_first_order_response,
+    continuous_plant,
     discretize_zoh,
     first_order_closed_loop,
+    load_preset,
     make_second_order,
     make_third_order,
     sampled_zeros,
@@ -20,6 +24,7 @@ from liftedilc import (
 )
 
 T = 0.01
+PERIODS = (0.001, 0.01, 0.05)
 
 
 def dc_gain(css):
@@ -141,3 +146,138 @@ def test_first_order_closed_loop_matrices():
     assert css.a_matrix[0, 0] == -43.0
     assert css.b_vector[0, 0] == 40.0
     assert css.c_vector[0, 0] == 1.0
+
+
+# scipy is the independent reference of the numpy exponential and zeros
+
+
+def preset_plants():
+    """Model and world plants of both packaged presets."""
+    plants = []
+    for kind in ("second_order", "third_order"):
+        config = load_preset(kind)
+        plants += [continuous_plant(kind, config.model_params),
+                   continuous_plant(kind, config.world_params)]
+    return plants
+
+
+def assert_zoh_matches_scipy_expm(css, period):
+    n = css.order
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = css.a_matrix
+    aug[:n, n:] = css.b_vector
+    reference = scipy.linalg.expm(aug * period)[:n]
+    dss = discretize_zoh(css, period)
+    got = np.hstack([dss.ad_matrix, dss.bd_vector])
+    assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def canonical_plant(poles):
+    """Unit-DC-gain all-pole plant in the factories' controllable canonical form."""
+    coefficients = np.real(np.poly(poles))
+    n = len(poles)
+    a = np.zeros((n, n))
+    a[:-1, 1:] = np.eye(n - 1)
+    a[-1] = -coefficients[:0:-1]
+    b = np.zeros((n, 1))
+    b[-1] = 1.0
+    c = np.zeros((1, n))
+    c[0, 0] = coefficients[-1]
+    return ContinuousStateSpace(a, b, c)
+
+
+@st.composite
+def stable_poles(draw):
+    """One to four stable poles: complex pairs, real poles, maybe a repeated one."""
+    pairs = draw(st.integers(0, 2))
+    reals = draw(st.lists(st.floats(0.5, 60.0), min_size=0 if pairs else 1,
+                          max_size=4 - 2 * pairs))
+    if len(reals) >= 2 and draw(st.booleans()):
+        reals[1] = reals[0]  # a repeated pole makes A defective
+    poles = [-p for p in reals]
+    for _ in range(pairs):
+        zeta = draw(st.floats(0.05, 0.99))
+        wn = draw(st.floats(1.0, 60.0))
+        pole = complex(-zeta * wn, wn * math.sqrt(1.0 - zeta**2))
+        poles += [pole, pole.conjugate()]
+    return poles
+
+
+@pytest.mark.parametrize("period", PERIODS)
+def test_zoh_matches_scipy_expm_on_the_presets(period):
+    spec = FirstOrderFeedbackSpec(3.0, 40.0)
+    for css in preset_plants() + [first_order_closed_loop(spec)]:
+        assert_zoh_matches_scipy_expm(css, period)
+
+
+def test_zoh_of_a_double_integrator_is_exact():
+    # the augmented matrix is nilpotent, so the exponential is a polynomial
+    css = ContinuousStateSpace(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                               np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]]))
+    dss = discretize_zoh(css, 0.05)
+    assert np.allclose(dss.ad_matrix, [[1.0, 0.05], [0.0, 1.0]], rtol=1e-15, atol=1e-17)
+    assert np.allclose(dss.bd_vector[:, 0], [0.05**2 / 2, 0.05], rtol=1e-15, atol=0)
+    assert_zoh_matches_scipy_expm(css, 0.05)
+
+
+@given(stable_poles(), st.sampled_from(PERIODS))
+@example([-20.0, -20.0], 0.05)
+@example([-10.0, -10.0, -10.0, -10.0], 0.01)
+def test_zoh_matches_scipy_expm_on_stable_plants(poles, period):
+    assert_zoh_matches_scipy_expm(canonical_plant(poles), period)
+
+
+def assert_zeros_match_scipy_pencil(dss):
+    n = dss.order
+    pencil_a = np.zeros((n + 1, n + 1))
+    pencil_a[:n, :n] = dss.ad_matrix
+    pencil_a[:n, n] = dss.bd_vector[:, 0]
+    pencil_a[n, :n] = dss.c_vector[0]
+    pencil_b = np.zeros((n + 1, n + 1))
+    pencil_b[:n, :n] = np.eye(n)
+    alpha, beta = scipy.linalg.eig(
+        pencil_a, pencil_b, right=False, homogeneous_eigvals=True
+    )
+    finite = np.abs(beta) > 1e-9 * np.max(np.abs(beta))
+    reference = alpha[finite] / beta[finite]
+    got = np.array(sampled_zeros(dss))
+    assert got.size == reference.size
+    assert np.sum(np.abs(got) > 1.0) == np.sum(np.abs(reference) > 1.0)
+    if got.size:
+        # conjugate pairs may sort either way round, so match by distance
+        distance = np.abs(got[:, None] - reference[None, :])
+        assert np.max(np.min(distance, axis=1)) <= 1e-9
+        assert np.max(np.min(distance, axis=0)) <= 1e-9
+    return got
+
+
+@pytest.mark.parametrize("period", PERIODS)
+def test_sampled_zeros_match_scipy_pencil_on_the_presets(period):
+    for css in preset_plants():
+        zeros = assert_zeros_match_scipy_pencil(discretize_zoh(css, period))
+        assert len(zeros) == css.order - 1
+    loop = first_order_closed_loop(FirstOrderFeedbackSpec(3.0, 40.0))
+    assert assert_zeros_match_scipy_pencil(discretize_zoh(loop, period)).size == 0
+
+
+@given(st.floats(0.05, 1.5), st.floats(1.0, 60.0), st.floats(0.5, 60.0),
+       st.booleans(), st.sampled_from(PERIODS))
+def test_sampled_zeros_match_scipy_pencil_on_factory_plants(
+    zeta, wn, real_pole, third, period
+):
+    css = make_third_order(real_pole, zeta, wn) if third else make_second_order(zeta, wn)
+    assert_zeros_match_scipy_pencil(discretize_zoh(css, period))
+
+
+def test_sampled_zeros_with_two_steps_of_delay():
+    # C Bd = 0 and C Ad Bd = 0.2: the numerator loses its leading coefficient
+    dss = DiscreteStateSpace(
+        np.array([[0.5, 1.0, 0.2], [0.0, 0.3, 1.0], [0.0, 0.0, 0.4]]),
+        np.array([[0.0], [0.0], [1.0]]),
+        np.array([[1.0, 0.0, 0.0]]),
+        T,
+    )
+    zeros = assert_zeros_match_scipy_pencil(dss)
+    # 0.2 z + (1 - 0.2 * 0.3) = 0.2 (z + 4.7)
+    assert len(zeros) == 1
+    assert zeros[0] == pytest.approx(-4.7, abs=1e-12)
