@@ -5,7 +5,15 @@ y = P u + Abar x0 where P is lower-triangular Toeplitz in the Markov
 parameters and Abar maps the initial state into the free response. Deleting
 leading rows of that equation turns the unbounded exact inverse of a plant
 with sampled zeros outside the unit circle into a well-conditioned
-pseudoinverse problem.
+minimum-norm problem, u = P_D^+ (y*_D - Abar_D x0).
+
+That problem is solved from a QR factorization of P_D^T (an LQ factorization
+of P_D), P_D^T = Q R, so P_D P_D^T = R^T R and u = P_D^T R^-1 R^-T rhs,
+followed by one correction step on the residual. The product
+||R||_F ||R^-1||_F bounds cond(P_D) from above; when it stays a factor 100
+below 1 / PINV_RTOL, full row rank is certified and the answer stands.
+Otherwise a thin singular value decomposition decides the numerical rank and
+serves the matrices that pass it.
 """
 
 from dataclasses import dataclass
@@ -27,6 +35,15 @@ __all__ = ["Trajectory", "LiftedSystem", "build_lifted", "delete_rows",
 
 # relative cutoff on singular values when forming the pseudoinverse
 PINV_RTOL = 1e-10
+
+# the QR path certifies full row rank while its upper bound on cond(P_D)
+# stays below this. The SVD rule's rounding error, about n eps sigma_max, is
+# far smaller than the factor 100 left to 1 / PINV_RTOL, so it would count
+# every singular value too.
+_CERTIFIED_CONDITION = 1e-2 / PINV_RTOL
+
+# triangular blocks up to this size are inverted by LAPACK directly
+_INVERSE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -158,6 +175,27 @@ def delete_rows(ls, d):
     )
 
 
+def _free_response(ls, initial_state):
+    """Abar x0 over the rows of `ls`, or None when x0 is absent or zero.
+
+    Raises DimensionError when x0 does not match the system order and
+    InvalidParameterError when it holds NaN or inf.
+    """
+    if initial_state is None:
+        return None
+    x0 = np.asarray(initial_state, dtype=float).ravel()
+    if x0.size != ls.abar_matrix.shape[1]:
+        raise DimensionError(
+            f"initial_state has {x0.size} entries, system order is "
+            f"{ls.abar_matrix.shape[1]}"
+        )
+    if not np.all(np.isfinite(x0)):
+        raise InvalidParameterError("initial_state holds NaN or inf")
+    if not np.any(x0):
+        return None
+    return ls.abar_matrix @ x0
+
+
 def lifted_output(ls, input_trajectory, initial_state=None):
     """Apply an input over the full horizon and return the (deleted) output.
 
@@ -173,32 +211,83 @@ def lifted_output(ls, input_trajectory, initial_state=None):
     -------
     Trajectory
         Output samples for steps 1 + d .. N.
+
+    Raises
+    ------
+    DimensionError
+        If the input or initial_state has the wrong length.
+    InvalidParameterError
+        If initial_state holds NaN or inf.
     """
     u = input_trajectory.values
     if u.size != ls.horizon:
         raise DimensionError(
             f"input length {u.size} does not match horizon {ls.horizon}"
         )
+    free = _free_response(ls, initial_state)
     y = ls.p_matrix @ u
-    if initial_state is not None:
-        x0 = np.asarray(initial_state, dtype=float).ravel()
-        if x0.size != ls.abar_matrix.shape[1]:
-            raise DimensionError(
-                f"initial_state has {x0.size} entries, system order is "
-                f"{ls.abar_matrix.shape[1]}"
-            )
-        if np.any(x0):
-            y = y + ls.abar_matrix @ x0
+    if free is not None:
+        y = y + free
     return Trajectory(y, 1 + ls.deleted_rows, ls.sample_period)
+
+
+def _invert_upper_triangular(r):
+    """Overwrite the upper-triangular r with its inverse, block by block.
+
+    [[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]: two matrix
+    products per level, about a third of the arithmetic of np.linalg.inv,
+    which factorizes the matrix as if it were full (numpy has no triangular
+    solver), and no second n x n array. Raises LinAlgError when a diagonal
+    block is exactly singular, leaving r partly overwritten.
+    """
+    n = r.shape[0]
+    if n <= _INVERSE_BLOCK:
+        r[...] = np.linalg.inv(r)
+        return
+    h = n // 2
+    _invert_upper_triangular(r[:h, :h])
+    _invert_upper_triangular(r[h:, h:])
+    r[:h, h:] = -(r[:h, :h] @ r[:h, h:]) @ r[h:, h:]
+
+
+def _certified_minimum_norm(p, rhs):
+    """Minimum-norm solution of p u = rhs, or None without a rank certificate.
+
+    With p^T = Q R, p p^T = R^T R, so u = p^T R^-1 R^-T rhs lies in the row
+    space of p and solves the equation; one more such step on the residual
+    removes the error of forming it without Q. ||R||_F ||R^-1||_F is at
+    least sigma_max / sigma_min of p; below _CERTIFIED_CONDITION it
+    certifies full row rank. A singular R or an overflowing bound gives None.
+    """
+    r_inv = np.linalg.qr(p.T, mode="r")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r_norm = np.linalg.norm(r_inv)
+        try:
+            _invert_upper_triangular(r_inv)
+        except np.linalg.LinAlgError:
+            return None
+        bound = r_norm * np.linalg.norm(r_inv)
+    # written so that a NaN bound fails the test too
+    if not bound < _CERTIFIED_CONDITION:
+        return None
+    u = p.T @ (r_inv @ (r_inv.T @ rhs))
+    residual = rhs - p @ u
+    return u + p.T @ (r_inv @ (r_inv.T @ residual))
 
 
 def pseudo_inverse_input(ls_deleted, desired, initial_state=None):
     """Minimum-norm input reproducing the desired (deleted) output.
 
-    Solves u = P_D^+ (y*_D - Abar_D x0) through the singular value
-    decomposition. P_D must have full row rank at the relative tolerance
-    PINV_RTOL; with enough rows deleted to cover every zero outside the unit
-    circle this is the bounded stable-inverse input.
+    Solves u = P_D^+ (y*_D - Abar_D x0). P_D must have full row rank at the
+    relative tolerance PINV_RTOL; with enough rows deleted to cover every
+    zero outside the unit circle this is the bounded stable-inverse input.
+
+    The solve runs on a QR factorization of P_D^T. When the bound
+    ||R||_F ||R^-1||_F on cond(P_D) falls short of 1e-2 / PINV_RTOL, full
+    row rank is certified and that answer is returned. Otherwise (R
+    singular, the bound non-finite or too large) the thin singular value
+    decomposition of P_D counts the singular values above PINV_RTOL times
+    the largest and, at full rank, gives the answer.
 
     Returns
     -------
@@ -207,6 +296,11 @@ def pseudo_inverse_input(ls_deleted, desired, initial_state=None):
 
     Raises
     ------
+    DimensionError
+        If the desired output or initial_state has the wrong length.
+    InvalidParameterError
+        If the desired output or initial_state holds NaN or inf; raised
+        before any factorization.
     RankDeficiencyError
         If the numerical row rank of P_D falls short.
     """
@@ -216,21 +310,23 @@ def pseudo_inverse_input(ls_deleted, desired, initial_state=None):
             f"has {ls_deleted.row_count} rows"
         )
     rhs = desired.values
-    if initial_state is not None:
-        x0 = np.asarray(initial_state, dtype=float).ravel()
-        if x0.size != ls_deleted.abar_matrix.shape[1]:
-            raise DimensionError(
-                f"initial_state has {x0.size} entries, system order is "
-                f"{ls_deleted.abar_matrix.shape[1]}"
-            )
-        rhs = rhs - ls_deleted.abar_matrix @ x0
-    u_mat, sigma, vt_mat = np.linalg.svd(ls_deleted.p_matrix, full_matrices=False)
-    rank = int(np.count_nonzero(sigma > PINV_RTOL * sigma[0]))
-    if rank < ls_deleted.row_count:
-        raise RankDeficiencyError(
-            f"lifted matrix has numerical row rank {rank} of "
-            f"{ls_deleted.row_count}; delete more rows or shorten the horizon",
-            numerical_rank=rank,
+    if not np.all(np.isfinite(rhs)):
+        raise InvalidParameterError("desired output holds NaN or inf")
+    free = _free_response(ls_deleted, initial_state)
+    if free is not None:
+        rhs = rhs - free
+    u = _certified_minimum_norm(ls_deleted.p_matrix, rhs)
+    if u is None:
+        u_mat, sigma, vt_mat = np.linalg.svd(
+            ls_deleted.p_matrix, full_matrices=False
         )
-    u = vt_mat.T @ ((u_mat.T @ rhs) / sigma)
+        rank = int(np.count_nonzero(sigma > PINV_RTOL * sigma[0]))
+        if rank < ls_deleted.row_count:
+            raise RankDeficiencyError(
+                f"lifted matrix has numerical row rank {rank} of "
+                f"{ls_deleted.row_count}; delete more rows or shorten the "
+                "horizon",
+                numerical_rank=rank,
+            )
+        u = vt_mat.T @ ((u_mat.T @ rhs) / sigma)
     return Trajectory(u, 0, ls_deleted.sample_period)

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from liftedilc import (
     DegenerateDeletionError,
+    LiftedSystem,
     DimensionError,
     InvalidParameterError,
     RankDeficiencyError,
@@ -23,6 +24,8 @@ from liftedilc import (
     pseudo_inverse_input,
     simulate,
 )
+
+from liftedilc.lifted import PINV_RTOL
 
 from conftest import SAMPLE_PERIOD, random_stable_lifted
 
@@ -162,3 +165,137 @@ def test_pseudo_inverse_subtracts_initial_state_response(third_order_pair):
     y = lifted_output(model, u, x0)
     scale = float(np.max(np.abs(desired.values)))
     assert np.max(np.abs(y.values - desired.values)) < 1e-7 * scale
+
+
+def _svd_rule(p, rhs):
+    """The SVD minimum-norm solve with the PINV_RTOL rank rule.
+
+    Returns (rank, u, sigma); u is None when the rank falls short of the row
+    count.
+    """
+    u_mat, sigma, vt_mat = np.linalg.svd(p, full_matrices=False)
+    rank = int(np.count_nonzero(sigma > PINV_RTOL * sigma[0]))
+    if rank < p.shape[0]:
+        return rank, None, sigma
+    return rank, vt_mat.T @ ((u_mat.T @ rhs) / sigma), sigma
+
+
+def _system(p):
+    rows, cols = p.shape
+    return LiftedSystem(p, np.zeros((rows, 1)), cols, cols - rows,
+                        SAMPLE_PERIOD, None)
+
+
+def _preset_problem(kind, **changes):
+    config = dataclasses.replace(load_preset(kind), **changes)
+    _, model = build_lifted_pair(config)
+    return model, build_desired_trajectory(config)
+
+
+def _preset_matrix(kind, **changes):
+    model, desired = _preset_problem(kind, **changes)
+    return model.p_matrix, desired.values
+
+
+@st.composite
+def wide_problems(draw):
+    """(P, rhs): rows <= cols, singular values spread over 10^-log_cond..1.
+
+    log_cond reaches across the PINV_RTOL band and beyond; some draws set
+    trailing singular values to exactly zero.
+    """
+    rows = draw(st.integers(1, 60))
+    cols = draw(st.integers(rows, 80))
+    log_cond = draw(st.one_of(st.floats(0.0, 16.0), st.floats(7.5, 11.0)))
+    zeros = draw(st.integers(0, rows)) if draw(st.booleans()) else 0
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    right, _ = np.linalg.qr(rng.standard_normal((cols, rows)))
+    exponents = np.sort(rng.uniform(0.0, log_cond, rows))
+    exponents[0], exponents[-1] = 0.0, log_cond
+    sigma = scale * 10.0 ** -exponents
+    sigma[rows - zeros:] = 0.0
+    return (left * sigma) @ right.T, rng.standard_normal(rows)
+
+
+@example(_preset_matrix("second_order"))
+@example(_preset_matrix("third_order"))
+@example(_preset_matrix("third_order", deleted_rows=0))
+@given(wide_problems())
+def test_pseudo_inverse_agrees_with_the_svd_rule(problem):
+    p, rhs = problem
+    rank, expected, sigma = _svd_rule(p, rhs)
+    ls = _system(p)
+    desired = Trajectory(rhs, 1 + ls.deleted_rows, SAMPLE_PERIOD)
+    if expected is None:
+        with pytest.raises(RankDeficiencyError) as info:
+            pseudo_inverse_input(ls, desired)
+        assert info.value.numerical_rank == rank
+        return
+    kappa = sigma[0] / sigma[-1]
+    u = pseudo_inverse_input(ls, desired).values
+    assert np.linalg.norm(u - expected) <= 1e-10 * kappa * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("horizon", [100, 400, 1000])
+@pytest.mark.parametrize("kind", ["second_order", "third_order"])
+def test_pseudo_inverse_matches_the_svd_input_on_the_presets(kind, horizon):
+    model, desired = _preset_problem(kind, horizon=horizon)
+    _, expected, _ = _svd_rule(model.p_matrix, desired.values)
+    u = pseudo_inverse_input(model, desired).values
+    assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+    residual = model.p_matrix @ u - desired.values
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(desired.values)
+
+
+@pytest.mark.parametrize("horizon", [100, 400])
+@pytest.mark.parametrize("kind", ["second_order", "third_order"])
+def test_pseudo_inverse_of_the_presets_needs_no_svd(
+    kind, horizon, factorization_calls
+):
+    model, desired = _preset_problem(kind, horizon=horizon)
+    factorization_calls.clear()
+    pseudo_inverse_input(model, desired)
+    assert factorization_calls == []
+
+
+def test_undeleted_third_order_preset_falls_back_to_the_svd(factorization_calls):
+    model, desired = _preset_problem("third_order", deleted_rows=0)
+    factorization_calls.clear()
+    with pytest.raises(RankDeficiencyError):
+        pseudo_inverse_input(model, desired)
+    assert factorization_calls == ["svd"]
+
+
+def test_pseudo_inverse_rejects_non_finite_target(third_order_pair):
+    _, model, _, desired = third_order_pair
+    values = desired.values.copy()
+    values[5] = np.nan
+    target = Trajectory(values, desired.start_step, desired.sample_period)
+    with pytest.raises(InvalidParameterError):
+        pseudo_inverse_input(model, target)
+
+
+@pytest.mark.parametrize("x0", [[np.inf, 0.0, 0.0], [0.0, np.nan, 0.0]])
+def test_non_finite_initial_state_is_rejected(third_order_pair, x0):
+    _, model, u0, desired = third_order_pair
+    with pytest.raises(InvalidParameterError):
+        pseudo_inverse_input(model, desired, x0)
+    with pytest.raises(InvalidParameterError):
+        lifted_output(model, u0, x0)
+
+
+def test_lifted_output_adds_the_free_response_only_for_a_nonzero_state(
+    third_order_pair,
+):
+    _, model, u0, _ = third_order_pair
+    forced = model.p_matrix @ u0.values
+    assert np.array_equal(lifted_output(model, u0).values, forced)
+    assert np.array_equal(lifted_output(model, u0, np.zeros(3)).values, forced)
+    x0 = np.array([0.1, -0.2, 0.05])
+    assert np.array_equal(
+        lifted_output(model, u0, x0).values, forced + model.abar_matrix @ x0
+    )
+    with pytest.raises(DimensionError):
+        lifted_output(model, u0, np.zeros(2))
