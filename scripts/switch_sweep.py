@@ -11,9 +11,7 @@ import argparse
 
 from liftedilc import (
     LearningLaw,
-    build_desired_trajectory,
-    build_initial_input,
-    build_lifted_pair,
+    build_experiment,
     evaluate_switch,
     load_preset,
     run_hybrid,
@@ -29,10 +27,7 @@ def main():
     parser.add_argument("--candidates", default="5,10,25,50,100,200")
     args = parser.parse_args()
 
-    config = load_preset("second_order")
-    world, model = build_lifted_pair(config)
-    u0 = build_initial_input(config)
-    desired = build_desired_trajectory(config)
+    world, model, u0, desired = build_experiment(load_preset("second_order"))
     law = LearningLaw(args.law, 1.0)
     print(f"law {args.law}, hardware budget {args.budget}")
     print("     n   R_M,n      jump       model slope  world slope  "

@@ -8,19 +8,11 @@ rank deficiency, and the like) or failed self-checks.
 import argparse
 import sys
 
-from .config import _parse_candidates, continuous_plant, load_config
+from .config import _parse_candidates, _sampled_plant, load_config
 from .engine import to_db
 from .errors import ConfigError, LiftedIlcError
-from .experiments import (
-    FIGURE_IDS,
-    build_desired_trajectory,
-    build_initial_input,
-    build_lifted_pair,
-    reproduce_figure,
-    run_experiment,
-)
+from .experiments import FIGURE_IDS, build_experiment, reproduce_figure, run_experiment
 from .laws import LAW_KINDS, LearningLaw
-from .lti import discretize_zoh, sampled_zeros
 from .switching import evaluate_switch
 
 __all__ = ["main"]
@@ -99,9 +91,7 @@ def _cmd_advise_switch(args, out):
         raise ConfigError(
             "no candidates: pass --candidates or set switch.candidates"
         )
-    world, model = build_lifted_pair(config)
-    desired = build_desired_trajectory(config)
-    u0 = build_initial_input(config)
+    world, model, u0, desired = build_experiment(config)
     law = LearningLaw(config.law_kind, config.gain)
     # every candidate is evaluated before anything is printed, so a failing
     # one leaves stdout empty
@@ -134,14 +124,10 @@ def _cmd_zeros(args, out):
     config = load_config(args.config)
     for role, params in (("model", config.model_params),
                          ("world", config.world_params)):
-        dss = discretize_zoh(
-            continuous_plant(config.system_kind, params), config.sample_period
-        )
-        zeros = sampled_zeros(dss)
-        outside = sum(1 for z in zeros if abs(z) > 1.0)
-        print(f"{role} plant sampled zeros ({outside} outside unit circle):",
-              file=out)
-        for z in zeros:
+        plant = _sampled_plant(config.system_kind, params, config.sample_period)
+        print(f"{role} plant sampled zeros ({plant.unstable_zero_count} outside "
+              "unit circle):", file=out)
+        for z in plant.zeros:
             flag = "  outside" if abs(z) > 1.0 else ""
             print(f"  {z.real:+.8f} {z.imag:+.8f}j  modulus {abs(z):.8f}{flag}",
                   file=out)

@@ -16,6 +16,7 @@ the configuration exactly.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Tuple
@@ -86,11 +87,12 @@ def _parse_float(text, key):
     try:
         if text == "pi":
             return math.pi
-        if text.endswith("*pi"):
-            return float(text[:-3]) * math.pi
-        return float(text)
+        value = float(text[:-3]) * math.pi if text.endswith("*pi") else float(text)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {text!r} as a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {text!r} is not a finite number")
+    return value
 
 
 def _parse_int(text, key):
@@ -170,7 +172,7 @@ def load_config(path):
 
     Defaults are applied for every optional key; lifted.deleted_rows set to
     'auto' is resolved here by counting the model's sampled zeros outside
-    the unit circle.
+    the unit circle. Every number must be finite.
 
     Raises
     ------
@@ -219,7 +221,8 @@ def load_config(path):
 
     deleted_raw = merged["lifted.deleted_rows"]
     if deleted_raw == "auto":
-        deleted_rows = _unstable_zero_count(kind, model_params, sample_period)
+        plant = _sampled_plant(kind, model_params, sample_period)
+        deleted_rows = plant.unstable_zero_count
     else:
         deleted_rows = _parse_int(deleted_raw, "lifted.deleted_rows")
         if deleted_rows < 0 or deleted_rows >= horizon:
@@ -318,9 +321,36 @@ def continuous_plant(kind, params):
     )
 
 
-def _unstable_zero_count(kind, params, sample_period):
-    dss = discretize_zoh(continuous_plant(kind, params), sample_period)
-    return sum(1 for z in sampled_zeros(dss) if abs(z) > 1.0)
+class _SampledPlant:
+    """One ZOH-sampled plant; its zeros are computed on first use."""
+
+    def __init__(self, dss):
+        # every caller shares this plant, so none may write into it
+        for array in (dss.ad_matrix, dss.bd_vector, dss.c_vector):
+            array.flags.writeable = False
+        self.dss = dss
+
+    @cached_property
+    def zeros(self):
+        return tuple(sampled_zeros(self.dss))
+
+    @property
+    def unstable_zero_count(self):
+        return sum(1 for z in self.zeros if abs(z) > 1.0)
+
+
+@lru_cache(maxsize=128)
+def _sampled_plant(kind, params, sample_period):
+    """The sampled plant of one PlantParams block, memoized by value.
+
+    Every caller that needs a sampled plant or its zeros comes through here,
+    so a plant is discretized, and its zeros found, once per process however
+    many configurations, commands and checks share it (the 128 most recently
+    used plants are kept).
+    """
+    return _SampledPlant(
+        discretize_zoh(continuous_plant(kind, params), sample_period)
+    )
 
 
 def write_config(config, path):

@@ -327,7 +327,7 @@ def _learn(model, law, u, e):
     return Trajectory(u.values + step, u.start_step, u.sample_period)
 
 
-def _check_run_dimensions(applied, model, u0, desired):
+def _check_run_inputs(applied, model, u0, desired):
     if applied.horizon != model.horizon or applied.deleted_rows != model.deleted_rows:
         raise DimensionError(
             "applied plant and model must share horizon and deleted rows: "
@@ -343,6 +343,10 @@ def _check_run_dimensions(applied, model, u0, desired):
             f"desired length {len(desired)} does not match row count "
             f"{model.row_count}"
         )
+    # a non-finite input or target is invalid, not a divergence
+    for name, trajectory in (("u0", u0), ("desired", desired)):
+        if not np.all(np.isfinite(trajectory.values)):
+            raise InvalidParameterError(f"{name} holds non-finite values")
 
 
 def _measure(applied, u, x0, desired):
@@ -399,13 +403,15 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
         In the model phase, before iterating, if the model iteration matrix
         has an eigenvalue outside (-1, 1); in either phase, if an error RMS
         becomes non-finite.
+    InvalidParameterError
+        If u0 or desired holds a NaN or infinite value.
     """
     if phase not in PHASES:
         raise InvalidParameterError(f"phase must be one of {PHASES}, got {phase!r}")
     if count < 0:
         raise InvalidParameterError(f"count must be nonnegative, got {count}")
     applied = model if phase == "model" else world
-    _check_run_dimensions(applied, model, u0, desired)
+    _check_run_inputs(applied, model, u0, desired)
     if phase == "model":
         _convergent_operator(model, law)
     records = _run_loop(applied, model, law, u0, x0, desired, count, phase)
@@ -426,12 +432,14 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     DivergenceError
         If the model iteration matrix has an eigenvalue outside (-1, 1), or
         a world-phase error RMS becomes non-finite.
+    InvalidParameterError
+        If u0 or desired holds a NaN or infinite value.
     """
     if model_count < 0 or world_count < 0:
         raise InvalidParameterError(
             f"iteration counts must be nonnegative, got {model_count}, {world_count}"
         )
-    _check_run_dimensions(world, model, u0, desired)
+    _check_run_inputs(world, model, u0, desired)
     op = _convergent_operator(model, law)
     e0 = _measure(model, u0, x0, desired)
     records = []

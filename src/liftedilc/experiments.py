@@ -9,22 +9,23 @@ is the quantity the fast-forward scheme is designed to save.
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from .config import _unstable_zero_count, continuous_plant, load_preset
+from .config import _sampled_plant, load_preset
 from .engine import run_hybrid, run_iterations, to_db
 from .errors import ConfigError
 from .laws import LearningLaw
 from .lifted import LiftedSystem, Trajectory, build_lifted, delete_rows
-from .lti import discretize_zoh
 from .switching import evaluate_switch
 from .svg import Marker, Series, render_line_chart
 
 __all__ = [
     "RunArtifacts",
     "CSV_HEADER",
+    "Experiment",
+    "build_experiment",
     "build_lifted_pair",
     "build_desired_trajectory",
     "build_initial_input",
@@ -59,8 +60,29 @@ class RunArtifacts:
     curve_csv_paths: Optional[Dict[str, str]] = None
 
 
+class Experiment(NamedTuple):
+    """What every command runs on: the lifted pair, u0 and the target y*."""
+
+    world: LiftedSystem
+    model: LiftedSystem
+    u0: Trajectory
+    desired: Trajectory
+
+
+def build_experiment(config):
+    """The one experiment setup of a configuration.
+
+    Each plant is sampled once per process: the sampled plants are memoized
+    by their parameters, so repeated commands only lift them again.
+    """
+    world, model = build_lifted_pair(config)
+    return Experiment(
+        world, model, build_initial_input(config), build_desired_trajectory(config)
+    )
+
+
 def build_lifted_pair(config):
-    """Discretize and lift the (world, model) plant pair of a configuration.
+    """Lift the sampled (world, model) plant pair of a configuration.
 
     Both systems get the same leading-row deletion so their error
     trajectories stay aligned.
@@ -70,27 +92,20 @@ def build_lifted_pair(config):
     (LiftedSystem, LiftedSystem)
         (world, model), rows deleted per the configuration.
     """
-    model_dss = discretize_zoh(
-        continuous_plant(config.system_kind, config.model_params),
-        config.sample_period,
-    )
-    world_dss = discretize_zoh(
-        continuous_plant(config.system_kind, config.world_params),
-        config.sample_period,
-    )
-    model = build_lifted(model_dss, config.horizon)
-    world = build_lifted(world_dss, config.horizon)
-    if config.deleted_rows > 0:
-        model = delete_rows(model, config.deleted_rows)
-        world = delete_rows(world, config.deleted_rows)
-    return world, model
+    def lift(params):
+        plant = _sampled_plant(config.system_kind, params, config.sample_period)
+        full = build_lifted(plant.dss, config.horizon)
+        return delete_rows(full, config.deleted_rows) if config.deleted_rows else full
+
+    model = lift(config.model_params)
+    return lift(config.world_params), model
 
 
 def unhandled_zero_warning(config):
     """Warning text when deleted_rows leaves unstable zeros uncovered, else None."""
-    outside = _unstable_zero_count(
+    outside = _sampled_plant(
         config.system_kind, config.model_params, config.sample_period
-    )
+    ).unstable_zero_count
     if outside > config.deleted_rows:
         return (
             f"model has {outside} sampled zero(s) outside the unit circle "
@@ -135,6 +150,11 @@ def build_initial_input(config):
             f"key 'run.initial_input': file has {values.size} samples, "
             f"horizon is {config.horizon}"
         )
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(
+            f"key 'run.initial_input': file {config.initial_input!r} holds "
+            "non-finite samples"
+        )
     return Trajectory(values, 0, config.sample_period)
 
 
@@ -167,9 +187,7 @@ def run_experiment(config):
         CSV path, summary dictionary (final RMS per phase, switch reports,
         any warnings), and the plot path when one was requested.
     """
-    world, model = build_lifted_pair(config)
-    desired = build_desired_trajectory(config)
-    u0 = build_initial_input(config)
+    world, model, u0, desired = build_experiment(config)
     law = LearningLaw(config.law_kind, config.gain)
 
     if config.mode == "model":
@@ -252,9 +270,7 @@ def reproduce_figure(figure_id, law_kind, switch_n, output_dir="."):
         )
     family, with_markers = _FIGURE_FAMILY[figure_id]
     config = load_preset(family)
-    world, model = build_lifted_pair(config)
-    desired = build_desired_trajectory(config)
-    u0 = build_initial_input(config)
+    world, model, u0, desired = build_experiment(config)
     law = LearningLaw(law_kind, config.gain)
     total = switch_n + _WORLD_SEGMENT
 

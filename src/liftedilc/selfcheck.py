@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .config import continuous_plant, load_preset
+from .config import _sampled_plant, load_preset
 from .engine import _measure, fast_forward, run_hybrid, run_iterations
-from .experiments import build_desired_trajectory, build_initial_input, build_lifted_pair
+from .experiments import build_desired_trajectory, build_experiment
 from .laws import LAW_KINDS, LearningLaw, build_gain, iteration_matrix
 from .lifted import build_lifted, delete_rows, pseudo_inverse_input
 from .lti import (
@@ -30,7 +30,6 @@ from .lti import (
     analytic_first_order_response,
     discretize_zoh,
     first_order_closed_loop,
-    sampled_zeros,
     simulate,
 )
 
@@ -63,16 +62,7 @@ def _example_pair(kind):
 
     Cached so that the checks share one model object and its factorization.
     """
-    config = load_preset(kind)
-    world, model = build_lifted_pair(config)
-    return world, model, build_initial_input(config), build_desired_trajectory(config)
-
-
-def _model_plant(kind):
-    """The sampled model plant of one bundled pair, with its preset."""
-    config = load_preset(kind)
-    plant = continuous_plant(kind, config.model_params)
-    return discretize_zoh(plant, config.sample_period), config
+    return build_experiment(load_preset(kind))
 
 
 def _rel_gap(candidate, reference):
@@ -194,8 +184,10 @@ def check_first_order_discretization():
 def check_sampled_zero_detection():
     """4: third-order plant has one zero outside, on the negative real axis."""
     t0 = time.perf_counter()
-    z3 = sampled_zeros(_model_plant("third_order")[0])
-    z2 = sampled_zeros(_model_plant("second_order")[0])
+    z3, z2 = (
+        _sampled_plant(c.system_kind, c.model_params, c.sample_period).zeros
+        for c in map(load_preset, ("third_order", "second_order"))
+    )
     outside3 = [z for z in z3 if abs(z) > 1.0]
     outside2 = [z for z in z2 if abs(z) > 1.0]
     passed = (
@@ -219,7 +211,8 @@ def check_sampled_zero_detection():
 def check_stable_inverse_boundedness():
     """5: one deleted row shrinks the inverse input by >= 10x."""
     t0 = time.perf_counter()
-    dss, config = _model_plant("third_order")
+    config = load_preset("third_order")
+    dss = _sampled_plant("third_order", config.model_params, config.sample_period).dss
     full = build_lifted(dss, config.horizon)
     deleted = delete_rows(build_lifted(dss, config.horizon), 1)
     y_full = build_desired_trajectory(dataclasses.replace(config, deleted_rows=0))

@@ -10,7 +10,7 @@ consumed, which is the entire cost of asking.
 
 from dataclasses import dataclass
 
-from .engine import _learn, _measure, fast_forward, rms, to_db
+from .engine import _check_run_inputs, _learn, _measure, fast_forward, rms, to_db
 from .errors import InvalidParameterError
 
 __all__ = ["SwitchReport", "to_db", "evaluate_switch"]
@@ -66,6 +66,7 @@ def evaluate_switch(world, model, law, u0, x0, candidate_n, slope_factor, desire
         raise InvalidParameterError(
             f"candidate_n must be at least 1, got {candidate_n}"
         )
+    _check_run_inputs(world, model, u0, desired)
     e0 = _measure(model, u0, x0, desired)
     u_n, e_model_n = fast_forward(model, law, u0, e0, candidate_n)
     r_model_n = rms(e_model_n)

@@ -3,13 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import settings
 
-from liftedilc import (
-    build_desired_trajectory,
-    build_initial_input,
-    build_lifted,
-    build_lifted_pair,
-    load_preset,
-)
+from liftedilc import Trajectory, build_experiment, build_lifted, load_preset
 
 # timing variance from BLAS warmup makes per-example deadlines meaningless
 settings.register_profile("suite", deadline=None, max_examples=40)
@@ -18,22 +12,16 @@ settings.load_profile("suite")
 SAMPLE_PERIOD = 0.01
 
 
-def _preset_pair(kind):
-    config = load_preset(kind)
-    world, model = build_lifted_pair(config)
-    return world, model, build_initial_input(config), build_desired_trajectory(config)
-
-
 @pytest.fixture(scope="session")
 def second_order_pair():
     """(world, model, u0, desired) for the second-order preset."""
-    return _preset_pair("second_order")
+    return build_experiment(load_preset("second_order"))
 
 
 @pytest.fixture(scope="session")
 def third_order_pair():
     """(world, model, u0, desired) for the third-order preset, one row deleted."""
-    return _preset_pair("third_order")
+    return build_experiment(load_preset("third_order"))
 
 
 @pytest.fixture
@@ -62,6 +50,13 @@ def explicit_iterates(model, l_matrix, u0_values, desired_values, count):
         e = desired_values - model.p_matrix @ u
         history.append((u.copy(), e.copy()))
     return history
+
+
+def poisoned(trajectory, value):
+    """A copy of the trajectory with sample 3 replaced by `value`."""
+    values = trajectory.values.copy()
+    values[3] = value
+    return Trajectory(values, trajectory.start_step, trajectory.sample_period)
 
 
 def random_stable_lifted(rng, max_order=4, max_steps=30):

@@ -184,6 +184,39 @@ def test_advise_switch_requires_candidates_somewhere(write_cfg, capsys):
     assert "no candidates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, command", [
+    ("discretization.sample_period", "inf", "zeros"),
+    ("trajectory.amplitude_coefficient", "nan", "run"),
+    ("switch.slope_factor", "nan", "advise-switch"),
+    ("law.gain", "inf", "run"),
+])
+def test_non_finite_numbers_are_config_errors(
+    key, value, command, write_cfg, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg({key: value, "switch.candidates": "5"})
+    code, text = run_cli([command, str(path)])
+    assert code == 1
+    assert text == ""
+    assert f"{key!r}: {value!r} is not a finite number" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("sample", ["nan", "-inf"])
+def test_run_rejects_a_non_finite_initial_input_file(
+    sample, write_cfg, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    source = tmp_path / "u0.txt"
+    source.write_text("\n".join(["0.0"] * 99 + [sample]) + "\n")
+    path = write_cfg({"run.initial_input": str(source)})
+    code, text = run_cli(["run", str(path)])
+    assert code == 1
+    assert text == ""
+    assert "run.initial_input" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_zeros_reports_both_plants(write_cfg):
     path = write_cfg(base=MINIMAL_THIRD_ORDER)
     code, text = run_cli(["zeros", str(path)])
@@ -249,3 +282,50 @@ def test_commands_import_no_scipy_module(tmp_path):
     assert result["scipy"] == []
     # fig2's three curves and one history per run
     assert len(list(tmp_path.glob("*.csv"))) == 3 + len(PRESET_FILES)
+
+
+_COUNT_SAMPLING = """
+import io, json, sys
+import liftedilc, liftedilc.cli
+from liftedilc import lti
+counts = {"discretize_zoh": 0, "sampled_zeros": 0}
+modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "liftedilc"]
+for name in counts:
+    real = getattr(lti, name)
+    def counting(*args, _real=real, _name=name, **kwargs):
+        counts[_name] += 1
+        return _real(*args, **kwargs)
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                setattr(module, attr, counting)
+seen = []
+for _ in range(2):
+    assert liftedilc.cli.main(json.loads(sys.argv[1]), stdout=io.StringIO()) == 0
+    seen.append(dict(counts))
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("argv, zeros_limit", [
+    (["run", "second_order.cfg"], 1),
+    (["run", "third_order.cfg"], 1),
+    (["figure", "fig2", "--output-dir", "figures"], 1),
+    (["advise-switch", "second_order.cfg"], 1),
+    (["advise-switch", "third_order.cfg"], 1),
+    (["zeros", "second_order.cfg"], 2),
+    (["zeros", "third_order.cfg"], 2),
+], ids=lambda value: "-".join(value[:2]) if isinstance(value, list) else None)
+def test_each_command_samples_each_plant_once(argv, zeros_limit, tmp_path):
+    for kind in PRESET_FILES:
+        write_preset(kind, tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNT_SAMPLING, json.dumps(argv)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    first, repeated = json.loads(done.stdout.splitlines()[-1])
+    assert first["discretize_zoh"] <= 2
+    assert first["sampled_zeros"] <= zeros_limit
+    assert repeated == first

@@ -33,7 +33,7 @@ from liftedilc import (
     run_iterations,
 )
 
-from conftest import SAMPLE_PERIOD, explicit_iterates, random_stable_lifted
+from conftest import SAMPLE_PERIOD, explicit_iterates, poisoned, random_stable_lifted
 
 
 # ---------------------------------------------------------------- factorization
@@ -348,6 +348,23 @@ def test_model_phase_divergence_is_caught_before_iterating(second_order_pair):
     law = LearningLaw("partial_isometry", 2.5)
     with pytest.raises(DivergenceError, match="eigenvalue magnitude"):
         run_iterations(world, model, law, u0, None, 1000, "model", desired)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("target", ["u0", "desired"])
+def test_runs_reject_a_non_finite_input_or_target(second_order_pair, target, value):
+    world, model, u0, desired = second_order_pair
+    if target == "u0":
+        u0 = poisoned(u0, value)
+    else:
+        desired = poisoned(desired, value)
+    law = LearningLaw("p_transpose", 1.0)
+    match = f"{target} holds non-finite values"
+    for phase in ("model", "world"):
+        with pytest.raises(InvalidParameterError, match=match):
+            run_iterations(world, model, law, u0, None, 5, phase, desired)
+    with pytest.raises(InvalidParameterError, match=match):
+        run_hybrid(world, model, law, u0, None, 5, 5, desired)
 
 
 def test_world_phase_divergence_names_phase_and_iteration(second_order_pair):

@@ -11,11 +11,18 @@ from liftedilc import (
     ConfigError,
     LAW_KINDS,
     LearningLaw,
+    PlantParams,
     build_desired_trajectory,
+    build_experiment,
     build_initial_input,
+    build_lifted,
     build_lifted_pair,
+    continuous_plant,
+    delete_rows,
+    discretize_zoh,
     lifted_output,
     load_config,
+    load_preset,
     reproduce_figure,
     run_experiment,
     run_hybrid,
@@ -193,6 +200,50 @@ def test_unhandled_zero_warning_for_uncovered_zero(write_cfg, tmp_path):
 
     clean = load_config(write_cfg())
     assert unhandled_zero_warning(clean) is None
+
+
+def _freshly_lifted(config, params):
+    """The lifted plant of one PlantParams block, sampled without the memo."""
+    dss = discretize_zoh(
+        continuous_plant(config.system_kind, params), config.sample_period
+    )
+    lifted = build_lifted(dss, config.horizon)
+    return delete_rows(lifted, config.deleted_rows) if config.deleted_rows else lifted
+
+
+@pytest.mark.parametrize("kind, deleted_rows", [
+    ("second_order", None), ("third_order", None), ("third_order", 0),
+])
+def test_build_experiment_matches_the_three_builders(kind, deleted_rows):
+    config = load_preset(kind)
+    if deleted_rows is not None:
+        config = dataclasses.replace(config, deleted_rows=deleted_rows)
+    experiment = build_experiment(config)
+    world, model = build_lifted_pair(config)
+    for built, pair, params in ((experiment.world, world, config.world_params),
+                                (experiment.model, model, config.model_params)):
+        fresh = _freshly_lifted(config, params)
+        for lifted in (pair, fresh):
+            assert np.array_equal(built.p_matrix, lifted.p_matrix)
+            assert np.array_equal(built.abar_matrix, lifted.abar_matrix)
+            assert built.deleted_rows == lifted.deleted_rows
+    assert np.array_equal(experiment.u0.values, build_initial_input(config).values)
+    desired = build_desired_trajectory(config)
+    assert np.array_equal(experiment.desired.values, desired.values)
+    assert experiment.desired.start_step == desired.start_step
+
+
+def test_each_plant_is_sampled_once_per_value(write_cfg):
+    path = write_cfg()
+    first, second = load_config(path), load_config(path)
+    assert first.model_params is not second.model_params
+    assert build_lifted_pair(first)[1].source is build_lifted_pair(second)[1].source
+
+    params = PlantParams(0.4, 37.0)
+    changed = dataclasses.replace(first, model_params=params)
+    _, model = build_lifted_pair(changed)
+    assert model.source is not build_lifted_pair(first)[1].source
+    assert np.array_equal(model.p_matrix, _freshly_lifted(changed, params).p_matrix)
 
 
 def test_build_lifted_pair_shares_the_deletion(write_cfg):

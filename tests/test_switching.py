@@ -16,7 +16,7 @@ from liftedilc import (
     to_db,
 )
 
-from conftest import SAMPLE_PERIOD
+from conftest import SAMPLE_PERIOD, poisoned
 
 
 def test_rms_definition():
@@ -87,6 +87,19 @@ def test_candidate_must_be_positive(second_order_pair):
     law = LearningLaw("p_transpose", 1.0)
     with pytest.raises(InvalidParameterError):
         evaluate_switch(world, model, law, u0, None, 0, 1.0, desired)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("target", ["u0", "desired"])
+def test_advisor_rejects_a_non_finite_input_or_target(second_order_pair, target, value):
+    world, model, u0, desired = second_order_pair
+    if target == "u0":
+        u0 = poisoned(u0, value)
+    else:
+        desired = poisoned(desired, value)
+    law = LearningLaw("p_transpose", 1.0)
+    with pytest.raises(InvalidParameterError, match=f"{target} holds non-finite"):
+        evaluate_switch(world, model, law, u0, None, 10, 1.0, desired)
 
 
 def test_extreme_slope_factor_blocks_the_switch(second_order_pair):
