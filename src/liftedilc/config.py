@@ -10,8 +10,7 @@ flags, so they live in small text files:
 
 Values are plain literals; 'pi' and '<number>*pi' are accepted wherever a
 float is. Unknown keys are rejected rather than ignored, so typos surface
-immediately. `write_config` round-trips: loading what it writes reproduces
-the configuration exactly.
+immediately.
 """
 
 import math
@@ -21,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 from .laws import LAW_KINDS
 from .lti import discretize_zoh, make_second_order, make_third_order, sampled_zeros
 
@@ -31,7 +30,6 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "load_preset",
-    "write_config",
 ]
 
 SYSTEM_KINDS = ("second_order", "third_order")
@@ -172,7 +170,8 @@ def load_config(path):
 
     Defaults are applied for every optional key; lifted.deleted_rows set to
     'auto' is resolved here by counting the model's sampled zeros outside
-    the unit circle. Every number must be finite.
+    the unit circle. Every number must be finite, and so must both sampled
+    plants.
 
     Raises
     ------
@@ -198,6 +197,14 @@ def load_config(path):
                                  "discretization.sample_period")
     if not sample_period > 0:
         raise ConfigError("key 'discretization.sample_period': must be positive")
+    plants = {}
+    for section, params in (("model", model_params), ("world", world_params)):
+        try:
+            plants[section] = _sampled_plant(kind, params, sample_period)
+        except InvalidParameterError as exc:
+            raise ConfigError(
+                f"keys '{section}.*'/'discretization.sample_period': {exc}"
+            ) from None
     horizon = _parse_int(merged["lifted.horizon"], "lifted.horizon")
     if horizon < 1:
         raise ConfigError("key 'lifted.horizon': must be at least 1")
@@ -221,8 +228,7 @@ def load_config(path):
 
     deleted_raw = merged["lifted.deleted_rows"]
     if deleted_raw == "auto":
-        plant = _sampled_plant(kind, model_params, sample_period)
-        deleted_rows = plant.unstable_zero_count
+        deleted_rows = plants["model"].unstable_zero_count
     else:
         deleted_rows = _parse_int(deleted_raw, "lifted.deleted_rows")
         if deleted_rows < 0 or deleted_rows >= horizon:
@@ -351,44 +357,3 @@ def _sampled_plant(kind, params, sample_period):
     return _SampledPlant(
         discretize_zoh(continuous_plant(kind, params), sample_period)
     )
-
-
-def write_config(config, path):
-    """Write a configuration so that load_config reproduces it exactly.
-
-    Floats are written via repr, which round-trips to the identical value.
-    """
-    lines = [
-        f"system.kind = {config.system_kind}",
-        f"model.damping_ratio = {config.model_params.damping_ratio!r}",
-        f"model.natural_frequency = {config.model_params.natural_frequency!r}",
-    ]
-    if config.model_params.real_pole is not None:
-        lines.append(f"model.real_pole = {config.model_params.real_pole!r}")
-    lines += [
-        f"world.damping_ratio = {config.world_params.damping_ratio!r}",
-        f"world.natural_frequency = {config.world_params.natural_frequency!r}",
-    ]
-    if config.world_params.real_pole is not None:
-        lines.append(f"world.real_pole = {config.world_params.real_pole!r}")
-    lines += [
-        f"discretization.sample_period = {config.sample_period!r}",
-        f"lifted.horizon = {config.horizon}",
-        f"lifted.deleted_rows = {config.deleted_rows}",
-        f"trajectory.amplitude_coefficient = {config.trajectory.amplitude_coefficient!r}",
-        "trajectory.angular_frequency_coefficient = "
-        f"{config.trajectory.angular_frequency_coefficient!r}",
-        f"trajectory.exponent = {config.trajectory.exponent!r}",
-        f"law.kind = {config.law_kind}",
-        f"law.gain = {config.gain!r}",
-        f"run.initial_input = {config.initial_input}",
-        f"run.mode = {config.mode}",
-        f"run.model_count = {config.model_count}",
-        f"run.world_count = {config.world_count}",
-        f"switch.candidates = {','.join(str(c) for c in config.switch_candidates)}",
-        f"switch.slope_factor = {config.slope_factor!r}",
-        f"output.csv = {config.csv_path}",
-    ]
-    if config.plot_path is not None:
-        lines.append(f"output.plot = {config.plot_path}")
-    Path(path).write_text("\n".join(lines) + "\n")

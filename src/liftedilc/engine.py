@@ -19,9 +19,9 @@ whole model-phase history one matrix product.
 The factorization is computed once per LiftedSystem, on first use:
 eigh(P P^T), which gives U and sigma^2, for p_transpose and norm_optimal,
 whose formulas never divide by sigma; the thin SVD for partial_isometry,
-which needs V. It lives in a cache keyed weakly on the model object, together
-with the products derived from it for each law, so every fast-forward, run
-and switch evaluation on one model shares it, and it is freed with the model.
+which needs V. The model object holds it, together with the products derived
+from it for each law, so every fast-forward, run and switch evaluation on
+one model shares it, and it is freed with the model.
 
 `run_iterations` is the explicit counterpart: it applies every input to the
 plant and records the full history. Every learning update u + L e, in the
@@ -31,8 +31,8 @@ the dense gain built in `laws` is only the independent reference.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -114,33 +114,24 @@ def _record(iteration, phase, u, e):
 class _Factorization:
     """Factorizations of one model's lifted matrix P, each computed on first use.
 
-    gram() is (U, sigma^2) from eigh(P P^T), svd() is (U, sigma, V) from the
-    thin SVD. `laws` holds one _LawOperator per (law kind, gain).
+    gram is (U, sigma^2) from eigh(P P^T), svd is (U, sigma, V) from the thin
+    SVD. `laws` holds one _LawOperator per (law kind, gain).
     """
 
     def __init__(self, p_matrix):
         self.p_matrix = p_matrix
         self.laws = {}
-        self._gram = None
-        self._svd = None
 
+    @cached_property
     def gram(self):
-        if self._gram is None:
-            sigma2, u = np.linalg.eigh(self.p_matrix @ self.p_matrix.T)
-            # rounding can leave the smallest sigma^2 a hair below zero
-            self._gram = (u, np.maximum(sigma2, 0.0))
-        return self._gram
+        sigma2, u = np.linalg.eigh(self.p_matrix @ self.p_matrix.T)
+        # rounding can leave the smallest sigma^2 a hair below zero
+        return u, np.maximum(sigma2, 0.0)
 
+    @cached_property
     def svd(self):
-        if self._svd is None:
-            u, sigma, vt = np.linalg.svd(self.p_matrix, full_matrices=False)
-            self._svd = (u, sigma, vt.T)
-        return self._svd
-
-
-# id(model) -> _Factorization of that model; a finalizer on the model drops
-# the entry when the model is collected, so the cache never keeps one alive
-_FACTORIZATIONS = {}
+        u, sigma, vt = np.linalg.svd(self.p_matrix, full_matrices=False)
+        return u, sigma, vt.T
 
 
 @dataclass(eq=False)
@@ -172,11 +163,9 @@ class _LawOperator:
 
 def _operator(model, law):
     """The cached _LawOperator of (model, law), built on first use."""
-    key = id(model)
-    entry = _FACTORIZATIONS.get(key)
+    entry = model._factorization
     if entry is None:
-        entry = _FACTORIZATIONS[key] = _Factorization(model.p_matrix)
-        weakref.finalize(model, _FACTORIZATIONS.pop, key, None)
+        entry = model._factorization = _Factorization(model.p_matrix)
     # keyed by value: hashing the tuple is cheaper than the dataclass hash
     law_key = (law.kind, law.gain)
     op = entry.laws.get(law_key)
@@ -199,11 +188,11 @@ def _convergent_operator(model, law):
 def _build_operator(entry, law):
     phi = law.gain
     if law.kind == "partial_isometry":
-        u, sigma, v = entry.svd()
+        u, sigma, v = entry.svd
         lam = 1.0 - phi * sigma
         lu = phi * v
     else:
-        u, sigma2 = entry.gram()
+        u, sigma2 = entry.gram
         lu = entry.p_matrix.T @ u
         if law.kind == "p_transpose":
             lam = 1.0 - phi * sigma2

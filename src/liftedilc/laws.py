@@ -1,4 +1,4 @@
-"""The three learning laws and convergence metrics of the iteration matrix.
+"""The three learning laws and their dense gain and iteration matrices.
 
 Each law turns the model's lifted matrix into a gain L applied as
 u_{j+1} = u_j + L e_j. All three make I - P L symmetric when P is the model
@@ -19,10 +19,8 @@ __all__ = [
     "LAW_KINDS",
     "LearningLaw",
     "GainMatrix",
-    "StabilityMetrics",
     "build_gain",
     "iteration_matrix",
-    "stability_metrics",
 ]
 
 LAW_KINDS = ("p_transpose", "partial_isometry", "norm_optimal")
@@ -98,35 +96,3 @@ def iteration_matrix(plant, gain):
     w = -(p @ l_matrix)
     w[np.diag_indices_from(w)] += 1.0
     return w
-
-
-@dataclass(frozen=True)
-class StabilityMetrics:
-    """Convergence indicators of an iteration matrix.
-
-    Spectral radius below one gives asymptotic convergence of the learning
-    iteration; maximum singular value below one additionally makes the
-    Euclidean error norm decrease every iteration.
-    """
-
-    eigenvalues: np.ndarray
-    spectral_radius: float
-    max_singular_value: float
-    asymptotically_convergent: bool
-    monotonically_convergent: bool
-
-
-def stability_metrics(iter_matrix):
-    w = np.asarray(iter_matrix, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DimensionError(f"iteration matrix must be square, got {w.shape}")
-    eigenvalues = np.linalg.eigvals(w)
-    spectral_radius = float(np.max(np.abs(eigenvalues))) if w.size else 0.0
-    max_singular = float(np.linalg.svd(w, compute_uv=False)[0]) if w.size else 0.0
-    return StabilityMetrics(
-        eigenvalues=eigenvalues,
-        spectral_radius=spectral_radius,
-        max_singular_value=max_singular,
-        asymptotically_convergent=spectral_radius < 1.0,
-        monotonically_convergent=max_singular < 1.0,
-    )

@@ -16,7 +16,7 @@ Otherwise a thin singular value decomposition decides the numerical rank and
 serves the matrices that pass it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -72,11 +72,6 @@ class Trajectory:
     def __len__(self):
         return self.values.size
 
-    def times(self):
-        """Sample times in seconds."""
-        n = self.values.size
-        return (self.start_step + np.arange(n)) * self.sample_period
-
 
 def _wrap_trajectory(values, start_step, sample_period):
     # Bypasses __init__ for vectors that are float and 1-D by construction.
@@ -113,6 +108,9 @@ class LiftedSystem:
     deleted_rows: int
     sample_period: float
     source: DiscreteStateSpace
+    # the engine's factorization of p_matrix, filled on first use; a copy
+    # made by dataclasses.replace or delete_rows starts without one
+    _factorization: object = field(default=None, init=False, repr=False)
 
     @property
     def row_count(self):

@@ -208,6 +208,11 @@ def discretize_zoh(css, sample_period):
     Returns
     -------
     DiscreteStateSpace
+
+    Raises
+    ------
+    InvalidParameterError
+        If sample_period is not positive or Ad, Bd or C is not finite.
     """
     if not sample_period > 0:
         raise InvalidParameterError(
@@ -217,7 +222,17 @@ def discretize_zoh(css, sample_period):
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = css.a_matrix
     aug[:n, n:] = css.b_vector
-    phi = _expm(aug * sample_period)
+    try:
+        with np.errstate(all="ignore"):
+            phi = _expm(aug * sample_period)
+        finite = np.isfinite(phi).all() and np.isfinite(css.c_vector).all()
+    except OverflowError:  # the norms of the powers of A T overflowed
+        finite = False
+    if not finite:
+        raise InvalidParameterError(
+            "zero-order-hold discretization is not finite: the plant's "
+            f"numbers are too extreme for sample_period {sample_period}"
+        )
     return DiscreteStateSpace(phi[:n, :n], phi[:n, n:], css.c_vector, sample_period)
 
 

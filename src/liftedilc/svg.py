@@ -63,11 +63,10 @@ class _SvgDoc:
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         ]
 
-    def line(self, x1, y1, x2, y2, color="#888888", width=1.0, dash=None):
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, color="#888888", width=1.0):
         self.parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{color}" stroke-width="{width}"{dash_attr}/>'
+            f'stroke="{color}" stroke-width="{width}"/>'
         )
 
     def polyline(self, points, color, width=1.6):

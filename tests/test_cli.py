@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -200,6 +201,26 @@ def test_non_finite_numbers_are_config_errors(
     assert text == ""
     assert f"{key!r}: {value!r} is not a finite number" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "zeros"])
+@pytest.mark.parametrize("section", ["model", "world"])
+def test_a_plant_too_extreme_to_sample_is_a_config_error(
+    section, command, write_cfg, tmp_path, monkeypatch, capsys
+):
+    # wn^2 overflows, so the sampled plant cannot be finite
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg({f"{section}.natural_frequency": "1e200",
+                      "output.plot": "results.svg"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli([command, str(path)])
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert f"config error: keys '{section}.*'/'discretization.sample_period'" in err
+    assert "not finite" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["test.cfg"]
 
 
 @pytest.mark.parametrize("sample", ["nan", "-inf"])

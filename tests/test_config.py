@@ -1,16 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from liftedilc import (
     ConfigError,
-    ExperimentConfig,
     PlantParams,
-    TrajectoryShape,
     load_config,
     load_preset,
-    write_config,
 )
 
 from conftest import MINIMAL_THIRD_ORDER
@@ -121,47 +117,3 @@ def test_malformed_lines_report_positions(tmp_path):
         load_config(dup)
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")
-
-
-SAFE_NAME = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-.", min_size=1, max_size=12
-)
-POSITIVE = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def experiment_configs(draw):
-    kind = draw(st.sampled_from(("second_order", "third_order")))
-    pole = (lambda: draw(POSITIVE)) if kind == "third_order" else (lambda: None)
-    horizon = draw(st.integers(1, 300))
-    return ExperimentConfig(
-        system_kind=kind,
-        model_params=PlantParams(draw(POSITIVE), draw(POSITIVE), pole()),
-        world_params=PlantParams(draw(POSITIVE), draw(POSITIVE), pole()),
-        sample_period=draw(POSITIVE),
-        horizon=horizon,
-        deleted_rows=draw(st.integers(0, horizon - 1)),
-        trajectory=TrajectoryShape(
-            draw(POSITIVE), draw(POSITIVE), draw(st.floats(-8, 8))
-        ),
-        law_kind=draw(st.sampled_from(("p_transpose", "partial_isometry",
-                                       "norm_optimal"))),
-        gain=draw(POSITIVE),
-        initial_input=draw(st.sampled_from(("zero", "desired_output"))),
-        mode=draw(st.sampled_from(("model", "world", "hybrid"))),
-        model_count=draw(st.integers(0, 500)),
-        world_count=draw(st.integers(0, 500)),
-        switch_candidates=tuple(
-            draw(st.lists(st.integers(1, 999), max_size=4))
-        ),
-        slope_factor=draw(POSITIVE),
-        csv_path=draw(SAFE_NAME),
-        plot_path=draw(st.none() | SAFE_NAME),
-    )
-
-
-@given(experiment_configs())
-def test_write_config_round_trips_exactly(tmp_path_factory, config):
-    path = tmp_path_factory.mktemp("cfg") / "round_trip.cfg"
-    write_config(config, path)
-    assert load_config(path) == config

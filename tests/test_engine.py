@@ -119,14 +119,12 @@ def test_factorization_is_freed_with_its_model(second_order_pair):
     model = _fresh(model)
     e0 = Trajectory(desired.values - model.p_matrix @ u0.values, 1, SAMPLE_PERIOD)
     fast_forward(model, LearningLaw("p_transpose", 1.0), u0, e0, 10)
-    key = id(model)
-    entry_ref = weakref.ref(engine._FACTORIZATIONS[key])
+    entry_ref = weakref.ref(model._factorization)
     model_ref = weakref.ref(model)
     del model
     gc.collect()
     assert model_ref() is None
     assert entry_ref() is None
-    assert key not in engine._FACTORIZATIONS
 
 
 # ----------------------------------------------------------------- fast_forward
@@ -311,6 +309,43 @@ def test_run_hybrid_model_records_match_explicit_loop(
                 assert record.phase == "model"
                 assert np.max(np.abs(record.input.values - u_ref)) < 1e-9
                 assert np.max(np.abs(record.error.values - e_ref)) < 1e-9
+
+
+def _assert_records_match(records, reference):
+    assert len(records) == len(reference)
+    for record, (u_ref, e_ref) in zip(records, reference):
+        for got, want in ((record.input.values, u_ref), (record.error.values, e_ref)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("preset", ["second_order_pair", "third_order_pair"])
+def test_a_nonzero_initial_state_enters_every_run_as_abar_x0(preset, kind, request):
+    world, model, u0, desired = request.getfixturevalue(preset)
+    x0 = np.linspace(1.0, -1.0, model.abar_matrix.shape[1]) * 1e-3
+    law = LearningLaw(kind, 1.0)
+    l_matrix = build_gain(law, model).l_matrix
+
+    def dense_loop(plant, u, count):
+        # e = y* - P u - Abar x0: the dense loop against the shifted target
+        target = desired.values - plant.abar_matrix @ x0
+        return explicit_iterates(plant, l_matrix, u, target, count)
+
+    for phase, plant in (("model", model), ("world", world)):
+        history = run_iterations(world, model, law, u0, x0, 10, phase, desired)
+        _assert_records_match(history.records, dense_loop(plant, u0.values, 10))
+
+    model_ref = dense_loop(model, u0.values, 31)
+    u30 = model_ref[30][0]
+    history = run_hybrid(world, model, law, u0, x0, 30, 10, desired)
+    _assert_records_match(history.records, model_ref[:30] + dense_loop(world, u30, 10))
+
+    report = evaluate_switch(world, model, law, u0, x0, 30, 1.0, desired)
+    world_ref = dense_loop(world, u30, 1)
+    want = [model_ref[30][1], model_ref[31][1], world_ref[0][1], world_ref[1][1]]
+    got = [report.r_model_n, report.r_model_n1, report.r_world_n, report.r_world_n1]
+    for r, e in zip(got, want):
+        assert r == pytest.approx(np.sqrt(np.mean(e**2)), rel=1e-9)
 
 
 @pytest.mark.parametrize(

@@ -121,14 +121,13 @@ def test_lifted_output_rejects_wrong_input_length(second_order_pair):
         lifted_output(model, Trajectory(np.ones(7), 0, SAMPLE_PERIOD))
 
 
-def test_trajectory_validation_and_times():
+def test_trajectory_validation_and_length():
     with pytest.raises(DimensionError):
         Trajectory(np.ones((2, 2)), 0, SAMPLE_PERIOD)
     with pytest.raises(InvalidParameterError):
         Trajectory(np.ones(3), -1, SAMPLE_PERIOD)
     tr = Trajectory([1.0, 2.0, 3.0], 2, 0.5)
     assert len(tr) == 3
-    assert np.allclose(tr.times(), [1.0, 1.5, 2.0])
 
 
 def test_pseudo_inverse_reproduces_minimum_phase_target(second_order_pair):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,23 @@ def test_zoh_of_a_double_integrator_is_exact():
     assert np.allclose(dss.ad_matrix, [[1.0, 0.05], [0.0, 1.0]], rtol=1e-15, atol=1e-17)
     assert np.allclose(dss.bd_vector[:, 0], [0.05**2 / 2, 0.05], rtol=1e-15, atol=0)
     assert_zoh_matches_scipy_expm(css, 0.05)
+
+
+@pytest.mark.parametrize("natural_frequency, period", [
+    (1e40, T),    # ||A^k|| overflows: the scaling exponent is infinite
+    (1e75, T),
+    (1e150, T),   # A itself is finite, its powers are not
+    (1e200, T),   # wn^2 is already infinite
+    (37.0, 1e100),
+])
+def test_zoh_of_extreme_plant_numbers_raises_and_warns_nothing(
+    natural_frequency, period
+):
+    css = make_second_order(0.5, natural_frequency)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            discretize_zoh(css, period)
 
 
 @given(stable_poles(), st.sampled_from(PERIODS))
