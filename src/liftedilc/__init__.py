@@ -4,142 +4,25 @@ The package models finite-horizon sampled systems in lifted (matrix) form,
 runs iterative learning updates under three gain laws, evaluates when to
 switch learning from a model to hardware, and inverts non-minimum-phase
 plants by deleting the leading rows of the lifted map.
+
+Each module's ``__all__`` is the one declaration of its public names; the
+package root re-exports their union.
 """
 
-from .config import (
-    ExperimentConfig,
-    PlantParams,
-    TrajectoryShape,
-    continuous_plant,
-    load_config,
-    load_preset,
-)
-from .engine import (
-    IterationHistory,
-    IterationRecord,
-    fast_forward,
-    rms,
-    run_hybrid,
-    run_iterations,
-    to_db,
-)
-from .errors import (
-    ConfigError,
-    DegenerateDeletionError,
-    DimensionError,
-    DivergenceError,
-    EmptyHorizonError,
-    EmptyInputError,
-    InvalidParameterError,
-    LiftedIlcError,
-    RankDeficiencyError,
-    SingularSystemError,
-    UndefinedDbError,
-)
-from .laws import (
-    LAW_KINDS,
-    GainMatrix,
-    LearningLaw,
-    build_gain,
-    iteration_matrix,
-)
-from .lifted import (
-    LiftedSystem,
-    Trajectory,
-    build_lifted,
-    delete_rows,
-    lifted_output,
-    pseudo_inverse_input,
-)
-from .lti import (
-    ContinuousStateSpace,
-    DiscreteStateSpace,
-    FirstOrderFeedbackSpec,
-    analytic_first_order_response,
-    discretize_zoh,
-    first_order_closed_loop,
-    make_second_order,
-    make_third_order,
-    sampled_zeros,
-    simulate,
-)
-from .switching import SwitchReport, evaluate_switch
-from .experiments import (
-    CSV_HEADER,
-    FIGURE_IDS,
-    Experiment,
-    RunArtifacts,
-    build_desired_trajectory,
-    build_experiment,
-    build_initial_input,
-    build_lifted_pair,
-    reproduce_figure,
-    run_experiment,
-    unhandled_zero_warning,
-    write_history_csv,
-)
+from . import config, engine, errors, experiments, laws, lifted, lti, switching
+from .config import *  # noqa: F401,F403
+from .engine import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .laws import *  # noqa: F401,F403
+from .lifted import *  # noqa: F401,F403
+from .lti import *  # noqa: F401,F403
+from .switching import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExperimentConfig",
-    "PlantParams",
-    "TrajectoryShape",
-    "continuous_plant",
-    "load_config",
-    "load_preset",
-    "IterationHistory",
-    "IterationRecord",
-    "fast_forward",
-    "rms",
-    "run_hybrid",
-    "run_iterations",
-    "ConfigError",
-    "DegenerateDeletionError",
-    "DimensionError",
-    "DivergenceError",
-    "EmptyHorizonError",
-    "EmptyInputError",
-    "InvalidParameterError",
-    "LiftedIlcError",
-    "RankDeficiencyError",
-    "SingularSystemError",
-    "UndefinedDbError",
-    "LAW_KINDS",
-    "GainMatrix",
-    "LearningLaw",
-    "build_gain",
-    "iteration_matrix",
-    "LiftedSystem",
-    "Trajectory",
-    "build_lifted",
-    "delete_rows",
-    "lifted_output",
-    "pseudo_inverse_input",
-    "ContinuousStateSpace",
-    "DiscreteStateSpace",
-    "FirstOrderFeedbackSpec",
-    "analytic_first_order_response",
-    "discretize_zoh",
-    "first_order_closed_loop",
-    "make_second_order",
-    "make_third_order",
-    "sampled_zeros",
-    "simulate",
-    "SwitchReport",
-    "evaluate_switch",
-    "to_db",
-    "CSV_HEADER",
-    "FIGURE_IDS",
-    "Experiment",
-    "RunArtifacts",
-    "build_desired_trajectory",
-    "build_experiment",
-    "build_initial_input",
-    "build_lifted_pair",
-    "reproduce_figure",
-    "run_experiment",
-    "unhandled_zero_warning",
-    "write_history_csv",
-    "__version__",
-]
+    name
+    for module in (config, engine, errors, experiments, laws, lifted, lti, switching)
+    for name in module.__all__
+] + ["__version__"]

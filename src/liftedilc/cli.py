@@ -154,8 +154,10 @@ def _build_parser():
     p_fig.add_argument("fig_id", choices=FIGURE_IDS, metavar="fig-id",
                        help="one of " + ", ".join(FIGURE_IDS))
     p_fig.add_argument("--law", choices=LAW_KINDS, default="p_transpose")
-    p_fig.add_argument("--switch", type=int, default=50, metavar="N",
-                       help="model iterations before the switch (default 50)")
+    p_fig.add_argument("--switch", type=int, default=None, metavar="N",
+                       help="model iterations before the switch (default: the "
+                       "preset's run.model_count, 50 for fig2/fig3 and 100 for "
+                       "fig4/fig5)")
     p_fig.add_argument("--output-dir", default=".", metavar="DIR")
     p_fig.set_defaults(handler=_cmd_figure)
 

@@ -30,6 +30,7 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "load_preset",
+    "continuous_plant",
 ]
 
 SYSTEM_KINDS = ("second_order", "third_order")

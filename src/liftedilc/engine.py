@@ -248,6 +248,9 @@ def fast_forward(model, law, u0, e0, n):
 
     Raises
     ------
+    InvalidParameterError
+        If n is not a nonnegative integer, or u0 or e0 holds a non-finite
+        value.
     DivergenceError
         If any eigenvalue of the model iteration matrix lies outside (-1, 1).
     """
@@ -264,12 +267,18 @@ def fast_forward(model, law, u0, e0, n):
         raise DimensionError(
             f"e0 length {e0v.size} does not match row count {model.row_count}"
         )
+    ep0 = np.dot(op.ut, e0v)
+    # cheap witnesses on check 10's timed path: u0 . u0, and one entry of
+    # U^T e0, which mixes all of e0; only a non-finite witness costs a scan
+    if not math.isfinite(u0v.dot(u0v)) and not np.isfinite(u0v).all():
+        raise InvalidParameterError("u0 holds non-finite values")
+    if not math.isfinite(ep0[0]) and not np.isfinite(e0v).all():
+        raise InvalidParameterError("e0 holds non-finite values")
     if n == 0:
         return (
             _wrap_trajectory(u0v.copy(), u0.start_step, u0.sample_period),
             _wrap_trajectory(e0v.copy(), e0.start_step, e0.sample_period),
         )
-    ep0 = np.dot(op.ut, e0v)
     r = np.multiply(op.log_abs_lam, float(n))
     np.expm1(r, out=r)                      # |lambda|^n - 1
     if n % 2 and op.has_negative:

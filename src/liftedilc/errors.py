@@ -5,6 +5,20 @@ exception classes so callers can react to them individually; the CLI maps
 them onto exit codes.
 """
 
+__all__ = [
+    "LiftedIlcError",
+    "InvalidParameterError",
+    "DimensionError",
+    "EmptyHorizonError",
+    "DegenerateDeletionError",
+    "EmptyInputError",
+    "UndefinedDbError",
+    "SingularSystemError",
+    "RankDeficiencyError",
+    "DivergenceError",
+    "ConfigError",
+]
+
 
 class LiftedIlcError(Exception):
     """Base class for every error raised by this package."""

@@ -32,6 +32,8 @@ __all__ = [
     "run_experiment",
     "reproduce_figure",
     "FIGURE_IDS",
+    "unhandled_zero_warning",
+    "write_history_csv",
 ]
 
 CSV_HEADER = "iteration,phase,rms,rms_db,hardware_iterations_consumed"
@@ -47,7 +49,6 @@ _FIGURE_FAMILY = {
     "fig4": ("third_order", True),
     "fig5": ("third_order", False),
 }
-_WORLD_SEGMENT = 50
 
 
 @dataclass
@@ -241,22 +242,23 @@ def run_experiment(config):
     return RunArtifacts(config.csv_path, summary, plot_paths)
 
 
-def reproduce_figure(figure_id, law_kind, switch_n, output_dir="."):
+def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     """Generate one bundled figure: three aligned curves plus optional markers.
 
     The three curves share the iteration axis: learning against the model
     only (black), against the world from the start (blue), and the hybrid
-    run that fast-forwards the model phase and switches at `switch_n` (red).
-    The marker variants (fig2, fig4) annotate the four switch-decision RMS
-    values at the switch point.
+    run that fast-forwards the model phase, switches at `switch_n` and learns
+    for the preset's run.world_count updates (red). The marker variants (fig2,
+    fig4) annotate the four switch-decision RMS values at the switch point.
 
     Parameters
     ----------
     figure_id : str
         One of fig2..fig5.
     law_kind : str
-    switch_n : int
-        Model iterations before the switch; the bundled layouts use 50 or 100.
+    switch_n : int or None
+        Model iterations before the switch; None takes the preset's
+        run.model_count (50 for fig2/fig3, 100 for fig4/fig5).
     output_dir : str
 
     Returns
@@ -270,15 +272,17 @@ def reproduce_figure(figure_id, law_kind, switch_n, output_dir="."):
         )
     family, with_markers = _FIGURE_FAMILY[figure_id]
     config = load_preset(family)
+    if switch_n is None:
+        switch_n = config.model_count
     world, model, u0, desired = build_experiment(config)
     law = LearningLaw(law_kind, config.gain)
-    total = switch_n + _WORLD_SEGMENT
+    total = switch_n + config.world_count
 
     histories = {
         "model": run_iterations(world, model, law, u0, None, total, "model", desired),
         "world": run_iterations(world, model, law, u0, None, total, "world", desired),
         "hybrid": run_hybrid(world, model, law, u0, None, switch_n,
-                             _WORLD_SEGMENT, desired),
+                             config.world_count, desired),
     }
 
     # every numerical step runs before the first file is written, so a

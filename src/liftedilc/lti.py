@@ -212,7 +212,8 @@ def discretize_zoh(css, sample_period):
     Raises
     ------
     InvalidParameterError
-        If sample_period is not positive or Ad, Bd or C is not finite.
+        If sample_period is not positive, Ad, Bd or C is not finite, or the
+        plant is too stiff for sample_period to sample without rounding loss.
     """
     if not sample_period > 0:
         raise InvalidParameterError(
@@ -233,7 +234,22 @@ def discretize_zoh(css, sample_period):
             "zero-order-hold discretization is not finite: the plant's "
             f"numbers are too extreme for sample_period {sample_period}"
         )
-    return DiscreteStateSpace(phi[:n, :n], phi[:n, n:], css.c_vector, sample_period)
+    ad, bd = phi[:n, :n], phi[:n, n:]
+    # the hold integral M gives Bd = M B and Ad - I = A M, so A Bd = (Ad - I) B
+    # exactly; a plant too stiff for T loses that to rounding (the presets, and
+    # natural frequencies up to 1e10 rad/s at T = 0.01, stay below 5e-7)
+    with np.errstate(all="ignore"):
+        step = (ad - np.eye(n)) @ css.b_vector
+        scale = np.abs(step).max()
+        gap = np.abs(css.a_matrix @ bd - step).max()
+        relative_gap = gap / scale
+    if not gap <= 1e-6 * scale:
+        raise InvalidParameterError(
+            "zero-order-hold discretization lost the plant to rounding: A Bd "
+            f"and (Ad - I) B differ by {relative_gap:.3g} relative; the plant "
+            f"is too stiff for sample_period {sample_period}"
+        )
+    return DiscreteStateSpace(ad, bd, css.c_vector, sample_period)
 
 
 # Pade [13/13] coefficients b_0..b_13 (Higham 2005, table 10.4). Each row of

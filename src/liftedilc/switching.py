@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .engine import _check_run_inputs, _learn, _measure, fast_forward, rms, to_db
 from .errors import InvalidParameterError
 
-__all__ = ["SwitchReport", "to_db", "evaluate_switch"]
+__all__ = ["SwitchReport", "evaluate_switch"]
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,27 @@ def test_a_plant_too_extreme_to_sample_is_a_config_error(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["test.cfg"]
 
 
+@pytest.mark.parametrize("command", ["run", "zeros"])
+@pytest.mark.parametrize("section", ["model", "world"])
+@pytest.mark.parametrize("natural_frequency", ["1e15", "1e30"])
+def test_a_plant_too_stiff_for_the_sample_period_is_a_config_error(
+    natural_frequency, section, command, write_cfg, tmp_path, monkeypatch, capsys
+):
+    # the sampled plant is finite but wrong, so nothing may run on it
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg({f"{section}.natural_frequency": natural_frequency,
+                      "output.plot": "results.svg"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli([command, str(path)])
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert f"config error: keys '{section}.*'/'discretization.sample_period'" in err
+    assert "too stiff" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["test.cfg"]
+
+
 @pytest.mark.parametrize("sample", ["nan", "-inf"])
 def test_run_rejects_a_non_finite_initial_input_file(
     sample, write_cfg, tmp_path, monkeypatch, capsys
@@ -259,8 +280,10 @@ def test_switch_zero_fails_only_for_marker_figures_and_then_writes_nothing(
 
 
 @pytest.mark.parametrize("law", LAW_KINDS)
-@pytest.mark.parametrize("kind, fig_id, switch_n",
-                         [("second_order", "fig3", 50), ("third_order", "fig5", 100)])
+@pytest.mark.parametrize("kind, fig_id, switch_n", [
+    ("second_order", "fig3", 50), ("third_order", "fig5", 100),
+    ("second_order", "fig3", None), ("third_order", "fig5", None),
+])
 def test_run_on_a_preset_writes_its_figure_hybrid_curve(
     kind, fig_id, switch_n, law, tmp_path, monkeypatch
 ):

@@ -205,6 +205,24 @@ def test_fast_forward_validates_arguments(second_order_pair):
         fast_forward(model, law, u0, short, 3)
 
 
+@pytest.mark.parametrize("n", [0, 5])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("target", ["u0", "e0"])
+def test_fast_forward_rejects_a_non_finite_input_or_error(
+    second_order_pair, target, value, n
+):
+    _, model, u0, desired = second_order_pair
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values, 1, SAMPLE_PERIOD)
+    if target == "u0":
+        u0 = poisoned(u0, value)
+    else:
+        e0 = poisoned(e0, value)
+    for kind in LAW_KINDS:
+        with pytest.raises(InvalidParameterError,
+                           match=f"{target} holds non-finite values"):
+            fast_forward(model, LearningLaw(kind, 1.0), u0, e0, n)
+
+
 # ------------------------------------------------------------------- run loops
 
 

@@ -238,6 +238,20 @@ def test_zoh_of_extreme_plant_numbers_raises_and_warns_nothing(
             discretize_zoh(css, period)
 
 
+def test_zoh_of_a_plant_too_stiff_for_the_period_raises_and_warns_nothing():
+    # from 1e12 the sampled plant is finite but wrong: at 1e20 and 1e30 Bd is
+    # exactly zero. At 1e10 rounding costs under 5e-7 and the plant samples.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dss = discretize_zoh(make_second_order(0.5, 1e10), T)
+        for natural_frequency in (1e12, 1e15, 1e20, 1e30):
+            css = make_second_order(0.5, natural_frequency)
+            with pytest.raises(InvalidParameterError, match="too stiff"):
+                discretize_zoh(css, T)
+    dc_gain = dss.c_vector @ np.linalg.solve(np.eye(2) - dss.ad_matrix, dss.bd_vector)
+    assert dc_gain[0, 0] == pytest.approx(1.0, rel=1e-6)
+
+
 @given(stable_poles(), st.sampled_from(PERIODS))
 @example([-20.0, -20.0], 0.05)
 @example([-10.0, -10.0, -10.0, -10.0], 0.01)

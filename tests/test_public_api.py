@@ -1,6 +1,8 @@
-"""Every public function has a caller outside the tests."""
+"""Every public function has a caller outside the tests, and each public name
+is declared once, in its own module's ``__all__``."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -35,3 +37,55 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert functions
     referenced = _referenced_names()
     assert [name for name in functions if name not in referenced] == []
+
+
+MODULES = ("config", "engine", "errors", "experiments", "laws", "lifted",
+           "lti", "switching")
+
+
+def _top_level_definitions(module):
+    """Names bound by a def, class or assignment at a module's top level."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _module(name):
+    return importlib.import_module(f"liftedilc.{name}")
+
+
+def _declared(module):
+    return getattr(_module(module), "__all__", [])
+
+
+def test_each_module_declares_its_public_names():
+    assert [m for m in MODULES if not hasattr(_module(m), "__all__")] == []
+
+
+def test_each_listed_name_is_defined_in_its_own_module():
+    # a name defined elsewhere and listed again would be a second declaration
+    borrowed = {
+        module: sorted(set(_declared(module)) - _top_level_definitions(module))
+        for module in MODULES
+    }
+    assert {module: names for module, names in borrowed.items() if names} == {}
+
+
+def test_no_name_is_declared_twice():
+    seen = {}
+    for module in MODULES:
+        for name in _declared(module):
+            seen.setdefault(name, []).append(module)
+    assert {name: mods for name, mods in seen.items() if len(mods) > 1} == {}
+
+
+def test_the_root_exports_exactly_the_modules_lists():
+    union = {name for module in MODULES for name in _declared(module)}
+    assert len(liftedilc.__all__) == len(set(liftedilc.__all__))
+    assert set(liftedilc.__all__) == union | {"__version__"}
