@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: run, figure, advise-switch, check, zeros. Exit codes: 0 on
-success, 1 for configuration problems, 2 for numerical failures (divergence,
-rank deficiency, and the like) or failed self-checks.
+success, 1 for configuration problems and output that cannot be written, 2
+for numerical failures (divergence, rank deficiency, and the like) or failed
+self-checks.
 """
 
 import argparse
@@ -193,6 +194,9 @@ def main(argv=None, stdout=None):
     except LiftedIlcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -112,36 +112,69 @@ def _parse_candidates(text, key):
     return candidates
 
 
-_REQUIRED = (
-    "system.kind",
-    "model.damping_ratio",
-    "model.natural_frequency",
-    "world.damping_ratio",
-    "world.natural_frequency",
-    "discretization.sample_period",
-    "lifted.horizon",
-    "trajectory.amplitude_coefficient",
-    "trajectory.angular_frequency_coefficient",
-    "trajectory.exponent",
-    "law.kind",
-)
+def _parse_positive(text, key):
+    value = _parse_float(text, key)
+    if not value > 0:
+        raise ConfigError(f"key {key!r}: must be positive")
+    return value
 
-_DEFAULTS = {
-    "model.real_pole": None,
-    "world.real_pole": None,
-    "lifted.deleted_rows": "auto",
-    "law.gain": "1.0",
-    "run.initial_input": "desired_output",
-    "run.mode": "hybrid",
-    "run.model_count": "50",
-    "run.world_count": "50",
-    "switch.candidates": "",
-    "switch.slope_factor": "1.0",
-    "output.csv": "results.csv",
-    "output.plot": None,
+
+def _parse_horizon(text, key):
+    value = _parse_int(text, key)
+    if value < 1:
+        raise ConfigError(f"key {key!r}: must be at least 1")
+    return value
+
+
+def _parse_count(text, key):
+    value = _parse_int(text, key)
+    if value < 0:
+        raise ConfigError(f"key {key!r}: must be >= 0")
+    return value
+
+
+def _parse_text(text, key):
+    return text
+
+
+def _one_of(choices):
+    def parse(text, key):
+        if text not in choices:
+            raise ConfigError(f"key {key!r}: expected one of {choices}, got {text!r}")
+        return text
+    return parse
+
+
+_MANDATORY = object()
+
+# Every key of the format, in the order load_config checks them, with its
+# parser(text, key) and its default: _MANDATORY when the file must set the
+# key, None when it may leave it out, or else the text parsed in its place.
+_KEYS = {
+    "system.kind": (_one_of(SYSTEM_KINDS), _MANDATORY),
+    "model.damping_ratio": (_parse_positive, _MANDATORY),
+    "model.natural_frequency": (_parse_positive, _MANDATORY),
+    "model.real_pole": (_parse_positive, None),
+    "world.damping_ratio": (_parse_positive, _MANDATORY),
+    "world.natural_frequency": (_parse_positive, _MANDATORY),
+    "world.real_pole": (_parse_positive, None),
+    "discretization.sample_period": (_parse_positive, _MANDATORY),
+    "lifted.horizon": (_parse_horizon, _MANDATORY),
+    "trajectory.amplitude_coefficient": (_parse_float, _MANDATORY),
+    "trajectory.angular_frequency_coefficient": (_parse_float, _MANDATORY),
+    "trajectory.exponent": (_parse_float, _MANDATORY),
+    "law.kind": (_one_of(LAW_KINDS), _MANDATORY),
+    "law.gain": (_parse_positive, "1.0"),
+    "lifted.deleted_rows": (_parse_text, "auto"),
+    "run.initial_input": (_parse_text, "desired_output"),
+    "run.mode": (_one_of(MODES), "hybrid"),
+    "run.model_count": (_parse_count, "50"),
+    "run.world_count": (_parse_count, "50"),
+    "switch.candidates": (_parse_candidates, ""),
+    "switch.slope_factor": (_parse_float, "1.0"),
+    "output.csv": (_parse_text, "results.csv"),
+    "output.plot": (_parse_text, None),
 }
-
-_ALL_KEYS = frozenset(_REQUIRED) | frozenset(_DEFAULTS)
 
 
 def _read_pairs(path):
@@ -158,7 +191,7 @@ def _read_pairs(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
         if key in pairs:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -180,99 +213,73 @@ def load_config(path):
         Naming the offending key, for any missing, unknown, or invalid entry.
     """
     pairs = _read_pairs(path)
-    for key in _REQUIRED:
-        if key not in pairs:
+    values = {}
+    for key, (parse, default) in _KEYS.items():
+        text = pairs.get(key, default)
+        if text is _MANDATORY:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    merged = dict(_DEFAULTS)
-    merged.update(pairs)
+        values[key] = None if text is None else parse(text, key)
 
-    kind = merged["system.kind"]
-    if kind not in SYSTEM_KINDS:
-        raise ConfigError(
-            f"key 'system.kind': expected one of {SYSTEM_KINDS}, got {kind!r}"
-        )
-    model_params = _plant_params(merged, "model", kind)
-    world_params = _plant_params(merged, "world", kind)
-
-    sample_period = _parse_float(merged["discretization.sample_period"],
-                                 "discretization.sample_period")
-    if not sample_period > 0:
-        raise ConfigError("key 'discretization.sample_period': must be positive")
-    plants = {}
-    for section, params in (("model", model_params), ("world", world_params)):
+    kind = values["system.kind"]
+    sample_period = values["discretization.sample_period"]
+    params, plants = {}, {}
+    for section in ("model", "world"):
+        pole_key = f"{section}.real_pole"
+        pole = values[pole_key]
+        if kind == "third_order" and pole is None:
+            raise ConfigError(f"key {pole_key!r}: required for third_order systems")
+        if kind == "second_order" and pole is not None:
+            raise ConfigError(
+                f"key {pole_key!r}: not applicable to second_order systems"
+            )
+        params[section] = PlantParams(values[f"{section}.damping_ratio"],
+                                      values[f"{section}.natural_frequency"], pole)
         try:
-            plants[section] = _sampled_plant(kind, params, sample_period)
+            plants[section] = _sampled_plant(kind, params[section], sample_period)
         except InvalidParameterError as exc:
             raise ConfigError(
                 f"keys '{section}.*'/'discretization.sample_period': {exc}"
             ) from None
-    horizon = _parse_int(merged["lifted.horizon"], "lifted.horizon")
-    if horizon < 1:
-        raise ConfigError("key 'lifted.horizon': must be at least 1")
 
-    trajectory = TrajectoryShape(
-        _parse_float(merged["trajectory.amplitude_coefficient"],
-                     "trajectory.amplitude_coefficient"),
-        _parse_float(merged["trajectory.angular_frequency_coefficient"],
-                     "trajectory.angular_frequency_coefficient"),
-        _parse_float(merged["trajectory.exponent"], "trajectory.exponent"),
-    )
-
-    law_kind = merged["law.kind"]
-    if law_kind not in LAW_KINDS:
-        raise ConfigError(
-            f"key 'law.kind': expected one of {LAW_KINDS}, got {law_kind!r}"
-        )
-    gain = _parse_float(merged["law.gain"], "law.gain")
-    if not gain > 0:
-        raise ConfigError("key 'law.gain': must be positive")
-
-    deleted_raw = merged["lifted.deleted_rows"]
-    if deleted_raw == "auto":
+    deleted_rows = values["lifted.deleted_rows"]
+    if deleted_rows == "auto":
         deleted_rows = plants["model"].unstable_zero_count
     else:
-        deleted_rows = _parse_int(deleted_raw, "lifted.deleted_rows")
-        if deleted_rows < 0 or deleted_rows >= horizon:
+        deleted_rows = _parse_int(deleted_rows, "lifted.deleted_rows")
+        if not 0 <= deleted_rows < values["lifted.horizon"]:
             raise ConfigError(
                 "key 'lifted.deleted_rows': must satisfy 0 <= d < horizon"
             )
 
-    initial_input = merged["run.initial_input"]
+    initial_input = values["run.initial_input"]
     if initial_input not in INITIAL_INPUT_NAMES and not Path(initial_input).exists():
         raise ConfigError(
             f"key 'run.initial_input': expected {INITIAL_INPUT_NAMES} or an "
             f"existing file, got {initial_input!r}"
         )
-    mode = merged["run.mode"]
-    if mode not in MODES:
-        raise ConfigError(f"key 'run.mode': expected one of {MODES}, got {mode!r}")
-    model_count = _parse_int(merged["run.model_count"], "run.model_count")
-    world_count = _parse_int(merged["run.world_count"], "run.world_count")
-    if model_count < 0 or world_count < 0:
-        raise ConfigError("keys 'run.model_count'/'run.world_count': must be >= 0")
 
-    candidates = _parse_candidates(merged["switch.candidates"], "switch.candidates")
-    slope_factor = _parse_float(merged["switch.slope_factor"], "switch.slope_factor")
-
-    plot_path = merged["output.plot"]
     return ExperimentConfig(
         system_kind=kind,
-        model_params=model_params,
-        world_params=world_params,
+        model_params=params["model"],
+        world_params=params["world"],
         sample_period=sample_period,
-        horizon=horizon,
+        horizon=values["lifted.horizon"],
         deleted_rows=deleted_rows,
-        trajectory=trajectory,
-        law_kind=law_kind,
-        gain=gain,
+        trajectory=TrajectoryShape(
+            values["trajectory.amplitude_coefficient"],
+            values["trajectory.angular_frequency_coefficient"],
+            values["trajectory.exponent"],
+        ),
+        law_kind=values["law.kind"],
+        gain=values["law.gain"],
         initial_input=initial_input,
-        mode=mode,
-        model_count=model_count,
-        world_count=world_count,
-        switch_candidates=candidates,
-        slope_factor=slope_factor,
-        csv_path=merged["output.csv"],
-        plot_path=plot_path if plot_path else None,
+        mode=values["run.mode"],
+        model_count=values["run.model_count"],
+        world_count=values["run.world_count"],
+        switch_candidates=values["switch.candidates"],
+        slope_factor=values["switch.slope_factor"],
+        csv_path=values["output.csv"],
+        plot_path=values["output.plot"] or None,
     )
 
 
@@ -290,33 +297,6 @@ def load_preset(kind):
     ref = resources.files(__package__).joinpath("presets", PRESET_FILES[kind])
     with resources.as_file(ref) as path:
         return load_config(path)
-
-
-def _plant_params(merged, section, kind):
-    damping = _parse_float(merged[f"{section}.damping_ratio"],
-                           f"{section}.damping_ratio")
-    frequency = _parse_float(merged[f"{section}.natural_frequency"],
-                             f"{section}.natural_frequency")
-    if not damping > 0 or not frequency > 0:
-        raise ConfigError(
-            f"keys '{section}.damping_ratio'/'{section}.natural_frequency': "
-            "must be positive"
-        )
-    pole_raw = merged[f"{section}.real_pole"]
-    if kind == "third_order":
-        if pole_raw is None:
-            raise ConfigError(
-                f"key '{section}.real_pole': required for third_order systems"
-            )
-        pole = _parse_float(pole_raw, f"{section}.real_pole")
-        if not pole > 0:
-            raise ConfigError(f"key '{section}.real_pole': must be positive")
-        return PlantParams(damping, frequency, pole)
-    if pole_raw is not None:
-        raise ConfigError(
-            f"key '{section}.real_pole': not applicable to second_order systems"
-        )
-    return PlantParams(damping, frequency)
 
 
 def continuous_plant(kind, params):

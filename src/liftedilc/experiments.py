@@ -120,9 +120,16 @@ def _sample_desired(config, start_step):
     shape = config.trajectory
     steps = np.arange(start_step, config.horizon + 1)
     t = steps * config.sample_period
-    values = shape.amplitude_coefficient * (
-        1.0 - np.cos(shape.angular_frequency_coefficient * t)
-    ) ** shape.exponent
+    with np.errstate(all="ignore"):
+        values = shape.amplitude_coefficient * (
+            1.0 - np.cos(shape.angular_frequency_coefficient * t)
+        ) ** shape.exponent
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigError(
+            f"keys 'trajectory.*': the desired output is not finite at step "
+            f"{steps[bad[0]]} (t = {t[bad[0]]:g} s)"
+        )
     return Trajectory(values, int(start_step), config.sample_period)
 
 
@@ -188,6 +195,14 @@ def run_experiment(config):
         CSV path, summary dictionary (final RMS per phase, switch reports,
         any warnings), and the plot path when one was requested.
     """
+    # a missing output directory fails before any numerical work runs
+    for key, path in (("output.csv", config.csv_path),
+                      ("output.plot", config.plot_path)):
+        parent = Path(path or ".").parent
+        if not parent.is_dir():
+            raise ConfigError(
+                f"key {key!r}: {str(parent)!r} is not an existing directory"
+            )
     world, model, u0, desired = build_experiment(config)
     law = LearningLaw(config.law_kind, config.gain)
 
@@ -235,8 +250,6 @@ def run_experiment(config):
             config.plot_path,
             series,
             f"{config.system_kind} {config.mode} run, {config.law_kind}",
-            "iteration",
-            "RMS error (dB)",
         )
         plot_paths.append(config.plot_path)
     return RunArtifacts(config.csv_path, summary, plot_paths)
@@ -318,8 +331,6 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
             _series(histories["hybrid"].records, "hybrid", CURVE_COLORS["hybrid"]),
         ],
         f"{figure_id}: {law_kind}, switch at {switch_n}",
-        "iteration",
-        "RMS error (dB)",
         markers=markers,
     )
 

@@ -15,6 +15,8 @@ MARGIN_LEFT = 72
 MARGIN_RIGHT = 24
 MARGIN_TOP = 48
 MARGIN_BOTTOM = 56
+X_LABEL = "iteration"
+Y_LABEL = "RMS error (dB)"
 
 
 @dataclass
@@ -94,7 +96,7 @@ class _SvgDoc:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def render_line_chart(path, series, title, x_label, y_label, markers=None):
+def render_line_chart(path, series, title, markers=None):
     """Write a line chart of the given series (and optional point markers)."""
     populated = [s for s in series if s.xs]
     xs_all = [x for s in populated for x in s.xs]
@@ -144,8 +146,8 @@ def render_line_chart(path, series, title, x_label, y_label, markers=None):
         doc.text(px(m.x) + 6, py(m.y) - 6, m.label, size=11, color=m.color)
 
     doc.text(MARGIN_LEFT, MARGIN_TOP - 16, title, size=15)
-    doc.text(MARGIN_LEFT + plot_w / 2, HEIGHT - 14, x_label, anchor="middle")
-    doc.text(20, MARGIN_TOP + plot_h / 2, y_label, anchor="middle", rotate=True)
+    doc.text(MARGIN_LEFT + plot_w / 2, HEIGHT - 14, X_LABEL, anchor="middle")
+    doc.text(20, MARGIN_TOP + plot_h / 2, Y_LABEL, anchor="middle", rotate=True)
     legend_y = MARGIN_TOP + 14
     for s in populated:
         doc.line(MARGIN_LEFT + plot_w - 150, legend_y - 4,

@@ -259,6 +259,61 @@ def test_run_rejects_a_non_finite_initial_input_file(
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("command, overrides", [
+    # (1 - cos(20 pi t)) is exactly 0 at t = 0.1 s, and 0 ** -1 is inf
+    ("run", {"trajectory.exponent": "-1"}),
+    ("run", {"trajectory.exponent": "-1", "run.initial_input": "zero"}),
+    ("run", {"trajectory.exponent": "1e6"}),
+    ("run", {"trajectory.amplitude_coefficient": "1e308"}),
+    ("advise-switch", {"trajectory.exponent": "-1"}),
+])
+def test_a_target_that_samples_to_a_non_finite_value_is_a_config_error(
+    command, overrides, write_cfg, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg({**overrides, "switch.candidates": "5",
+                      "output.plot": "results.svg"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli([command, str(path)])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err.startswith("config error: keys 'trajectory.*'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["test.cfg"]
+
+
+def _assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["output.csv", "output.plot"])
+def test_run_into_a_missing_directory_fails_before_writing(
+    key, write_cfg, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg({"output.csv": "results.csv", "output.plot": "results.svg",
+                      key: "missing/out"})
+    code, text = run_cli(["run", str(path)])
+    assert code == 1
+    assert text == ""
+    _assert_one_line_error(capsys, f"config error: key {key!r}: 'missing'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["test.cfg"]
+
+
+def test_figure_into_an_output_dir_that_is_a_file_fails_cleanly(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep\n")
+    code, text = run_cli(["figure", "fig3", "--output-dir", str(target)])
+    assert code == 1
+    assert text == ""
+    _assert_one_line_error(capsys, "error: ")
+    assert target.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_zeros_reports_both_plants(write_cfg):
     path = write_cfg(base=MINIMAL_THIRD_ORDER)
     code, text = run_cli(["zeros", str(path)])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +9,11 @@ from liftedilc import (
     load_config,
     load_preset,
 )
+from liftedilc.config import _KEYS, _MANDATORY
 
 from conftest import MINIMAL_THIRD_ORDER
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_second_order_preset_loads():
@@ -85,6 +89,12 @@ def test_pi_spelling_in_float_values(write_cfg):
         ({"run.mode": "simulate"}, "run.mode"),
         ({"model.real_pole": "8.8"}, "not applicable"),
         ({"run.initial_input": "missing_file.csv"}, "existing file"),
+        # an error names the one key at fault, not its neighbour too
+        ({"model.natural_frequency": "0"},
+         r"^key 'model\.natural_frequency': must be positive$"),
+        ({"world.damping_ratio": "-0.3"},
+         r"^key 'world\.damping_ratio': must be positive$"),
+        ({"run.world_count": "-1"}, r"^key 'run\.world_count': must be >= 0$"),
     ],
 )
 def test_invalid_values_are_rejected(write_cfg, overrides, fragment):
@@ -104,6 +114,32 @@ def test_initial_input_may_name_an_existing_file(write_cfg, tmp_path):
     source.write_text("0.0\n" * 100)
     cfg = load_config(write_cfg({"run.initial_input": str(source)}))
     assert cfg.initial_input == str(source)
+
+
+def _readme_table(heading):
+    """{key: first cell after the key} for each row of one README key table."""
+    lines = README.read_text().splitlines()
+    rows = {}
+    # the rows start after a blank line, the header row and its rule
+    for line in lines[lines.index(heading) + 4:]:
+        if not line.startswith("|"):
+            break
+        key, first, *_ = [cell.strip() for cell in line.strip("|").split("|")]
+        assert key.strip("`") not in rows, f"README lists {key} twice"
+        rows[key.strip("`")] = first
+    return rows
+
+
+def test_readme_key_tables_match_the_key_table():
+    required = [key for key, (_, default) in _KEYS.items() if default is _MANDATORY]
+    assert sorted(_readme_table("Required keys:")) == sorted(required)
+    spelled = {None: "none", "": "empty"}
+    optional = {
+        key: spelled.get(default, f"`{default}`")
+        for key, (_, default) in _KEYS.items()
+        if default is not _MANDATORY
+    }
+    assert _readme_table("Optional keys and their defaults:") == optional
 
 
 def test_malformed_lines_report_positions(tmp_path):
