@@ -195,14 +195,18 @@ def run_experiment(config):
         CSV path, summary dictionary (final RMS per phase, switch reports,
         any warnings), and the plot path when one was requested.
     """
-    # a missing output directory fails before any numerical work runs
+    # an output that cannot be written fails before any numerical work runs
     for key, path in (("output.csv", config.csv_path),
                       ("output.plot", config.plot_path)):
-        parent = Path(path or ".").parent
-        if not parent.is_dir():
+        if path is None:
+            continue
+        target = Path(path)
+        if not target.parent.is_dir():
             raise ConfigError(
-                f"key {key!r}: {str(parent)!r} is not an existing directory"
+                f"key {key!r}: {str(target.parent)!r} is not an existing directory"
             )
+        if target.is_dir():
+            raise ConfigError(f"key {key!r}: {path!r} is a directory, not a file")
     world, model, u0, desired = build_experiment(config)
     law = LearningLaw(config.law_kind, config.gain)
 

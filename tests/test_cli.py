@@ -7,8 +7,10 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import liftedilc.engine as engine
 from liftedilc import LAW_KINDS, reproduce_figure
 from liftedilc.cli import main
 from liftedilc.config import PRESET_FILES
@@ -301,6 +303,49 @@ def test_run_into_a_missing_directory_fails_before_writing(
     assert text == ""
     _assert_one_line_error(capsys, f"config error: key {key!r}: 'missing'")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["test.cfg"]
+
+
+@pytest.mark.parametrize("key", ["output.csv", "output.plot"])
+def test_run_into_an_output_path_that_is_a_directory_fails_before_writing(
+    key, write_cfg, tmp_path, monkeypatch, capsys, factorization_calls
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    path = write_cfg({"output.csv": "results.csv", "output.plot": "results.svg",
+                      key: "taken"})
+    code, text = run_cli(["run", str(path)])
+    assert code == 1
+    assert text == ""
+    _assert_one_line_error(
+        capsys, f"config error: key {key!r}: 'taken' is a directory"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "test.cfg"]
+    assert list((tmp_path / "taken").iterdir()) == []
+    assert factorization_calls == []
+
+
+def test_partial_isometry_fallback_run_is_the_thin_svd_run(tmp_path, monkeypatch):
+    # without its deleted row the third-order pair has a zero singular value,
+    # so V cannot come from the eigh; its CSV must match, byte for byte, a run
+    # built on the thin SVD alone
+    monkeypatch.chdir(tmp_path)
+    path = write_preset("third_order", tmp_path, [
+        ("lifted.deleted_rows = auto", "lifted.deleted_rows = 0"),
+        ("law.kind = p_transpose", "law.kind = partial_isometry"),
+        ("run.mode = hybrid", "run.mode = world"),
+        ("switch.candidates = 50,100\n", ""),
+    ])
+    assert run_cli(["run", str(path)])[0] == 0
+    fallback = Path("third_order_results.csv").read_bytes()
+    assert fallback.count(b"\n") == 52
+
+    def thin_svd(entry):
+        u, sigma, vt = np.linalg.svd(entry.p_matrix, full_matrices=False)
+        return u, sigma, vt.T
+
+    monkeypatch.setattr(engine._Factorization, "isometry", property(thin_svd))
+    assert run_cli(["run", str(path)])[0] == 0
+    assert Path("third_order_results.csv").read_bytes() == fallback
 
 
 def test_figure_into_an_output_dir_that_is_a_file_fails_cleanly(tmp_path, capsys):

@@ -18,6 +18,7 @@ from liftedilc import (
     PlantParams,
     Trajectory,
     build_desired_trajectory,
+    build_experiment,
     build_gain,
     build_initial_input,
     build_lifted,
@@ -111,7 +112,63 @@ def test_one_factorization_serves_a_run_and_twenty_switch_evaluations(
     run_hybrid(world, model, law, u0, None, 50, 10, desired)
     for candidate in range(1, 21):
         evaluate_switch(world, model, law, u0, None, candidate, 1.0, desired)
-    assert factorization_calls == ["svd" if kind == "partial_isometry" else "eigh"]
+    assert factorization_calls == ["eigh"]
+
+
+def test_one_factorization_serves_all_three_laws(
+    second_order_pair, factorization_calls
+):
+    world, model, u0, desired = second_order_pair
+    model = _fresh(model)
+    for kind in LAW_KINDS:
+        law = LearningLaw(kind, 1.0)
+        run_hybrid(world, model, law, u0, None, 50, 10, desired)
+        evaluate_switch(world, model, law, u0, None, 25, 1.0, desired)
+    assert factorization_calls == ["eigh"]
+
+
+@pytest.mark.parametrize("horizon", [100, 400])
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_eigh_built_isometry_update_matches_the_dense_svd_gain(
+    preset, horizon, factorization_calls
+):
+    config = dataclasses.replace(load_preset(preset), horizon=horizon)
+    _, model, u0, desired = build_experiment(config)
+    law = LearningLaw("partial_isometry", 0.7)
+    l_matrix = build_gain(law, model).l_matrix
+    factorization_calls.clear()
+    rng = np.random.default_rng(3)
+    for values in (desired.values - model.p_matrix @ u0.values,
+                   rng.standard_normal(model.row_count)):
+        e = Trajectory(values, desired.start_step, SAMPLE_PERIOD)
+        step = engine._learn(model, law, u0, e).values - u0.values
+        expected = l_matrix @ values
+        assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
+    assert factorization_calls == ["eigh"]
+
+
+# horizon 100 leaves the smallest sigma^2 at zero; at 400 it is positive but
+# cond(P) is about 8e8, and the certificate reads 1
+@pytest.mark.parametrize("horizon", [100, 400])
+def test_an_uncertified_isometry_falls_back_to_the_thin_svd(
+    horizon, factorization_calls
+):
+    config = dataclasses.replace(
+        load_preset("third_order"), horizon=horizon, deleted_rows=0
+    )
+    world, model, u0, desired = build_experiment(config)
+    law = LearningLaw("partial_isometry", 1.0)
+    factorization_calls.clear()
+    history = run_iterations(world, model, law, u0, None, 50, "world", desired)
+    assert factorization_calls == ["eigh", "svd"]
+    l_matrix = build_gain(law, model).l_matrix
+    u = u0.values
+    for record in history.records:
+        e = desired.values - world.p_matrix @ u
+        scale = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(e))))
+        assert np.max(np.abs(record.input.values - u)) <= 1e-9 * scale
+        assert np.max(np.abs(record.error.values - e)) <= 1e-9 * scale
+        u = u + l_matrix @ e
 
 
 def test_factorization_is_freed_with_its_model(second_order_pair):

@@ -293,7 +293,7 @@ def test_reproduce_figure_factorizes_the_model_once(
 ):
     # three curves plus the marker advisor share one factorization of P
     reproduce_figure("fig2", kind, 10, str(tmp_path))
-    assert factorization_calls == ["svd" if kind == "partial_isometry" else "eigh"]
+    assert factorization_calls == ["eigh"]
 
 
 def test_reproduce_figure_rejects_unknown_id(tmp_path):
