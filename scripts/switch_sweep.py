@@ -10,6 +10,7 @@ more time spent converging toward the wrong (model) fixed point.
 import argparse
 
 from liftedilc import (
+    LAW_KINDS,
     LearningLaw,
     build_experiment,
     evaluate_switch,
@@ -19,12 +20,30 @@ from liftedilc import (
 )
 
 
+def _at_least(minimum):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
+def _candidates(text):
+    """An argparse type: comma-separated switch points, each at least 1."""
+    return [_at_least(1)(item) for item in text.split(",")]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--law", default="p_transpose")
-    parser.add_argument("--budget", type=int, default=10,
+    parser.add_argument("--law", default="p_transpose", choices=LAW_KINDS)
+    parser.add_argument("--budget", type=_at_least(0), default=10,
                         help="hardware iterations after the switch")
-    parser.add_argument("--candidates", default="5,10,25,50,100,200")
+    parser.add_argument("--candidates", type=_candidates,
+                        default="5,10,25,50,100,200")
     args = parser.parse_args()
 
     world, model, u0, desired = build_experiment(load_preset("second_order"))
@@ -32,8 +51,7 @@ def main():
     print(f"law {args.law}, hardware budget {args.budget}")
     print("     n   R_M,n      jump       model slope  world slope  "
           "final dB  advice")
-    for text in args.candidates.split(","):
-        n = int(text)
+    for n in args.candidates:
         report = evaluate_switch(world, model, law, u0, None, n, 1.0, desired)
         hybrid = run_hybrid(world, model, law, u0, None, n, args.budget, desired)
         final_db = to_db(hybrid.records[-1].rms)

@@ -73,11 +73,9 @@ def build_gain(law, model):
         u_mat, _, vt_mat = np.linalg.svd(p, full_matrices=False)
         l_matrix = phi * (vt_mat.T @ u_mat.T)
     else:
-        import scipy.linalg  # only the dense oracle needs it
-
         gram = p.T @ p
         gram[np.diag_indices_from(gram)] += phi
-        l_matrix = scipy.linalg.solve(gram, p.T, assume_a="pos")
+        l_matrix = np.linalg.solve(gram, p.T)
     return GainMatrix(l_matrix, law, model)
 
 

@@ -5,11 +5,9 @@ in controllable canonical form, so the output matrix is read directly off the
 transfer-function numerator. Discretization uses the augmented-matrix
 exponential, which produces Ad and Bd in a single evaluation of a numpy
 scaling-and-squaring Pade exponential. Sampled zeros are the roots of the
-sampled transfer-function numerator. Everything a command runs here uses
-numpy alone: scipy ships its own BLAS, and alternating between the two
-libraries' thread pools stalls the small matrix calls of every command. The
-first-order feedback loop has a closed-form solution by quadrature (scipy,
-imported only there) and serves as an independent oracle for the
+sampled transfer-function numerator. The first-order feedback loop has a
+closed-form solution as a convolution integral, evaluated by composite
+Gauss-Legendre quadrature, and serves as an independent oracle for the
 discretization path.
 """
 
@@ -376,7 +374,9 @@ def analytic_first_order_response(spec, command_fn, t, breakpoints=None):
     """Closed-form output of the first-order feedback loop at time t.
 
     Evaluates y(t) = exp(-(a+k) t) y(0) + integral over [0, t] of
-    exp(-(a+k) tau) k y*(t - tau) d tau by adaptive quadrature. The decaying
+    exp(-(a+k) tau) k y*(t - tau) d tau by composite Gauss-Legendre
+    quadrature: 10 nodes on each panel, panels no wider than the time
+    constant 1/(a+k), and a panel edge at every command jump. The decaying
     exponential weights recent commands most heavily, which is what makes
     this loop a useful reference for what feedback alone can track.
 
@@ -384,42 +384,37 @@ def analytic_first_order_response(spec, command_fn, t, breakpoints=None):
     ----------
     spec : FirstOrderFeedbackSpec
     command_fn : callable
-        y*(time), integrable on [0, t].
+        y*(time), integrable on [0, t] and smooth between breakpoints.
     t : float
-        Evaluation time, must be nonnegative.
+        Evaluation time, must be finite and nonnegative.
     breakpoints : sequence of float, optional
-        Times in (0, t) where the command jumps; passed to the quadrature
-        routine so piecewise-constant commands integrate to full accuracy.
+        Times in (0, t) where the command jumps; panels end there so
+        piecewise-constant commands integrate to full accuracy.
 
     Returns
     -------
     float
     """
-    if t < 0:
-        raise InvalidParameterError(f"t must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidParameterError(f"t must be finite and nonnegative, got {t}")
     rate = spec.plant_pole + spec.proportional_gain
-    k = spec.proportional_gain
     homogeneous = np.exp(-rate * t) * spec.initial_output
     if t == 0:
         return homogeneous
-    from scipy.integrate import quad  # the oracle's only scipy use
-
-    points = None
-    if breakpoints is not None:
-        # change of variable tau = t - time maps command jumps into the
-        # integration variable
-        points = sorted(t - b for b in breakpoints if 0.0 < b < t)
-        if not points:
-            points = None
-    particular, _ = quad(
-        lambda tau: np.exp(-rate * tau) * k * command_fn(t - tau),
-        0.0,
-        t,
-        points=points,
-        limit=200,
-        epsabs=1e-12,
-        epsrel=1e-12,
-    )
+    # the change of variable tau = t - time maps command jumps into the
+    # integration variable
+    inside = [] if breakpoints is None else [b for b in breakpoints if 0.0 < b < t]
+    jumps = sorted({0.0, t, *(t - b for b in inside)})
+    edges = [0.0]
+    for lo, hi in zip(jumps, jumps[1:]):
+        edges.extend(np.linspace(lo, hi, math.ceil((hi - lo) * rate) + 1)[1:])
+    edges = np.array(edges)
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    half = np.diff(edges)[:, None] / 2.0
+    tau = edges[:-1, None] + half * (1.0 + nodes)
+    command = np.array([command_fn(t - s) for s in tau.ravel()], dtype=float)
+    integrand = np.exp(-rate * tau) * command.reshape(tau.shape)
+    particular = spec.proportional_gain * float(np.sum(half * weights * integrand))
     return homogeneous + particular
 
 

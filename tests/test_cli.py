@@ -397,14 +397,17 @@ def test_run_on_a_preset_writes_its_figure_hybrid_curve(
 
 _COMMANDS_WITHOUT_SCIPY = """
 import io, json, sys
-import liftedilc, liftedilc.cli
+import liftedilc, liftedilc.cli, liftedilc.selfcheck
 codes = [liftedilc.cli.main(argv, stdout=io.StringIO()) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes,
+checks = len(liftedilc.selfcheck.run_all())
+print(json.dumps({"codes": codes, "checks": checks,
                   "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
 def test_commands_import_no_scipy_module(tmp_path):
+    # the verdicts belong to test_acceptance.py; this only asks what the ten
+    # checks load
     argvs = [["figure", "fig2", "--output-dir", str(tmp_path)]]
     for kind in PRESET_FILES:
         path = write_preset(kind, tmp_path, [
@@ -423,6 +426,7 @@ def test_commands_import_no_scipy_module(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(argvs)
+    assert result["checks"] == 10
     assert result["scipy"] == []
     # fig2's three curves and one history per run
     assert len(list(tmp_path.glob("*.csv"))) == 3 + len(PRESET_FILES)

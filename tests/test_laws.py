@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from liftedilc import (
@@ -8,7 +9,9 @@ from liftedilc import (
     LAW_KINDS,
     LearningLaw,
     build_gain,
+    discretize_zoh,
     iteration_matrix,
+    make_second_order,
 )
 
 from conftest import random_stable_lifted
@@ -49,6 +52,25 @@ def test_p_transpose_spectrum_straddles_zero(second_order_pair):
     eig = np.sort(np.linalg.eigvalsh(w))
     assert eig[-1] == pytest.approx(0.9999951661, abs=1e-7)
     assert eig[0] == pytest.approx(-0.3054281513, abs=1e-7)
+
+
+@pytest.mark.parametrize("pair", ["second_order_pair", "third_order_pair"])
+def test_norm_optimal_gain_matches_the_scipy_positive_definite_solve(request, pair):
+    _, model, _, _ = request.getfixturevalue(pair)
+    p = model.p_matrix
+    gram = p.T @ p + np.eye(p.shape[1])
+    reference = scipy.linalg.solve(gram, p.T, assume_a="pos")
+    gain = build_gain(LearningLaw("norm_optimal", 1.0), model).l_matrix
+    assert np.max(np.abs(gain - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_factorization_calls_count_the_dense_gain_solve_not_the_zoh_solve(
+    second_order_pair, factorization_calls
+):
+    _, model, _, _ = second_order_pair
+    discretize_zoh(make_second_order(0.41, 23.0), 0.01)
+    build_gain(LearningLaw("norm_optimal", 1.0), model)
+    assert factorization_calls == ["solve"]
 
 
 def test_norm_optimal_spectrum_stays_in_unit_interval(second_order_pair):

@@ -109,6 +109,41 @@ def test_first_order_constant_command_closed_form():
         assert got == pytest.approx(expected, abs=1e-10)
 
 
+def test_first_order_quadrature_matches_a_piecewise_constant_closed_form():
+    # between jumps the loop relaxes exactly toward k c / (a + k), so the
+    # response to a staircase command is a chain of exponential steps
+    a, k, y0 = 3.0, 40.0, 0.25
+    rate = a + k
+    spec = FirstOrderFeedbackSpec(a, k, initial_output=y0)
+    jumps = [0.05, 0.13, 0.4, 0.41]
+    levels = [1.0, -2.0, 0.5, 3.0, -0.75]
+
+    def command(time):
+        return levels[sum(time >= b for b in jumps)]
+
+    def closed_form(t):
+        y, start = y0, 0.0
+        for end, level in zip(jumps + [math.inf], levels):
+            stop = min(end, t)
+            decay = math.exp(-rate * (stop - start))
+            y = decay * y + level * k / rate * (1.0 - decay)
+            if stop == t:
+                return y
+            start = stop
+
+    for t in (0.02, 0.05, 0.1, 0.13, 0.405, 0.41, 0.9, 2.5):
+        expected = closed_form(t)
+        got = analytic_first_order_response(spec, command, t, breakpoints=jumps)
+        assert abs(got - expected) <= 1e-13 * max(abs(expected), 1.0), t
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.1])
+def test_first_order_response_rejects_a_non_finite_or_negative_time(t):
+    spec = FirstOrderFeedbackSpec(3.0, 40.0)
+    with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
+        analytic_first_order_response(spec, lambda _: 1.0, t)
+
+
 def test_first_order_spec_requires_stable_loop():
     with pytest.raises(InvalidParameterError):
         FirstOrderFeedbackSpec(-5.0, 2.0)
