@@ -45,8 +45,8 @@ from .errors import (
     EmptyInputError,
     InvalidParameterError,
     UndefinedDbError,
+    _integer,
 )
-from .laws import LearningLaw
 from .lifted import Trajectory, _wrap_trajectory, lifted_output
 
 __all__ = [
@@ -76,14 +76,13 @@ class IterationRecord:
 
 @dataclass(eq=False)
 class IterationHistory:
-    """Ordered per-iteration records of one run, plus the law that drove it.
+    """Ordered per-iteration records of one run.
 
     switch_index is the record index of the first world-phase record in a
     hybrid run, None otherwise.
     """
 
     records: list
-    law: LearningLaw
     switch_index: Optional[int] = None
 
 
@@ -282,8 +281,13 @@ def fast_forward(model, law, u0, e0, n):
     DivergenceError
         If any eigenvalue of the model iteration matrix lies outside (-1, 1).
     """
-    if n < 0 or int(n) != n:
-        raise InvalidParameterError(f"n must be a nonnegative integer, got {n}")
+    # inline on check 10's timed path; a failing n goes to _integer to raise
+    try:
+        whole = n >= 0 and int(n) == n
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        _integer("n", n, 0)
     op = _convergent_operator(model, law)
     u0v = u0.values
     e0v = e0.values
@@ -304,8 +308,8 @@ def fast_forward(model, law, u0, e0, n):
         raise InvalidParameterError("e0 holds non-finite values")
     if n == 0:
         return (
-            _wrap_trajectory(u0v.copy(), u0.start_step, u0.sample_period),
-            _wrap_trajectory(e0v.copy(), e0.start_step, e0.sample_period),
+            _wrap_trajectory(u0v.copy()),
+            _wrap_trajectory(e0v.copy()),
         )
     r = np.multiply(op.log_abs_lam, float(n))
     np.expm1(r, out=r)                      # |lambda|^n - 1
@@ -319,8 +323,8 @@ def fast_forward(model, law, u0, e0, n):
     np.add(u_vals, u0v, out=u_vals)
     np.add(e_vals, e0v, out=e_vals)
     return (
-        _wrap_trajectory(u_vals, u0.start_step, u0.sample_period),
-        _wrap_trajectory(e_vals, e0.start_step, e0.sample_period),
+        _wrap_trajectory(u_vals),
+        _wrap_trajectory(e_vals),
     )
 
 
@@ -350,7 +354,7 @@ def _learn(model, law, u, e):
     """
     op = _operator(model, law)
     step = np.dot(op.lu_neg, op.lam_minus_one * np.dot(op.ut, e.values))
-    return Trajectory(u.values + step, u.start_step, u.sample_period)
+    return Trajectory(u.values + step)
 
 
 def _check_run_inputs(applied, model, u0, desired):
@@ -377,7 +381,7 @@ def _check_run_inputs(applied, model, u0, desired):
 
 def _measure(applied, u, x0, desired):
     y = lifted_output(applied, u, x0)
-    return Trajectory(desired.values - y.values, y.start_step, y.sample_period)
+    return Trajectory(desired.values - y.values)
 
 
 def _run_loop(applied, model, law, u, x0, desired, count, phase, first=0):
@@ -430,18 +434,17 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
         has an eigenvalue outside (-1, 1); in either phase, if an error RMS
         becomes non-finite.
     InvalidParameterError
-        If u0 or desired holds a NaN or infinite value.
+        If count is not a whole number >= 0, or u0 or desired is not finite.
     """
     if phase not in PHASES:
         raise InvalidParameterError(f"phase must be one of {PHASES}, got {phase!r}")
-    if count < 0:
-        raise InvalidParameterError(f"count must be nonnegative, got {count}")
+    count = _integer("count", count, 0)
     applied = model if phase == "model" else world
     _check_run_inputs(applied, model, u0, desired)
     if phase == "model":
         _convergent_operator(model, law)
     records = _run_loop(applied, model, law, u0, x0, desired, count, phase)
-    return IterationHistory(records, law)
+    return IterationHistory(records)
 
 
 def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
@@ -459,12 +462,10 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
         If the model iteration matrix has an eigenvalue outside (-1, 1), or
         a world-phase error RMS becomes non-finite.
     InvalidParameterError
-        If u0 or desired holds a NaN or infinite value.
+        If a count is not a whole number >= 0, or u0 or desired is not finite.
     """
-    if model_count < 0 or world_count < 0:
-        raise InvalidParameterError(
-            f"iteration counts must be nonnegative, got {model_count}, {world_count}"
-        )
+    model_count = _integer("model_count", model_count, 0)
+    world_count = _integer("world_count", world_count, 0)
     _check_run_inputs(world, model, u0, desired)
     op = _convergent_operator(model, law)
     e0 = _measure(model, u0, x0, desired)
@@ -472,11 +473,10 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     if model_count:
         inputs, errors = _model_phase(op, u0.values, e0.values, model_count)
         for j in range(model_count):
-            u_j = _wrap_trajectory(inputs[j], u0.start_step, u0.sample_period)
-            e_j = _wrap_trajectory(errors[j], e0.start_step, e0.sample_period)
+            u_j, e_j = _wrap_trajectory(inputs[j]), _wrap_trajectory(errors[j])
             records.append(_record(j, "model", u_j, e_j))
     u, _ = fast_forward(model, law, u0, e0, model_count)
     records += _run_loop(
         world, model, law, u, x0, desired, world_count, "world", model_count
     )
-    return IterationHistory(records, law, switch_index=model_count)
+    return IterationHistory(records, switch_index=model_count)

@@ -2,7 +2,7 @@
 
 Numerical failure modes (divergent iterations, rank deficiency) get their own
 exception classes so callers can react to them individually; the CLI maps
-them onto exit codes.
+them onto exit codes. `_integer` is the one check of integer arguments.
 """
 
 __all__ = [
@@ -70,3 +70,16 @@ class DivergenceError(LiftedIlcError):
 
 class ConfigError(LiftedIlcError):
     """An experiment configuration file is missing, malformed, or invalid."""
+
+
+def _integer(name, value, minimum, error=InvalidParameterError):
+    """int(value) if whole, else InvalidParameterError; below minimum, `error`."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if n < minimum:
+        raise error(f"{name} must be at least {minimum}, got {n}")
+    return n

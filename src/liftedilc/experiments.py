@@ -130,7 +130,7 @@ def _sample_desired(config, start_step):
             f"keys 'trajectory.*': the desired output is not finite at step "
             f"{steps[bad[0]]} (t = {t[bad[0]]:g} s)"
         )
-    return Trajectory(values, int(start_step), config.sample_period)
+    return Trajectory(values)
 
 
 def build_desired_trajectory(config):
@@ -141,12 +141,9 @@ def build_desired_trajectory(config):
 def build_initial_input(config):
     """Initial input u0: zeros, the desired output, or a file of N samples."""
     if config.initial_input == "zero":
-        return Trajectory(
-            np.zeros(config.horizon), 0, config.sample_period
-        )
+        return Trajectory(np.zeros(config.horizon))
     if config.initial_input == "desired_output":
-        full = _sample_desired(config, 1)
-        return Trajectory(full.values, 0, config.sample_period)
+        return _sample_desired(config, 1)
     try:
         values = np.loadtxt(config.initial_input, dtype=float).ravel()
     except (OSError, ValueError) as exc:
@@ -163,7 +160,7 @@ def build_initial_input(config):
             f"key 'run.initial_input': file {config.initial_input!r} holds "
             "non-finite samples"
         )
-    return Trajectory(values, 0, config.sample_period)
+    return Trajectory(values)
 
 
 def write_history_csv(history, path):

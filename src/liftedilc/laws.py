@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidParameterError
-from .lifted import LiftedSystem
 
 __all__ = [
     "LAW_KINDS",
@@ -51,8 +50,6 @@ class GainMatrix:
     """
 
     l_matrix: np.ndarray
-    law: LearningLaw
-    built_from: LiftedSystem
 
 
 def build_gain(law, model):
@@ -76,7 +73,7 @@ def build_gain(law, model):
         gram = p.T @ p
         gram[np.diag_indices_from(gram)] += phi
         l_matrix = np.linalg.solve(gram, p.T)
-    return GainMatrix(l_matrix, law, model)
+    return GainMatrix(l_matrix)
 
 
 def iteration_matrix(plant, gain):

@@ -14,6 +14,8 @@ followed by one correction step on the residual. The product
 below 1 / PINV_RTOL, full row rank is certified and the answer stands.
 Otherwise a thin singular value decomposition decides the numerical rank and
 serves the matrices that pass it.
+
+A signal (Trajectory) is only its samples; the LiftedSystem fixes their steps.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +29,7 @@ from .errors import (
     EmptyHorizonError,
     InvalidParameterError,
     RankDeficiencyError,
+    _integer,
 )
 from .lti import DiscreteStateSpace, _markov_parameters
 
@@ -48,39 +51,29 @@ _INVERSE_BLOCK = 64
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A sampled signal together with the time step of its first entry.
+    """A sampled signal: its samples as a 1-D float vector.
 
-    Inputs occupy steps 0..N-1 and outputs steps 1..N (1 + d..N after row
-    deletion), so carrying start_step around keeps the bookkeeping of the
-    deleted problem explicit.
+    It carries no time stamps; see LiftedSystem for the steps it covers.
     """
 
     values: np.ndarray
-    start_step: int
-    sample_period: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise DimensionError(f"trajectory values must be 1-D, got {v.ndim}-D")
-        if self.start_step < 0:
-            raise InvalidParameterError(
-                f"start_step must be nonnegative, got {self.start_step}"
-            )
         object.__setattr__(self, "values", v)
 
     def __len__(self):
         return self.values.size
 
 
-def _wrap_trajectory(values, start_step, sample_period):
+def _wrap_trajectory(values):
     # Bypasses __init__ for vectors that are float and 1-D by construction.
     # The fast-forward kernel wraps two results per call and the validating
     # constructor would cost as much as one of its matrix-vector products.
     t = object.__new__(Trajectory)
     object.__setattr__(t, "values", values)
-    object.__setattr__(t, "start_step", start_step)
-    object.__setattr__(t, "sample_period", sample_period)
     return t
 
 
@@ -95,10 +88,9 @@ class LiftedSystem:
     abar_matrix : (N - d, n) ndarray
         Row r equals C Ad^(r + 1 + d), the free response map.
     horizon : int
-        Number of input steps N.
+        Number of input steps N: an input Trajectory covers steps 0..N-1.
     deleted_rows : int
-        Leading output rows removed (d).
-    sample_period : float
+        Leading output rows removed (d): an output covers steps 1 + d..N.
     source : DiscreteStateSpace
     """
 
@@ -106,7 +98,6 @@ class LiftedSystem:
     abar_matrix: np.ndarray
     horizon: int
     deleted_rows: int
-    sample_period: float
     source: DiscreteStateSpace
     # the engine's factorization of p_matrix, filled on first use; a copy
     # made by dataclasses.replace or delete_rows starts without one
@@ -130,9 +121,7 @@ def build_lifted(dss, horizon):
     -------
     LiftedSystem
     """
-    if horizon < 1:
-        raise EmptyHorizonError(f"horizon must be at least 1, got {horizon}")
-    n = int(horizon)
+    n = _integer("horizon", horizon, 1, EmptyHorizonError)
     mk = _markov_parameters(dss, n)
     # row i of P is mk[i], ..., mk[0] followed by zeros: reversed windows of
     # n - 1 zeros followed by mk
@@ -143,7 +132,7 @@ def build_lifted(dss, horizon):
     for k in range(n):
         abar[k] = row
         row = row @ dss.ad_matrix
-    return LiftedSystem(p, abar, n, 0, dss.sample_period, dss)
+    return LiftedSystem(p, abar, n, 0, dss)
 
 
 def delete_rows(ls, d):
@@ -156,19 +145,16 @@ def delete_rows(ls, d):
         raise InvalidParameterError(
             "rows have already been deleted from this system"
         )
-    if d < 0:
-        raise InvalidParameterError(f"deleted row count must be >= 0, got {d}")
+    d = _integer("deleted row count", d, 0)
     if d >= ls.horizon:
         raise DegenerateDeletionError(
             f"cannot delete {d} rows from a {ls.horizon}-step system"
         )
-    d = int(d)
     return LiftedSystem(
         ls.p_matrix[d:].copy(),
         ls.abar_matrix[d:].copy(),
         ls.horizon,
         d,
-        ls.sample_period,
         ls.source,
     )
 
@@ -226,7 +212,7 @@ def lifted_output(ls, input_trajectory, initial_state=None):
     y = ls.p_matrix @ u
     if free is not None:
         y = y + free
-    return Trajectory(y, 1 + ls.deleted_rows, ls.sample_period)
+    return Trajectory(y)
 
 
 def _invert_upper_triangular(r):
@@ -327,4 +313,4 @@ def pseudo_inverse_input(ls_deleted, desired, initial_state=None):
                 numerical_rank=rank,
             )
         u = vt_mat.T @ ((u_mat.T @ rhs) / sigma)
-    return Trajectory(u, 0, ls_deleted.sample_period)
+    return Trajectory(u)

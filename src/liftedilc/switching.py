@@ -11,7 +11,7 @@ consumed, which is the entire cost of asking.
 from dataclasses import dataclass
 
 from .engine import _check_run_inputs, _learn, _measure, fast_forward, rms, to_db
-from .errors import InvalidParameterError
+from .errors import _integer
 
 __all__ = ["SwitchReport", "evaluate_switch"]
 
@@ -62,10 +62,7 @@ def evaluate_switch(world, model, law, u0, x0, candidate_n, slope_factor, desire
     -------
     SwitchReport
     """
-    if candidate_n < 1:
-        raise InvalidParameterError(
-            f"candidate_n must be at least 1, got {candidate_n}"
-        )
+    candidate_n = _integer("candidate_n", candidate_n, 1)
     _check_run_inputs(world, model, u0, desired)
     e0 = _measure(model, u0, x0, desired)
     u_n, e_model_n = fast_forward(model, law, u0, e0, candidate_n)
@@ -79,7 +76,7 @@ def evaluate_switch(world, model, law, u0, x0, candidate_n, slope_factor, desire
     model_slope = r_model_n - r_model_n1
     world_slope = r_world_n - r_world_n1
     return SwitchReport(
-        candidate_n=int(candidate_n),
+        candidate_n=candidate_n,
         r_model_n=r_model_n,
         r_model_n1=r_model_n1,
         r_world_n=r_world_n,

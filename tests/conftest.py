@@ -62,7 +62,7 @@ def poisoned(trajectory, value):
     """A copy of the trajectory with sample 3 replaced by `value`."""
     values = trajectory.values.copy()
     values[3] = value
-    return Trajectory(values, trajectory.start_step, trajectory.sample_period)
+    return Trajectory(values)
 
 
 def random_stable_lifted(rng, max_order=4, max_steps=30):

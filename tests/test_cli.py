@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import liftedilc.engine as engine
-from liftedilc import LAW_KINDS, reproduce_figure
+from liftedilc import LAW_KINDS
 from liftedilc.cli import main
 from liftedilc.config import PRESET_FILES
 
@@ -391,8 +391,14 @@ def test_run_on_a_preset_writes_its_figure_hybrid_curve(
                         [("law.kind = p_transpose", f"law.kind = {law}")])
     monkeypatch.chdir(tmp_path)
     assert run_cli(["run", path.name])[0] == 0
-    figure = reproduce_figure(fig_id, law, switch_n, "figures")
-    assert Path(f"{kind}_results.csv").read_bytes() == Path(figure.csv_path).read_bytes()
+    argv = ["figure", fig_id, "--law", law, "--output-dir", "figures"]
+    if switch_n is not None:
+        argv += ["--switch", str(switch_n)]
+    assert run_cli(argv)[0] == 0
+    # the preset's run.model_count names the file when --switch is left out
+    default_switch = {"fig3": 50, "fig5": 100}[fig_id]
+    hybrid = Path("figures", f"{fig_id}_{law}_switch{default_switch}_hybrid.csv")
+    assert Path(f"{kind}_results.csv").read_bytes() == hybrid.read_bytes()
 
 
 _COMMANDS_WITHOUT_SCIPY = """

@@ -24,6 +24,7 @@ from liftedilc import (
     build_lifted,
     build_lifted_pair,
     continuous_plant,
+    delete_rows,
     discretize_zoh,
     evaluate_switch,
     fast_forward,
@@ -140,7 +141,7 @@ def test_eigh_built_isometry_update_matches_the_dense_svd_gain(
     rng = np.random.default_rng(3)
     for values in (desired.values - model.p_matrix @ u0.values,
                    rng.standard_normal(model.row_count)):
-        e = Trajectory(values, desired.start_step, SAMPLE_PERIOD)
+        e = Trajectory(values)
         step = engine._learn(model, law, u0, e).values - u0.values
         expected = l_matrix @ values
         assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
@@ -174,7 +175,7 @@ def test_an_uncertified_isometry_falls_back_to_the_thin_svd(
 def test_factorization_is_freed_with_its_model(second_order_pair):
     _, model, u0, desired = second_order_pair
     model = _fresh(model)
-    e0 = Trajectory(desired.values - model.p_matrix @ u0.values, 1, SAMPLE_PERIOD)
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
     fast_forward(model, LearningLaw("p_transpose", 1.0), u0, e0, 10)
     entry_ref = weakref.ref(model._factorization)
     model_ref = weakref.ref(model)
@@ -211,13 +212,9 @@ def test_fast_forward_equals_explicit_updates(seed, n, kind, phi_raw):
     # a nearly rank-deficient draw can push an eigenvalue to 1.0 in float,
     # where the closed form rightly refuses to apply
     assume(float(np.max(np.abs(spectra[kind]))) < 1.0 - 1e-12)
-    u0 = Trajectory(rng.standard_normal(model.horizon), 0, SAMPLE_PERIOD)
-    desired = Trajectory(
-        rng.standard_normal(model.row_count), 1, SAMPLE_PERIOD
-    )
-    e0 = Trajectory(
-        desired.values - model.p_matrix @ u0.values, 1, SAMPLE_PERIOD
-    )
+    u0 = Trajectory(rng.standard_normal(model.horizon))
+    desired = Trajectory(rng.standard_normal(model.row_count))
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
     u_n, e_n = fast_forward(model, law, u0, e0, n)
     gain = build_gain(law, model)
     ref = explicit_iterates(model, gain.l_matrix, u0.values, desired.values, n)
@@ -225,13 +222,11 @@ def test_fast_forward_equals_explicit_updates(seed, n, kind, phi_raw):
     scale = max(1.0, float(np.max(np.abs(u_ref))), float(np.max(np.abs(e_ref))))
     assert np.max(np.abs(u_n.values - u_ref)) < 1e-9 * scale
     assert np.max(np.abs(e_n.values - e_ref)) < 1e-9 * scale
-    assert u_n.start_step == 0
-    assert e_n.start_step == 1
 
 
 def test_fast_forward_zero_returns_independent_copies(second_order_pair):
     _, model, u0, desired = second_order_pair
-    e0 = Trajectory(desired.values - model.p_matrix @ u0.values, 1, SAMPLE_PERIOD)
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
     law = LearningLaw("p_transpose", 1.0)
     u_out, e_out = fast_forward(model, law, u0, e0, 0)
     u_out.values[0] = 123.0
@@ -242,20 +237,20 @@ def test_fast_forward_zero_returns_independent_copies(second_order_pair):
 
 def test_fast_forward_raises_on_divergent_law(second_order_pair):
     _, model, u0, desired = second_order_pair
-    e0 = Trajectory(desired.values - model.p_matrix @ u0.values, 1, SAMPLE_PERIOD)
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
     with pytest.raises(DivergenceError):
         fast_forward(model, LearningLaw("p_transpose", 2.5), u0, e0, 10)
 
 
 def test_fast_forward_validates_arguments(second_order_pair):
     _, model, u0, desired = second_order_pair
-    e0 = Trajectory(desired.values - model.p_matrix @ u0.values, 1, SAMPLE_PERIOD)
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
     law = LearningLaw("p_transpose", 1.0)
     with pytest.raises(InvalidParameterError):
         fast_forward(model, law, u0, e0, -1)
     with pytest.raises(InvalidParameterError):
         fast_forward(model, law, u0, e0, 1.5)
-    short = Trajectory(np.zeros(7), 0, SAMPLE_PERIOD)
+    short = Trajectory(np.zeros(7))
     with pytest.raises(DimensionError):
         fast_forward(model, law, short, e0, 3)
     with pytest.raises(DimensionError):
@@ -269,7 +264,7 @@ def test_fast_forward_rejects_a_non_finite_input_or_error(
     second_order_pair, target, value, n
 ):
     _, model, u0, desired = second_order_pair
-    e0 = Trajectory(desired.values - model.p_matrix @ u0.values, 1, SAMPLE_PERIOD)
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
     if target == "u0":
         u0 = poisoned(u0, value)
     else:
@@ -292,7 +287,6 @@ def test_run_iterations_record_layout(second_order_pair):
     assert all(r.phase == "model" for r in history.records)
     assert np.array_equal(history.records[0].input.values, u0.values)
     assert history.switch_index is None
-    assert history.law is law
 
 
 def test_run_iterations_model_phase_decreases_monotonically(second_order_pair):
@@ -360,7 +354,7 @@ def test_run_hybrid_record_layout(second_order_pair):
     assert history.switch_index == 5
 
     # the first world input is the fast-forwarded model result at n = 5
-    e0 = Trajectory(desired.values - model.p_matrix @ u0.values, 1, SAMPLE_PERIOD)
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
     u5, _ = fast_forward(model, law, u0, e0, 5)
     assert np.array_equal(history.records[5].input.values, u5.values)
 
@@ -435,14 +429,13 @@ def test_eigenvalues_near_one_keep_full_accuracy(kind, smallest_sigma):
     q_right, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     sigma = np.array([1.2, 0.9, 0.6, 0.4, 0.2, smallest_sigma])
     model = LiftedSystem(
-        q_left @ np.diag(sigma) @ q_right.T, np.zeros((6, 1)), 6, 0,
-        SAMPLE_PERIOD, None,
+        q_left @ np.diag(sigma) @ q_right.T, np.zeros((6, 1)), 6, 0, None
     )
     law = LearningLaw(kind, 0.5)
     op = engine._convergent_operator(model, law)
     assert 0.0 < 1.0 - np.max(op.lam) < 1e-9
-    u0 = Trajectory(rng.standard_normal(6), 0, SAMPLE_PERIOD)
-    desired = Trajectory(rng.standard_normal(6), 1, SAMPLE_PERIOD)
+    u0 = Trajectory(rng.standard_normal(6))
+    desired = Trajectory(rng.standard_normal(6))
     # records 0..39 come from the batched pass, record 40 (the first "world"
     # record, on the same plant) from one fast_forward call
     history = run_hybrid(model, model, law, u0, None, 40, 0, desired)
@@ -503,6 +496,34 @@ def test_run_hybrid_zero_counts_yield_one_world_record(second_order_pair):
     assert np.array_equal(history.records[0].input.values, u0.values)
     with pytest.raises(InvalidParameterError):
         run_hybrid(world, model, law, u0, None, -1, 0, desired)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 2.5])
+@pytest.mark.parametrize("argument", [
+    "horizon", "deleted_rows", "n", "count", "model_count", "world_count",
+    "candidate_n",
+])
+def test_integer_arguments_reject_nan_inf_and_fractions(
+    second_order_pair, argument, value
+):
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw("p_transpose", 1.0)
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
+    calls = {
+        "horizon": lambda v: build_lifted(model.source, v),
+        "deleted_rows": lambda v: delete_rows(build_lifted(model.source, 10), v),
+        "n": lambda v: fast_forward(model, law, u0, e0, v),
+        "count": lambda v: run_iterations(
+            world, model, law, u0, None, v, "model", desired),
+        "model_count": lambda v: run_hybrid(
+            world, model, law, u0, None, v, 0, desired),
+        "world_count": lambda v: run_hybrid(
+            world, model, law, u0, None, 0, v, desired),
+        "candidate_n": lambda v: evaluate_switch(
+            world, model, law, u0, None, v, 1.0, desired),
+    }
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        calls[argument](value)
 
 
 def test_rms_db_is_none_for_exact_tracking(second_order_pair):

@@ -42,7 +42,6 @@ def read_rows(path):
 def test_desired_trajectory_hits_known_points(write_cfg):
     config = load_config(write_cfg())
     desired = build_desired_trajectory(config)
-    assert desired.start_step == 1
     assert len(desired) == 100
     # 20 pi t passes pi at t = 0.05 and 2 pi at t = 0.1
     assert desired.values[4] == pytest.approx(4.0 * math.pi, rel=1e-12)
@@ -53,7 +52,6 @@ def test_third_order_desired_skips_the_deleted_step(write_cfg):
     config = load_config(write_cfg(base=MINIMAL_THIRD_ORDER))
     desired = build_desired_trajectory(config)
     assert config.deleted_rows == 1
-    assert desired.start_step == 2
     assert len(desired) == 99
     want = math.pi * (1.0 - math.cos(10.0 * math.pi * 0.02)) ** 2
     assert desired.values[0] == pytest.approx(want, rel=1e-12)
@@ -62,7 +60,6 @@ def test_third_order_desired_skips_the_deleted_step(write_cfg):
 def test_initial_input_variants(write_cfg, tmp_path):
     zero_cfg = load_config(write_cfg({"run.initial_input": "zero"}))
     u0 = build_initial_input(zero_cfg)
-    assert u0.start_step == 0
     assert np.all(u0.values == 0.0)
 
     warm_cfg = load_config(write_cfg({"run.initial_input": "desired_output"}))
@@ -230,7 +227,6 @@ def test_build_experiment_matches_the_three_builders(kind, deleted_rows):
     assert np.array_equal(experiment.u0.values, build_initial_input(config).values)
     desired = build_desired_trajectory(config)
     assert np.array_equal(experiment.desired.values, desired.values)
-    assert experiment.desired.start_step == desired.start_step
 
 
 def test_each_plant_is_sampled_once_per_value(write_cfg):

@@ -31,7 +31,6 @@ def test_gain_is_rectangular_after_row_deletion(third_order_pair, kind):
     _, model, _, _ = third_order_pair
     gain = build_gain(LearningLaw(kind, 0.7), model)
     assert gain.l_matrix.shape == (100, 99)
-    assert gain.built_from is model
 
 
 @pytest.mark.parametrize("kind", LAW_KINDS)

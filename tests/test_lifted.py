@@ -84,7 +84,7 @@ def test_abar_rows_are_output_row_times_state_powers():
 def test_lifted_output_equals_step_by_step_simulation(seed):
     rng = np.random.default_rng(seed)
     ls, dss = random_stable_lifted(rng)
-    u = Trajectory(rng.standard_normal(ls.horizon), 0, SAMPLE_PERIOD)
+    u = Trajectory(rng.standard_normal(ls.horizon))
     x0 = rng.standard_normal(dss.order)
     y_lifted = lifted_output(ls, u, x0)
     y_sim = simulate(dss, u.values, x0)
@@ -98,7 +98,6 @@ def test_deleted_output_is_a_suffix_of_the_full_output(third_order_pair):
     full = build_lifted(model.source, model.horizon)
     y_full = lifted_output(full, u0)
     y_del = lifted_output(model, u0)
-    assert y_del.start_step == 2
     # same rows, but BLAS may round a 99-row product differently from a slice
     assert np.max(np.abs(y_del.values - y_full.values[1:])) < 1e-12
 
@@ -118,15 +117,16 @@ def test_delete_rows_validation(second_order_pair):
 def test_lifted_output_rejects_wrong_input_length(second_order_pair):
     _, model, _, _ = second_order_pair
     with pytest.raises(DimensionError):
-        lifted_output(model, Trajectory(np.ones(7), 0, SAMPLE_PERIOD))
+        lifted_output(model, Trajectory(np.ones(7)))
 
 
 def test_trajectory_validation_and_length():
     with pytest.raises(DimensionError):
-        Trajectory(np.ones((2, 2)), 0, SAMPLE_PERIOD)
-    with pytest.raises(InvalidParameterError):
-        Trajectory(np.ones(3), -1, SAMPLE_PERIOD)
-    tr = Trajectory([1.0, 2.0, 3.0], 2, 0.5)
+        Trajectory(np.ones((2, 2)))
+    # the samples are the whole signal: no start step or sample period
+    with pytest.raises(TypeError):
+        Trajectory(np.ones(3), 0, SAMPLE_PERIOD)
+    tr = Trajectory([1.0, 2.0, 3.0])
     assert len(tr) == 3
 
 
@@ -135,7 +135,6 @@ def test_pseudo_inverse_reproduces_minimum_phase_target(second_order_pair):
     u = pseudo_inverse_input(model, desired)
     y = lifted_output(model, u)
     assert np.max(np.abs(y.values - desired.values)) < 1e-8
-    assert u.start_step == 0
 
 
 def test_pseudo_inverse_refuses_effectively_singular_rows():
@@ -181,8 +180,7 @@ def _svd_rule(p, rhs):
 
 def _system(p):
     rows, cols = p.shape
-    return LiftedSystem(p, np.zeros((rows, 1)), cols, cols - rows,
-                        SAMPLE_PERIOD, None)
+    return LiftedSystem(p, np.zeros((rows, 1)), cols, cols - rows, None)
 
 
 def _preset_problem(kind, **changes):
@@ -226,7 +224,7 @@ def test_pseudo_inverse_agrees_with_the_svd_rule(problem):
     p, rhs = problem
     rank, expected, sigma = _svd_rule(p, rhs)
     ls = _system(p)
-    desired = Trajectory(rhs, 1 + ls.deleted_rows, SAMPLE_PERIOD)
+    desired = Trajectory(rhs)
     if expected is None:
         with pytest.raises(RankDeficiencyError) as info:
             pseudo_inverse_input(ls, desired)
@@ -271,7 +269,7 @@ def test_pseudo_inverse_rejects_non_finite_target(third_order_pair):
     _, model, _, desired = third_order_pair
     values = desired.values.copy()
     values[5] = np.nan
-    target = Trajectory(values, desired.start_step, desired.sample_period)
+    target = Trajectory(values)
     with pytest.raises(InvalidParameterError):
         pseudo_inverse_input(model, target)
 

@@ -16,14 +16,14 @@ from liftedilc import (
     to_db,
 )
 
-from conftest import SAMPLE_PERIOD, poisoned
+from conftest import poisoned
 
 
 def test_rms_definition():
-    tr = Trajectory([3.0, -4.0], 1, SAMPLE_PERIOD)
+    tr = Trajectory([3.0, -4.0])
     assert rms(tr) == pytest.approx(math.sqrt(12.5), abs=1e-15)
     with pytest.raises(EmptyInputError):
-        rms(Trajectory(np.empty(0), 1, SAMPLE_PERIOD))
+        rms(Trajectory(np.empty(0)))
 
 
 def test_to_db_definition():
