@@ -54,7 +54,7 @@ def main():
     for n in args.candidates:
         report = evaluate_switch(world, model, law, u0, None, n, 1.0, desired)
         hybrid = run_hybrid(world, model, law, u0, None, n, args.budget, desired)
-        final_db = to_db(hybrid.records[-1].rms)
+        final_db = to_db(hybrid[-1].rms)
         advice = "switch" if report.recommend_switch else "stay"
         print(
             f"  {n:4d}   {report.r_model_n:.4f}     {report.jump:+.4f}    "

@@ -55,7 +55,7 @@ def _cmd_run(args, out):
             f"{config.model_count} model + {config.world_count} world iterations"
         ),
     }[config.mode]
-    print(f"mode {config.mode}, law {summary['law']}, {counts}", file=out)
+    print(f"mode {config.mode}, law {config.law_kind}, {counts}", file=out)
     for phase, value in summary["final_rms"].items():
         print(f"final {phase} RMS {value:.6e} ({_format_db(value)})", file=out)
     if summary["switch_reports"]:

@@ -6,7 +6,7 @@ I - P L = U diag(lambda) U^T, with
 
     p_transpose:      lambda = 1 - phi sigma^2,        L U = phi P^T U
     partial_isometry: lambda = 1 - phi sigma,          L U = phi V
-    norm_optimal:     lambda = phi / (phi + sigma^2),  L U = P^T U diag(1 / (phi + sigma^2))
+    norm_optimal:     lambda = phi / (phi + sigma^2),  L U = V diag(sigma / (phi + sigma^2))
 
 so the input and error after n model iterations are
 
@@ -18,18 +18,25 @@ whole model-phase history one matrix product.
 
 The factorization is computed once per LiftedSystem, on first use:
 eigh(P P^T), which gives U and sigma^2, serves all three laws.
-partial_isometry also needs V, which it takes as P^T U diag(1 / sigma) when
-one matrix product certifies that those columns are orthonormal; only when
-that certificate fails, or sigma has a zero, does it fall back to the thin
-SVD of P. The model object holds the factorization, together with the
-products derived from it for each law, so every fast-forward, run and switch
-evaluation on one model shares it, and it is freed with the model.
+partial_isometry and norm_optimal also need V, which they take as
+P^T U diag(1 / sigma) when one matrix product certifies that those columns
+are orthonormal; only when that certificate fails, or sigma has a zero, do
+they fall back to the thin SVD of P. norm_optimal needs the certificate for
+its accuracy: eigh perturbs sigma^2 by about eps sigma_max^2, and
+lambda^n = (phi / (phi + sigma^2))^n magnifies that about n / phi times, so
+a model too ill-conditioned to certify takes its sigma from the SVD.
+p_transpose stays on eigh alone. The model object holds the factorization,
+together with the products derived from it for each law, so every
+fast-forward, run and switch evaluation on one model shares it, and it is
+freed with the model.
 
 `run_iterations` is the explicit counterpart: it applies every input to the
 plant and records the full history. Every learning update u + L e, in the
 explicit runs, the world phase of a hybrid run and the switch advisor alike,
 goes through the same cached factorization as two matrix-vector products;
-the dense gain built in `laws` is only the independent reference.
+the dense gain built in `laws` is only the independent reference. A run
+returns its list of IterationRecords; a hybrid run switches where the phase
+turns to "world".
 """
 
 import math
@@ -51,7 +58,6 @@ from .lifted import Trajectory, _wrap_trajectory, lifted_output
 
 __all__ = [
     "IterationRecord",
-    "IterationHistory",
     "rms",
     "to_db",
     "run_iterations",
@@ -72,18 +78,6 @@ class IterationRecord:
     error: Trajectory
     rms: float
     rms_db: Optional[float]
-
-
-@dataclass(eq=False)
-class IterationHistory:
-    """Ordered per-iteration records of one run.
-
-    switch_index is the record index of the first world-phase record in a
-    hybrid run, None otherwise.
-    """
-
-    records: list
-    switch_index: Optional[int] = None
 
 
 def rms(error):
@@ -127,11 +121,11 @@ _ISOMETRY_TOLERANCE = 3e-10
 class _Factorization:
     """Factorizations of one model's lifted matrix P, each computed on first use.
 
-    gram is (U, sigma^2) from eigh(P P^T) and serves every law. isometry is
-    (U, sigma, V) for partial_isometry: built from gram, under the
-    certificate max|V^T V - I| <= _ISOMETRY_TOLERANCE, and from the thin SVD
-    of P only when that certificate fails or sigma has a zero. `laws` holds
-    one _LawOperator per (law kind, gain).
+    gram is (U, sigma^2) from eigh(P P^T) and serves p_transpose. isometry is
+    (U, sigma, V) for partial_isometry and norm_optimal: built from gram,
+    under the certificate max|V^T V - I| <= _ISOMETRY_TOLERANCE, and from the
+    thin SVD of P only when that certificate fails or sigma has a zero.
+    `laws` holds one _LawOperator per (law kind, gain).
     """
 
     def __init__(self, p_matrix):
@@ -192,7 +186,8 @@ def _operator(model, law):
     """The cached _LawOperator of (model, law), built on first use."""
     entry = model._factorization
     if entry is None:
-        entry = model._factorization = _Factorization(model.p_matrix)
+        entry = _Factorization(model.p_matrix)
+        object.__setattr__(model, "_factorization", entry)
     # keyed by value: hashing the tuple is cheaper than the dataclass hash
     law_key = (law.kind, law.gain)
     op = entry.laws.get(law_key)
@@ -214,19 +209,20 @@ def _convergent_operator(model, law):
 
 def _build_operator(entry, law):
     phi = law.gain
-    if law.kind == "partial_isometry":
-        u, sigma, v = entry.isometry
-        lam = 1.0 - phi * sigma
-        lu = phi * v
-    else:
+    if law.kind == "p_transpose":
         u, sigma2 = entry.gram
+        lam = 1.0 - phi * sigma2
         lu = entry.p_matrix.T @ u
-        if law.kind == "p_transpose":
-            lam = 1.0 - phi * sigma2
-            lu *= phi
+        lu *= phi
+    else:
+        u, sigma, v = entry.isometry
+        if law.kind == "partial_isometry":
+            lam = 1.0 - phi * sigma
+            lu = phi * v
         else:
-            lam = phi / (phi + sigma2)
-            lu /= phi + sigma2
+            denominator = phi + sigma**2
+            lam = phi / denominator
+            lu = v * (sigma / denominator)
     abs_lam = np.abs(lam)
     sign = np.where(lam < 0.0, -1.0, 1.0)
     # an eigenvalue that rounds to exactly 1 (a singular value below rounding)
@@ -291,13 +287,15 @@ def fast_forward(model, law, u0, e0, n):
     op = _convergent_operator(model, law)
     u0v = u0.values
     e0v = e0.values
-    if u0v.size != model.horizon:
+    # P's shape read once: two property reads cost more on check 10's path
+    row_count, horizon = model.p_matrix.shape
+    if u0v.size != horizon:
         raise DimensionError(
-            f"u0 length {u0v.size} does not match horizon {model.horizon}"
+            f"u0 length {u0v.size} does not match horizon {horizon}"
         )
-    if e0v.size != model.row_count:
+    if e0v.size != row_count:
         raise DimensionError(
-            f"e0 length {e0v.size} does not match row count {model.row_count}"
+            f"e0 length {e0v.size} does not match row count {row_count}"
         )
     ep0 = np.dot(op.ut, e0v)
     # cheap witnesses on check 10's timed path: u0 . u0, and one entry of
@@ -358,7 +356,7 @@ def _learn(model, law, u, e):
 
 
 def _check_run_inputs(applied, model, u0, desired):
-    if applied.horizon != model.horizon or applied.deleted_rows != model.deleted_rows:
+    if applied.p_matrix.shape != model.p_matrix.shape:
         raise DimensionError(
             "applied plant and model must share horizon and deleted rows: "
             f"({applied.horizon}, {applied.deleted_rows}) vs "
@@ -425,7 +423,7 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
 
     Returns
     -------
-    IterationHistory
+    list of IterationRecord
 
     Raises
     ------
@@ -443,8 +441,7 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
     _check_run_inputs(applied, model, u0, desired)
     if phase == "model":
         _convergent_operator(model, law)
-    records = _run_loop(applied, model, law, u0, x0, desired, count, phase)
-    return IterationHistory(records)
+    return _run_loop(applied, model, law, u0, x0, desired, count, phase)
 
 
 def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
@@ -454,7 +451,12 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     computed in one batched pass of the fast-forward formulas), then applies
     the final model-phase input u_{M,model_count} to the world as the first
     world record, then runs world_count learning iterations against the
-    world. switch_index marks that first world record.
+    world: the switch is record model_count, where the phase turns to
+    "world".
+
+    Returns
+    -------
+    list of IterationRecord
 
     Raises
     ------
@@ -479,4 +481,4 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     records += _run_loop(
         world, model, law, u, x0, desired, world_count, "world", model_count
     )
-    return IterationHistory(records, switch_index=model_count)
+    return records

@@ -163,11 +163,11 @@ def build_initial_input(config):
     return Trajectory(values)
 
 
-def write_history_csv(history, path):
+def write_history_csv(records, path):
     """One CSV row per record; floats via repr so output is byte-stable."""
     consumed = 0
     lines = [CSV_HEADER]
-    for record in history.records:
+    for record in records:
         if record.phase == "world":
             consumed += 1
         db = "" if record.rms_db is None else repr(record.rms_db)
@@ -208,15 +208,15 @@ def run_experiment(config):
     law = LearningLaw(config.law_kind, config.gain)
 
     if config.mode == "model":
-        history = run_iterations(
+        records = run_iterations(
             world, model, law, u0, None, config.model_count, "model", desired
         )
     elif config.mode == "world":
-        history = run_iterations(
+        records = run_iterations(
             world, model, law, u0, None, config.world_count, "world", desired
         )
     else:
-        history = run_hybrid(
+        records = run_hybrid(
             world, model, law, u0, None, config.model_count,
             config.world_count, desired,
         )
@@ -231,20 +231,17 @@ def run_experiment(config):
     ]
     warning = unhandled_zero_warning(config)
     summary = {
-        "mode": config.mode,
-        "law": config.law_kind,
-        "final_rms": {r.phase: r.rms for r in history.records},
-        "switch_index": history.switch_index,
+        "final_rms": {r.phase: r.rms for r in records},
         "switch_reports": reports,
         "warnings": [warning] if warning else [],
     }
 
-    write_history_csv(history, config.csv_path)
+    write_history_csv(records, config.csv_path)
     plot_paths = []
     if config.plot_path:
         series = []
         for phase, color in (("model", "#000000"), ("world", "#c62828")):
-            sub = [r for r in history.records if r.phase == phase]
+            sub = [r for r in records if r.phase == phase]
             if sub:
                 series.append(_series(sub, phase, color))
         render_line_chart(
@@ -318,28 +315,25 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{figure_id}_{law_kind}_switch{switch_n}"
     curve_paths = {}
-    for name, history in histories.items():
+    for name, records in histories.items():
         path = out / f"{stem}_{name}.csv"
-        write_history_csv(history, path)
+        write_history_csv(records, path)
         curve_paths[name] = str(path)
 
     plot_path = out / f"{stem}.svg"
     render_line_chart(
         plot_path,
         [
-            _series(histories["model"].records, "model only", CURVE_COLORS["model"]),
-            _series(histories["world"].records, "world only", CURVE_COLORS["world"]),
-            _series(histories["hybrid"].records, "hybrid", CURVE_COLORS["hybrid"]),
+            _series(histories["model"], "model only", CURVE_COLORS["model"]),
+            _series(histories["world"], "world only", CURVE_COLORS["world"]),
+            _series(histories["hybrid"], "hybrid", CURVE_COLORS["hybrid"]),
         ],
         f"{figure_id}: {law_kind}, switch at {switch_n}",
         markers=markers,
     )
 
     summary = {
-        "figure": figure_id,
-        "law": law_kind,
-        "switch_n": switch_n,
-        "final_rms": {name: h.records[-1].rms for name, h in histories.items()},
+        "final_rms": {name: h[-1].rms for name, h in histories.items()},
         "switch_report": report,
     }
     return RunArtifacts(

@@ -15,11 +15,12 @@ below 1 / PINV_RTOL, full row rank is certified and the answer stands.
 Otherwise a thin singular value decomposition decides the numerical rank and
 serves the matrices that pass it.
 
-A signal (Trajectory) is only its samples; the LiftedSystem fixes their steps.
+A LiftedSystem is only its two read-only matrices P and Abar; their shape
+gives the horizon N and the deleted row count d. A signal (Trajectory) is only
+its samples; the LiftedSystem fixes their steps.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import (
     RankDeficiencyError,
     _integer,
 )
-from .lti import DiscreteStateSpace, _markov_parameters
+from .lti import _markov_parameters
 
 __all__ = ["Trajectory", "LiftedSystem", "build_lifted", "delete_rows",
            "lifted_output", "pseudo_inverse_input"]
@@ -77,9 +78,14 @@ def _wrap_trajectory(values):
     return t
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LiftedSystem:
-    """Lifted input-output model over a fixed horizon.
+    """Lifted input-output model over a fixed horizon: y = P u + Abar x0.
+
+    Both matrices are taken as float arrays and marked read-only, so the
+    factorization the engine caches on first use stays that of P. The shape
+    of P is the whole layout: an input Trajectory covers steps 0..N-1 and an
+    output steps 1 + d..N.
 
     Attributes
     ----------
@@ -87,25 +93,60 @@ class LiftedSystem:
         Row r holds the convolution weights producing y(r + 1 + d).
     abar_matrix : (N - d, n) ndarray
         Row r equals C Ad^(r + 1 + d), the free response map.
-    horizon : int
-        Number of input steps N: an input Trajectory covers steps 0..N-1.
-    deleted_rows : int
-        Leading output rows removed (d): an output covers steps 1 + d..N.
-    source : DiscreteStateSpace
+
+    Raises
+    ------
+    EmptyHorizonError
+        If P has no columns.
+    DegenerateDeletionError
+        If P has no rows.
+    DimensionError
+        If P or Abar is not 2-D, P has more rows than columns, or Abar's row
+        count differs from P's.
     """
 
     p_matrix: np.ndarray
     abar_matrix: np.ndarray
-    horizon: int
-    deleted_rows: int
-    source: DiscreteStateSpace
     # the engine's factorization of p_matrix, filled on first use; a copy
     # made by dataclasses.replace or delete_rows starts without one
     _factorization: object = field(default=None, init=False, repr=False)
 
+    def __post_init__(self):
+        p = np.asarray(self.p_matrix, dtype=float)
+        abar = np.asarray(self.abar_matrix, dtype=float)
+        if p.ndim != 2 or abar.ndim != 2:
+            raise DimensionError(
+                f"p_matrix and abar_matrix must be 2-D, got {p.ndim}-D and "
+                f"{abar.ndim}-D"
+            )
+        rows, cols = p.shape
+        if cols == 0:
+            raise EmptyHorizonError("p_matrix has no columns: the horizon is 0")
+        if rows == 0:
+            raise DegenerateDeletionError("p_matrix has no rows")
+        if rows > cols or abar.shape[0] != rows:
+            raise DimensionError(
+                f"p_matrix is {rows}x{cols} and abar_matrix has "
+                f"{abar.shape[0]} rows; need rows <= columns and equal row counts"
+            )
+        for name, array in (("p_matrix", p), ("abar_matrix", abar)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @property
+    def horizon(self):
+        """Number of input steps N, the column count of P."""
+        return self.p_matrix.shape[1]
+
     @property
     def row_count(self):
-        return self.horizon - self.deleted_rows
+        """Number of output rows N - d."""
+        return self.p_matrix.shape[0]
+
+    @property
+    def deleted_rows(self):
+        """Leading output rows removed, d."""
+        return self.horizon - self.row_count
 
 
 def build_lifted(dss, horizon):
@@ -132,7 +173,7 @@ def build_lifted(dss, horizon):
     for k in range(n):
         abar[k] = row
         row = row @ dss.ad_matrix
-    return LiftedSystem(p, abar, n, 0, dss)
+    return LiftedSystem(p, abar)
 
 
 def delete_rows(ls, d):
@@ -150,13 +191,8 @@ def delete_rows(ls, d):
         raise DegenerateDeletionError(
             f"cannot delete {d} rows from a {ls.horizon}-step system"
         )
-    return LiftedSystem(
-        ls.p_matrix[d:].copy(),
-        ls.abar_matrix[d:].copy(),
-        ls.horizon,
-        d,
-        ls.source,
-    )
+    # both matrices are read-only, so the shorter system can share their rows
+    return LiftedSystem(ls.p_matrix[d:], ls.abar_matrix[d:])
 
 
 def _free_response(ls, initial_state):

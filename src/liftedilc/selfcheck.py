@@ -255,13 +255,13 @@ def check_second_order_curve_ordering():
     failures = []
     for law_kind in LAW_KINDS:
         model_history, hybrid, world_history = _second_order_curves(law_kind)
-        rms_values = [r.rms for r in model_history.records]
+        rms_values = [r.rms for r in model_history]
         monotone = all(
             later <= earlier * (1.0 + 1e-12)
             for earlier, later in zip(rms_values, rms_values[1:])
         )
-        jump = hybrid.records[50].rms > model_history.records[50].rms
-        bypass = hybrid.records[60].rms < world_history.records[10].rms
+        jump = hybrid[50].rms > model_history[50].rms
+        bypass = hybrid[60].rms < world_history[10].rms
         if not (monotone and jump and bypass):
             failures.append(
                 f"{law_kind}: monotone={monotone} jump={jump} bypass={bypass}"
@@ -284,9 +284,9 @@ def check_second_order_db_levels():
     """7: dB spot values of the p-transpose run sit in the expected windows."""
     t0 = time.perf_counter()
     _, hybrid, world_history = _second_order_curves("p_transpose")
-    initial_world = world_history.records[0].rms_db
-    hybrid_start = hybrid.records[50].rms_db
-    hybrid_after_10 = hybrid.records[60].rms_db
+    initial_world = world_history[0].rms_db
+    hybrid_start = hybrid[50].rms_db
+    hybrid_after_10 = hybrid[60].rms_db
     in_windows = (
         13.0 < initial_world < 18.0
         and hybrid_start < 7.0

@@ -31,6 +31,8 @@ from liftedilc import (
     write_history_csv,
 )
 
+from liftedilc.config import _sampled_plant
+
 from conftest import MINIMAL_THIRD_ORDER
 
 
@@ -99,7 +101,7 @@ def test_csv_layout_counts_hardware_rows(write_cfg, tmp_path):
     assert [r["phase"] for r in rows] == ["model"] * 3 + ["world"] * 3
     assert [r["hardware_iterations_consumed"] for r in rows] == list("000123")
     # repr-written floats parse back to the exact record values
-    for row, record in zip(rows, history.records):
+    for row, record in zip(rows, history):
         assert float(row["rms"]) == record.rms
         assert float(row["rms_db"]) == record.rms_db
 
@@ -135,7 +137,8 @@ def test_hybrid_jump_shows_at_the_switch_row(write_cfg, tmp_path):
     assert rows[50]["hardware_iterations_consumed"] == "1"
     # switching to the real plant reveals error the model cannot see
     assert float(rows[50]["rms"]) > float(rows[49]["rms"])
-    assert artifacts.summary["switch_index"] == 50
+    # the switch is where the phase turns to "world"
+    assert [r["phase"] for r in rows] == ["model"] * 50 + ["world"] * 51
 
 
 def test_zero_count_hybrid_writes_a_single_row(write_cfg, tmp_path):
@@ -229,16 +232,22 @@ def test_build_experiment_matches_the_three_builders(kind, deleted_rows):
     assert np.array_equal(experiment.desired.values, desired.values)
 
 
+def _model_plant(config):
+    return _sampled_plant(
+        config.system_kind, config.model_params, config.sample_period
+    )
+
+
 def test_each_plant_is_sampled_once_per_value(write_cfg):
     path = write_cfg()
     first, second = load_config(path), load_config(path)
     assert first.model_params is not second.model_params
-    assert build_lifted_pair(first)[1].source is build_lifted_pair(second)[1].source
+    assert _model_plant(first) is _model_plant(second)
 
     params = PlantParams(0.4, 37.0)
     changed = dataclasses.replace(first, model_params=params)
     _, model = build_lifted_pair(changed)
-    assert model.source is not build_lifted_pair(first)[1].source
+    assert _model_plant(changed) is not _model_plant(first)
     assert np.array_equal(model.p_matrix, _freshly_lifted(changed, params).p_matrix)
 
 

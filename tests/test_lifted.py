@@ -9,14 +9,18 @@ from liftedilc import (
     DegenerateDeletionError,
     LiftedSystem,
     DimensionError,
+    EmptyHorizonError,
     InvalidParameterError,
+    LearningLaw,
     RankDeficiencyError,
     Trajectory,
     build_desired_trajectory,
+    build_gain,
     build_lifted,
     build_lifted_pair,
     delete_rows,
     discretize_zoh,
+    fast_forward,
     lifted_output,
     load_preset,
     make_second_order,
@@ -25,9 +29,10 @@ from liftedilc import (
     simulate,
 )
 
+from liftedilc.config import _sampled_plant
 from liftedilc.lifted import PINV_RTOL
 
-from conftest import SAMPLE_PERIOD, random_stable_lifted
+from conftest import SAMPLE_PERIOD, explicit_iterates, random_stable_lifted
 
 
 def markov(dss, count):
@@ -57,12 +62,18 @@ def _assert_toeplitz_of_markov_parameters(dss, horizon):
     assert np.array_equal(ls.p_matrix, scipy.linalg.toeplitz(mk, first_row))
 
 
+def _preset_plant(kind, side):
+    """The memoized sampled plant of one side ("world" or "model") of a preset."""
+    config = load_preset(kind)
+    params = getattr(config, f"{side}_params")
+    return _sampled_plant(config.system_kind, params, config.sample_period).dss
+
+
 @pytest.mark.parametrize("horizon", [1, 2, 100, 1000])
 @pytest.mark.parametrize("kind", ["second_order", "third_order"])
 def test_p_matrix_is_bit_identical_to_scipy_toeplitz(kind, horizon):
-    world, model = build_lifted_pair(load_preset(kind))
-    for plant in (world, model):
-        _assert_toeplitz_of_markov_parameters(plant.source, horizon)
+    for side in ("world", "model"):
+        _assert_toeplitz_of_markov_parameters(_preset_plant(kind, side), horizon)
 
 
 @given(st.integers(0, 10_000))
@@ -95,16 +106,15 @@ def test_lifted_output_equals_step_by_step_simulation(seed):
 
 def test_deleted_output_is_a_suffix_of_the_full_output(third_order_pair):
     _, model, u0, _ = third_order_pair
-    full = build_lifted(model.source, model.horizon)
+    full = build_lifted(_preset_plant("third_order", "model"), model.horizon)
     y_full = lifted_output(full, u0)
     y_del = lifted_output(model, u0)
     # same rows, but BLAS may round a 99-row product differently from a slice
     assert np.max(np.abs(y_del.values - y_full.values[1:])) < 1e-12
 
 
-def test_delete_rows_validation(second_order_pair):
-    _, model, _, _ = second_order_pair
-    full = build_lifted(model.source, 10)
+def test_delete_rows_validation():
+    full = build_lifted(_preset_plant("second_order", "model"), 10)
     with pytest.raises(InvalidParameterError):
         delete_rows(full, -1)
     with pytest.raises(DegenerateDeletionError):
@@ -118,6 +128,57 @@ def test_lifted_output_rejects_wrong_input_length(second_order_pair):
     _, model, _, _ = second_order_pair
     with pytest.raises(DimensionError):
         lifted_output(model, Trajectory(np.ones(7)))
+
+
+@pytest.mark.parametrize("p_shape, abar_shape, error", [
+    ((0, 0), (0, 1), EmptyHorizonError),         # no columns
+    ((0, 5), (0, 1), DegenerateDeletionError),   # no rows
+    ((5,), (5, 1), DimensionError),              # P not 2-D
+    ((5, 5), (5,), DimensionError),              # Abar not 2-D
+    ((6, 5), (6, 1), DimensionError),            # more rows than columns
+    ((4, 5), (5, 1), DimensionError),            # Abar rows differ from P's
+])
+def test_lifted_system_rejects_a_bad_shape(p_shape, abar_shape, error):
+    with pytest.raises(error):
+        LiftedSystem(np.ones(p_shape), np.ones(abar_shape))
+
+
+def test_a_lifted_system_is_its_two_read_only_matrices(third_order_pair):
+    init = [f.name for f in dataclasses.fields(LiftedSystem) if f.init]
+    assert init == ["p_matrix", "abar_matrix"]
+    _, model, u0, desired = third_order_pair
+    # the stored shape that could disagree with P is gone
+    with pytest.raises(TypeError):
+        LiftedSystem(model.p_matrix, model.abar_matrix, 100, 0, None)
+
+    full = build_lifted(_preset_plant("third_order", "model"), 100)
+    for ls, d in ((full, 0), (delete_rows(full, 5), 5)):
+        assert ls.p_matrix.shape == (ls.row_count, ls.horizon) == (100 - d, 100)
+        assert ls.abar_matrix.shape[0] == ls.row_count
+        assert ls.deleted_rows == d
+
+    model = dataclasses.replace(model)  # a fresh factorization cache
+    law = LearningLaw("norm_optimal", 1.0)
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
+    fast_forward(model, law, u0, e0, 10)
+    p_before = model.p_matrix.copy()
+    with pytest.raises(ValueError):
+        model.p_matrix *= 0.5
+    with pytest.raises(ValueError):
+        model.abar_matrix[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.p_matrix = p_before * 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.abar_matrix = np.zeros_like(model.abar_matrix)
+    assert np.array_equal(model.p_matrix, p_before)
+    # the cached factorization is still that of P: the closed form agrees
+    # with the dense loop on the unchanged matrix
+    u_n, e_n = fast_forward(model, law, u0, e0, 10)
+    l_matrix = build_gain(law, model).l_matrix
+    u_ref, e_ref = explicit_iterates(model, l_matrix, u0.values, desired.values, 10)[10]
+    scale = max(1.0, float(np.max(np.abs(u_ref))), float(np.max(np.abs(e_ref))))
+    assert np.max(np.abs(u_n.values - u_ref)) < 1e-9 * scale
+    assert np.max(np.abs(e_n.values - e_ref)) < 1e-9 * scale
 
 
 def test_trajectory_validation_and_length():
@@ -179,8 +240,7 @@ def _svd_rule(p, rhs):
 
 
 def _system(p):
-    rows, cols = p.shape
-    return LiftedSystem(p, np.zeros((rows, 1)), cols, cols - rows, None)
+    return LiftedSystem(p, np.zeros((p.shape[0], 1)))
 
 
 def _preset_problem(kind, **changes):

@@ -29,7 +29,7 @@ def _referenced_names():
 
 def test_every_public_function_has_a_caller_outside_the_tests():
     # classes and constants are exempt: a return type such as
-    # IterationHistory is used without ever being named
+    # IterationRecord is used without its callers ever naming it
     functions = [
         name for name in liftedilc.__all__
         if inspect.isfunction(getattr(liftedilc, name))

@@ -49,8 +49,8 @@ def test_report_agrees_with_a_hybrid_run(second_order_pair):
     # the advisor's world RMS at the candidate is exactly what a hybrid run
     # records when it switches there
     history = run_hybrid(world, model, law, u0, None, 50, 1, desired)
-    assert report.r_world_n == pytest.approx(history.records[50].rms, rel=1e-12)
-    assert report.r_world_n1 == pytest.approx(history.records[51].rms, rel=1e-12)
+    assert report.r_world_n == pytest.approx(history[50].rms, rel=1e-12)
+    assert report.r_world_n1 == pytest.approx(history[51].rms, rel=1e-12)
 
 
 def test_identical_plants_give_zero_jump(second_order_pair):
