@@ -51,8 +51,10 @@ def main():
     print(f"law {args.law}, hardware budget {args.budget}")
     print("     n   R_M,n      jump       model slope  world slope  "
           "final dB  advice")
-    for n in args.candidates:
-        report = evaluate_switch(world, model, law, u0, None, n, 1.0, desired)
+    reports = evaluate_switch(
+        world, model, law, u0, None, args.candidates, 1.0, desired
+    )
+    for n, report in zip(args.candidates, reports):
         hybrid = run_hybrid(world, model, law, u0, None, n, args.budget, desired)
         final_db = to_db(hybrid[-1].rms)
         advice = "switch" if report.recommend_switch else "stay"

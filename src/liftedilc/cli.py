@@ -96,12 +96,9 @@ def _cmd_advise_switch(args, out):
     law = LearningLaw(config.law_kind, config.gain)
     # every candidate is evaluated before anything is printed, so a failing
     # one leaves stdout empty
-    reports = [
-        evaluate_switch(
-            world, model, law, u0, None, candidate, config.slope_factor, desired
-        )
-        for candidate in candidates
-    ]
+    reports = evaluate_switch(
+        world, model, law, u0, None, candidates, config.slope_factor, desired
+    )
     print(
         f"law {config.law_kind}, slope factor {config.slope_factor:g}", file=out
     )

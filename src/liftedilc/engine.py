@@ -33,8 +33,9 @@ freed with the model.
 `run_iterations` is the explicit counterpart: it applies every input to the
 plant and records the full history. Every learning update u + L e, in the
 explicit runs, the world phase of a hybrid run and the switch advisor alike,
-goes through the same cached factorization as two matrix-vector products;
-the dense gain built in `laws` is only the independent reference. A run
+goes through the same cached factorization as two matrix-vector products,
+or two matrix products for the advisor's candidates taken as rows; the
+dense gain built in `laws` is only the independent reference. A run
 returns its list of IterationRecords; a hybrid run switches where the phase
 turns to "world".
 """
@@ -54,7 +55,7 @@ from .errors import (
     UndefinedDbError,
     _integer,
 )
-from .lifted import Trajectory, _wrap_trajectory, lifted_output
+from .lifted import Trajectory, _free_response, _wrap_trajectory, lifted_output
 
 __all__ = [
     "IterationRecord",
@@ -326,17 +327,23 @@ def fast_forward(model, law, u0, e0, n):
     )
 
 
-def _model_phase(op, u0v, e0v, count):
-    """Inputs and errors after n = 0..count-1 model iterations, one row per n.
+def _model_phase(op, u0v, e0v, counts):
+    """Inputs and errors after each n in `counts` model iterations, one row per n.
 
     The batched form of fast_forward: with R[n] = (lambda^n - 1) * U^T e_0
     as rows, R out_map^T holds every [u_n - u_0; e_n - e_0] from one matrix
-    product instead of one fast-forward per record.
+    product instead of one fast-forward per n. A hybrid run passes
+    range(model_count), the switch advisor its candidates. A row with n = 0
+    is exactly u_0 and e_0, also where lambda is 0.
     """
-    n = np.arange(1, count)[:, None]
-    r = np.expm1(n * op.log_abs_lam)        # |lambda|^n - 1
-    steps = np.zeros((count, op.lam.size))
-    steps[1:] = np.where(n % 2 == 1, r * op.sign_lam - op.odd_offset, r)
+    n = np.asarray(counts, dtype=int).reshape(-1, 1)
+    moved = n[:, 0] > 0
+    n_moved = n[moved]
+    r = np.expm1(n_moved * op.log_abs_lam)  # |lambda|^n - 1
+    # allocated after the temporaries, as before the generalization: allocated
+    # first, it left the heap in a state that cost N = 100 commands page faults
+    steps = np.zeros((n.shape[0], op.lam.size))
+    steps[moved] = np.where(n_moved % 2 == 1, r * op.sign_lam - op.odd_offset, r)
     steps *= np.dot(op.ut, e0v)
     out = steps @ op.out_map.T
     out[:, : u0v.size] += u0v
@@ -353,6 +360,11 @@ def _learn(model, law, u, e):
     op = _operator(model, law)
     step = np.dot(op.lu_neg, op.lam_minus_one * np.dot(op.ut, e.values))
     return Trajectory(u.values + step)
+
+
+def _learn_rows(op, errors):
+    """The learning steps L e of many errors at once, one row per error row."""
+    return ((errors @ op.ut.T) * op.lam_minus_one) @ op.lu_neg.T
 
 
 def _check_run_inputs(applied, model, u0, desired):
@@ -380,6 +392,15 @@ def _check_run_inputs(applied, model, u0, desired):
 def _measure(applied, u, x0, desired):
     y = lifted_output(applied, u, x0)
     return Trajectory(desired.values - y.values)
+
+
+def _measure_rows(applied, inputs, x0, desired):
+    """_measure of many inputs at once: one error row per input row."""
+    y = inputs @ applied.p_matrix.T
+    free = _free_response(applied, x0)
+    if free is not None:
+        y += free
+    return desired.values - y
 
 
 def _run_loop(applied, model, law, u, x0, desired, count, phase, first=0):
@@ -473,7 +494,9 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     e0 = _measure(model, u0, x0, desired)
     records = []
     if model_count:
-        inputs, errors = _model_phase(op, u0.values, e0.values, model_count)
+        inputs, errors = _model_phase(
+            op, u0.values, e0.values, range(model_count)
+        )
         for j in range(model_count):
             u_j, e_j = _wrap_trajectory(inputs[j]), _wrap_trajectory(errors[j])
             records.append(_record(j, "model", u_j, e_j))

@@ -223,12 +223,10 @@ def run_experiment(config):
 
     # every numerical step runs before the first file is written, so a
     # failure leaves no output behind
-    reports = [
-        evaluate_switch(
-            world, model, law, u0, None, candidate, config.slope_factor, desired
-        )
-        for candidate in config.switch_candidates
-    ]
+    reports = evaluate_switch(
+        world, model, law, u0, None, config.switch_candidates,
+        config.slope_factor, desired,
+    )
     warning = unhandled_zero_warning(config)
     summary = {
         "final_rms": {r.phase: r.rms for r in records},
@@ -301,8 +299,8 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     report = None
     markers = []
     if with_markers:
-        report = evaluate_switch(
-            world, model, law, u0, None, switch_n, config.slope_factor, desired
+        [report] = evaluate_switch(
+            world, model, law, u0, None, [switch_n], config.slope_factor, desired
         )
         markers = [
             Marker("A1", switch_n, to_db(report.r_model_n), "#000000"),

@@ -83,7 +83,8 @@ class LiftedSystem:
     """Lifted input-output model over a fixed horizon: y = P u + Abar x0.
 
     Both matrices are taken as float arrays and marked read-only, so the
-    factorization the engine caches on first use stays that of P. The shape
+    factorization the engine caches on first use stays that of P; a view of
+    an array that can still be written is copied first. The shape
     of P is the whole layout: an input Trajectory covers steps 0..N-1 and an
     output steps 1 + d..N.
 
@@ -130,6 +131,13 @@ class LiftedSystem:
                 f"{abar.shape[0]} rows; need rows <= columns and equal row counts"
             )
         for name, array in (("p_matrix", p), ("abar_matrix", abar)):
+            # a view whose values another array or buffer can still write
+            # gets its own copy; a view of read-only arrays is shared
+            base = array.base
+            while isinstance(base, np.ndarray) and not base.flags.writeable:
+                base = base.base
+            if base is not None:
+                array = array.copy()
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 

@@ -308,8 +308,8 @@ def check_switch_advisor_consistency():
     t0 = time.perf_counter()
     world, model, u0, desired = _example_pair("second_order")
     law = LearningLaw("p_transpose", 1.0)
-    same = evaluate_switch(model, model, law, u0, None, 50, 1.0, desired)
-    split = evaluate_switch(world, model, law, u0, None, 50, 1.0, desired)
+    same = evaluate_switch(model, model, law, u0, None, [50], 1.0, desired)[0]
+    split = evaluate_switch(world, model, law, u0, None, [50], 1.0, desired)[0]
     passed = (
         abs(same.jump) <= 1e-9
         and abs(same.model_slope - same.world_slope) <= 1e-9

@@ -4,16 +4,37 @@ Around a candidate iteration n the advisor computes four RMS values: the
 model error at n and n+1 (one more model update) and the world error for the
 same input at n and n+1 (one learning update against the world). Comparing
 the two one-iteration improvements tells whether the hardware is still
-learning faster than the model predicts. Only two world applications are
-consumed, which is the entire cost of asking.
+learning faster than the model predicts. Each candidate consumes two world
+applications, which is the entire cost of asking.
+
+All candidates are evaluated in one pass: the model states at every
+candidate come from one matrix product of the closed form, and each later
+step (model update, world application, world update) is one matrix product
+with the candidates as rows.
 """
 
 from dataclasses import dataclass
 
-from .engine import _check_run_inputs, _learn, _measure, fast_forward, rms, to_db
-from .errors import _integer
+import numpy as np
+
+from .engine import (
+    _check_run_inputs,
+    _convergent_operator,
+    _learn_rows,
+    _measure,
+    _measure_rows,
+    _model_phase,
+    fast_forward,  # unused here; bench/tests/test_tracer.py traces this binding
+    rms,
+)
+from .errors import InvalidParameterError, _integer
+from .lifted import _wrap_trajectory
 
 __all__ = ["SwitchReport", "evaluate_switch"]
+
+# candidates evaluated together at most, so the advisor's temporaries stay
+# O(_BLOCK N) however many candidates it is given
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -37,13 +58,14 @@ class SwitchReport:
     slope_factor: float
 
 
-def evaluate_switch(world, model, law, u0, x0, candidate_n, slope_factor, desired):
-    """Assess switching from model to world iterations at candidate_n.
+def evaluate_switch(world, model, law, u0, x0, candidates, slope_factor, desired):
+    """Assess switching from model to world iterations at each candidate.
 
-    Fast-forwards the model phase to the candidate (no iterating), takes one
-    explicit model iteration for the model slope, applies the candidate
-    input to the world once for the jump, and runs one world learning
-    iteration for the world slope.
+    For every candidate n, fast-forwards the model phase to n (no
+    iterating), takes one explicit model iteration for the model slope,
+    applies the candidate input to the world once for the jump, and runs one
+    world learning iteration for the world slope: two world applications per
+    candidate.
 
     Parameters
     ----------
@@ -51,8 +73,9 @@ def evaluate_switch(world, model, law, u0, x0, candidate_n, slope_factor, desire
     law : LearningLaw
     u0 : Trajectory
     x0 : array_like or None
-    candidate_n : int
-        Candidate number of model iterations before switching, >= 1.
+    candidates : sequence of int
+        Candidate numbers of model iterations before switching, each >= 1,
+        in any order; repeats are allowed.
     slope_factor : float
         Threshold ratio; switching is recommended when the world improves
         at least slope_factor times as fast as the model.
@@ -60,30 +83,51 @@ def evaluate_switch(world, model, law, u0, x0, candidate_n, slope_factor, desire
 
     Returns
     -------
-    SwitchReport
+    list of SwitchReport
+        One report per candidate, in the order given.
+
+    Raises
+    ------
+    InvalidParameterError
+        If a candidate is not a whole number >= 1 (before any numerical
+        work), or u0, desired or the initial error is not finite.
+    DivergenceError
+        If the model iteration matrix has an eigenvalue outside (-1, 1).
     """
-    candidate_n = _integer("candidate_n", candidate_n, 1)
+    counts = [_integer("candidate_n", n, 1) for n in candidates]
     _check_run_inputs(world, model, u0, desired)
+    if not counts:
+        return []
     e0 = _measure(model, u0, x0, desired)
-    u_n, e_model_n = fast_forward(model, law, u0, e0, candidate_n)
-    r_model_n = rms(e_model_n)
-    r_model_n1 = rms(_measure(model, _learn(model, law, u_n, e_model_n), x0, desired))
-
-    e_world_n = _measure(world, u_n, x0, desired)
-    r_world_n = rms(e_world_n)
-    r_world_n1 = rms(_measure(world, _learn(model, law, u_n, e_world_n), x0, desired))
-
-    model_slope = r_model_n - r_model_n1
-    world_slope = r_world_n - r_world_n1
-    return SwitchReport(
-        candidate_n=candidate_n,
-        r_model_n=r_model_n,
-        r_model_n1=r_model_n1,
-        r_world_n=r_world_n,
-        r_world_n1=r_world_n1,
-        model_slope=model_slope,
-        world_slope=world_slope,
-        jump=r_world_n - r_model_n,
-        recommend_switch=world_slope >= slope_factor * model_slope,
-        slope_factor=float(slope_factor),
-    )
+    op = _convergent_operator(model, law)
+    if not np.isfinite(e0.values).all():
+        raise InvalidParameterError("e0 holds non-finite values")
+    reports = []
+    for start in range(0, len(counts), _BLOCK):
+        block = counts[start : start + _BLOCK]
+        u_n, e_model_n = _model_phase(op, u0.values, e0.values, block)
+        u_model_n1 = u_n + _learn_rows(op, e_model_n)
+        e_model_n1 = _measure_rows(model, u_model_n1, x0, desired)
+        e_world_n = _measure_rows(world, u_n, x0, desired)
+        u_world_n1 = u_n + _learn_rows(op, e_world_n)
+        e_world_n1 = _measure_rows(world, u_world_n1, x0, desired)
+        for j, candidate_n in enumerate(block):
+            r_model_n, r_model_n1, r_world_n, r_world_n1 = (
+                rms(_wrap_trajectory(e[j]))
+                for e in (e_model_n, e_model_n1, e_world_n, e_world_n1)
+            )
+            model_slope = r_model_n - r_model_n1
+            world_slope = r_world_n - r_world_n1
+            reports.append(SwitchReport(
+                candidate_n=candidate_n,
+                r_model_n=r_model_n,
+                r_model_n1=r_model_n1,
+                r_world_n=r_world_n,
+                r_world_n1=r_world_n1,
+                model_slope=model_slope,
+                world_slope=world_slope,
+                jump=r_world_n - r_model_n,
+                recommend_switch=world_slope >= slope_factor * model_slope,
+                slope_factor=float(slope_factor),
+            ))
+    return reports

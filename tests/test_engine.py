@@ -102,7 +102,7 @@ def test_run_hybrid_and_switch_advice_never_build_the_dense_gain(
             run_iterations(world, model, law, u0, None, 5, "model", desired)
             run_iterations(world, model, law, u0, None, 5, "world", desired)
             run_hybrid(world, model, law, u0, None, 20, 5, desired)
-            evaluate_switch(world, model, law, u0, None, 10, 1.0, desired)
+            evaluate_switch(world, model, law, u0, None, [10], 1.0, desired)
 
 
 @pytest.mark.parametrize("kind", LAW_KINDS)
@@ -113,8 +113,7 @@ def test_one_factorization_serves_a_run_and_twenty_switch_evaluations(
     model = _fresh(model)
     law = LearningLaw(kind, 1.0)
     run_hybrid(world, model, law, u0, None, 50, 10, desired)
-    for candidate in range(1, 21):
-        evaluate_switch(world, model, law, u0, None, candidate, 1.0, desired)
+    evaluate_switch(world, model, law, u0, None, range(1, 21), 1.0, desired)
     assert factorization_calls == ["eigh"]
 
 
@@ -126,7 +125,7 @@ def test_one_factorization_serves_all_three_laws(
     for kind in LAW_KINDS:
         law = LearningLaw(kind, 1.0)
         run_hybrid(world, model, law, u0, None, 50, 10, desired)
-        evaluate_switch(world, model, law, u0, None, 25, 1.0, desired)
+        evaluate_switch(world, model, law, u0, None, [25], 1.0, desired)
     assert factorization_calls == ["eigh"]
 
 
@@ -408,17 +407,21 @@ def test_a_nonzero_initial_state_enters_every_run_as_abar_x0(preset, kind, reque
         history = run_iterations(world, model, law, u0, x0, 10, phase, desired)
         _assert_records_match(history, dense_loop(plant, u0.values, 10))
 
-    model_ref = dense_loop(model, u0.values, 31)
+    model_ref = dense_loop(model, u0.values, 101)
     u30 = model_ref[30][0]
     history = run_hybrid(world, model, law, u0, x0, 30, 10, desired)
     _assert_records_match(history, model_ref[:30] + dense_loop(world, u30, 10))
 
-    report = evaluate_switch(world, model, law, u0, x0, 30, 1.0, desired)
-    world_ref = dense_loop(world, u30, 1)
-    want = [model_ref[30][1], model_ref[31][1], world_ref[0][1], world_ref[1][1]]
-    got = [report.r_model_n, report.r_model_n1, report.r_world_n, report.r_world_n1]
-    for r, e in zip(got, want):
-        assert r == pytest.approx(np.sqrt(np.mean(e**2)), rel=1e-9)
+    # odd and even candidates, evaluated together
+    candidates = (1, 2, 7, 30, 51, 100)
+    reports = evaluate_switch(world, model, law, u0, x0, candidates, 1.0, desired)
+    assert [r.candidate_n for r in reports] == list(candidates)
+    for n, report in zip(candidates, reports):
+        world_ref = dense_loop(world, model_ref[n][0], 1)
+        want = [model_ref[n][1], model_ref[n + 1][1], world_ref[0][1], world_ref[1][1]]
+        got = [report.r_model_n, report.r_model_n1, report.r_world_n, report.r_world_n1]
+        for r, e in zip(got, want):
+            assert r == pytest.approx(np.sqrt(np.mean(e**2)), rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -525,7 +528,7 @@ def test_integer_arguments_reject_nan_inf_and_fractions(
         "world_count": lambda v: run_hybrid(
             world, model, law, u0, None, 0, v, desired),
         "candidate_n": lambda v: evaluate_switch(
-            world, model, law, u0, None, v, 1.0, desired),
+            world, model, law, u0, None, [v], 1.0, desired),
     }
     with pytest.raises(InvalidParameterError, match="must be an integer"):
         calls[argument](value)

@@ -182,6 +182,13 @@ def test_switch_reports_follow_the_candidate_list(write_cfg, tmp_path):
     assert [r.candidate_n for r in reports] == [10, 50]
     assert all(r.jump > 0 for r in reports)
 
+    config = _tmp_config(
+        write_cfg, tmp_path, "none.csv", **{"switch.candidates": ""}
+    )
+    artifacts = run_experiment(config)
+    assert artifacts.summary["switch_reports"] == []
+    assert len(read_rows(artifacts.csv_path)) == 101
+
 
 def test_unhandled_zero_warning_for_uncovered_zero(write_cfg, tmp_path):
     config = _tmp_config(

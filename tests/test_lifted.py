@@ -181,6 +181,26 @@ def test_a_lifted_system_is_its_two_read_only_matrices(third_order_pair):
     assert np.max(np.abs(e_n.values - e_ref)) < 1e-9 * scale
 
 
+def test_a_view_of_a_writable_array_is_copied():
+    base = np.eye(4)
+    ls = LiftedSystem(base[1:], np.zeros((3, 1)))
+    base[2, 1] = 5.0
+    assert ls.p_matrix[1, 1] == 0.0
+    assert not ls.p_matrix.flags.writeable
+    # two views deep, and the free-response map too
+    free = np.ones((5, 2))
+    ls = LiftedSystem(np.eye(4)[1:], free[1:][:3])
+    free[2, 0] = 7.0
+    assert np.all(ls.abar_matrix == 1.0)
+
+    # fresh arrays and views of read-only ones are shared, not copied
+    full = build_lifted(_preset_plant("third_order", "model"), 20)
+    assert full.p_matrix.base is None and full.abar_matrix.base is None
+    shorter = delete_rows(full, 5)
+    assert np.shares_memory(shorter.p_matrix, full.p_matrix)
+    assert np.shares_memory(shorter.abar_matrix, full.abar_matrix)
+
+
 def test_trajectory_validation_and_length():
     with pytest.raises(DimensionError):
         Trajectory(np.ones((2, 2)))

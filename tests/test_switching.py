@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import liftedilc.engine as engine
+import liftedilc.switching as switching
 from liftedilc import (
     EmptyInputError,
     InvalidParameterError,
@@ -38,7 +39,7 @@ def test_to_db_definition():
 def test_report_agrees_with_a_hybrid_run(second_order_pair):
     world, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
-    report = evaluate_switch(world, model, law, u0, None, 50, 1.0, desired)
+    [report] = evaluate_switch(world, model, law, u0, None, [50], 1.0, desired)
 
     assert report.jump == pytest.approx(report.r_world_n - report.r_model_n)
     assert report.model_slope == pytest.approx(report.r_model_n - report.r_model_n1)
@@ -56,37 +57,86 @@ def test_report_agrees_with_a_hybrid_run(second_order_pair):
 def test_identical_plants_give_zero_jump(second_order_pair):
     _, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
-    report = evaluate_switch(model, model, law, u0, None, 50, 1.0, desired)
+    [report] = evaluate_switch(model, model, law, u0, None, [50], 1.0, desired)
     assert abs(report.jump) < 1e-9
     assert abs(report.world_slope - report.model_slope) < 1e-9
     # at slope_factor exactly 1.0 equal slopes sit on the comparison edge,
     # so test the recommendation a hair below it
-    relaxed = evaluate_switch(model, model, law, u0, None, 50, 0.999, desired)
+    [relaxed] = evaluate_switch(model, model, law, u0, None, [50], 0.999, desired)
     assert relaxed.recommend_switch
 
 
-def test_advisor_consumes_exactly_two_world_runs(
-    second_order_pair, monkeypatch
-):
+def test_advisor_consumes_exactly_two_world_runs(second_order_pair, monkeypatch):
+    # rows applied to each plant, one per input, however they are grouped
+    # into calls
     world, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
-    counts = {"world": 0, "model": 0}
-    real = engine.lifted_output
+    rows = {"world": 0, "model": 0}
+    real_output = engine.lifted_output
+    real_rows = switching._measure_rows
 
-    def counting(plant, u, x0=None):
-        counts["world" if plant is world else "model"] += 1
-        return real(plant, u, x0)
+    def count(plant, n):
+        rows["world" if plant is world else "model"] += n
 
-    monkeypatch.setattr(engine, "lifted_output", counting)
-    evaluate_switch(world, model, law, u0, None, 25, 1.0, desired)
-    assert counts["world"] == 2
+    def counting_output(plant, u, x0=None):
+        count(plant, 1)
+        return real_output(plant, u, x0)
+
+    def counting_rows(plant, inputs, x0, target):
+        count(plant, inputs.shape[0])
+        return real_rows(plant, inputs, x0, target)
+
+    monkeypatch.setattr(engine, "lifted_output", counting_output)
+    monkeypatch.setattr(switching, "_measure_rows", counting_rows)
+    # one candidate, and more than one block of them
+    for candidates in ([25], range(1, 71)):
+        rows.update(world=0, model=0)
+        evaluate_switch(world, model, law, u0, None, candidates, 1.0, desired)
+        assert rows == {"world": 2 * len(candidates), "model": 1 + len(candidates)}
 
 
-def test_candidate_must_be_positive(second_order_pair):
+def test_candidate_must_be_positive(second_order_pair, monkeypatch):
+    # the first invalid candidate raises, before any numerical work
     world, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
-    with pytest.raises(InvalidParameterError):
-        evaluate_switch(world, model, law, u0, None, 0, 1.0, desired)
+
+    def refuse(*args):
+        raise AssertionError("numerical work before the candidates were checked")
+
+    for name in ("_check_run_inputs", "_measure", "_convergent_operator"):
+        monkeypatch.setattr(switching, name, refuse)
+    for bad in (0, 1.5, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match=f"candidate_n .*got {bad!r}"):
+            evaluate_switch(
+                world, model, law, u0, None, [5, bad, -1, 2.5], 1.0, desired
+            )
+
+
+def test_reports_follow_the_candidates_in_the_order_given(second_order_pair):
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw("norm_optimal", 1.0)
+    reports = evaluate_switch(world, model, law, u0, None, (50, 1, 50), 1.0, desired)
+    assert [r.candidate_n for r in reports] == [50, 1, 50]
+    assert reports[0] == reports[2]
+    assert reports[1] != reports[0]
+    assert evaluate_switch(world, model, law, u0, None, [], 1.0, desired) == []
+
+
+@pytest.mark.parametrize("kind", ["p_transpose", "partial_isometry", "norm_optimal"])
+def test_candidates_beyond_one_block_match_single_evaluations(second_order_pair, kind):
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw(kind, 1.0)
+    candidates = range(1, 151)
+    assert len(candidates) > 2 * switching._BLOCK
+    reports = evaluate_switch(world, model, law, u0, None, candidates, 1.0, desired)
+    fields = ("r_model_n", "r_model_n1", "r_world_n", "r_world_n1")
+    for n, report in zip(candidates, reports):
+        [single] = evaluate_switch(world, model, law, u0, None, [n], 1.0, desired)
+        assert report.candidate_n == single.candidate_n == n
+        for name in fields:
+            assert getattr(report, name) == pytest.approx(
+                getattr(single, name), rel=1e-13
+            )
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -99,11 +149,11 @@ def test_advisor_rejects_a_non_finite_input_or_target(second_order_pair, target,
         desired = poisoned(desired, value)
     law = LearningLaw("p_transpose", 1.0)
     with pytest.raises(InvalidParameterError, match=f"{target} holds non-finite"):
-        evaluate_switch(world, model, law, u0, None, 10, 1.0, desired)
+        evaluate_switch(world, model, law, u0, None, [10], 1.0, desired)
 
 
 def test_extreme_slope_factor_blocks_the_switch(second_order_pair):
     world, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
-    report = evaluate_switch(world, model, law, u0, None, 50, 1e9, desired)
+    [report] = evaluate_switch(world, model, law, u0, None, [50], 1e9, desired)
     assert not report.recommend_switch
