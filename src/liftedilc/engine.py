@@ -30,14 +30,24 @@ together with the products derived from it for each law, so every
 fast-forward, run and switch evaluation on one model shares it, and it is
 freed with the model.
 
-`run_iterations` is the explicit counterpart: it applies every input to the
-plant and records the full history. Every learning update u + L e, in the
-explicit runs, the world phase of a hybrid run and the switch advisor alike,
-goes through the same cached factorization as two matrix-vector products,
-or two matrix products for the advisor's candidates taken as rows; the
-dense gain built in `laws` is only the independent reference. A run
-returns its list of IterationRecords; a hybrid run switches where the phase
-turns to "world".
+The closed form is used only where it pays. A model phase of at most N // 4
+iterations (`run_iterations` in the model phase, `run_hybrid`'s model_count,
+the advisor's largest candidate) with p_transpose or norm_optimal builds no
+spectrum: its updates are applied directly, u + phi P^T e or u + L e with
+the norm_optimal gain L = P^T (phi I + P P^T)^-1 solved once per model and
+law, its model states come from the explicit loop, and a Cholesky
+certificate stands in for the rho < 1 pre-flight. Where that certificate
+fails, the call takes the spectral path. partial_isometry, `fast_forward`
+and longer model phases always take the closed form.
+
+`run_iterations` is the explicit counterpart of the fast-forward: it
+applies every input to the plant and records the full history. Each
+learning update u + L e goes through the operator the call chose, the
+cached factorization (two matrix-vector products, or two matrix products
+for the advisor's candidates taken as rows) or the direct law; a world
+phase on its own always uses the factorization. The dense gain built in
+`laws` is only the independent reference. A run returns its list of
+IterationRecords; a hybrid run switches where the phase turns to "world".
 """
 
 import math
@@ -118,6 +128,33 @@ def _record(iteration, phase, u, e):
 # N = 1000) and keeps the fast-forward well inside the 1e-9 it is tested to.
 _ISOMETRY_TOLERANCE = 3e-10
 
+_EPS = np.finfo(float).eps
+
+# A call whose largest model-iteration count is at most N // _DENSE_DIVISOR
+# applies p_transpose and norm_optimal directly instead of building the
+# spectrum. At N = 400 and 1000 a dense update loop overtook eigh(P P^T)
+# plus the closed form between 0.4 N and 0.7 N iterations.
+_DENSE_DIVISOR = 4
+
+# The dense path's rho < 1 pre-flight, without the spectrum: a Cholesky
+# factorization of P P^T - shift I that succeeds shows that sigma_min^2
+# exceeds shift, less the rounding of forming and factorizing P P^T, which
+# is about N eps ||P||_1 ||P||_inf (at least N eps sigma_max^2). The eigh
+# that the spectral pre-flight reads is off by the same order. So with
+#
+#     shift = N^2 eps ||P||_1 ||P||_inf + floor
+#
+# every sigma^2 that eigh would return exceeds the floor, and the floor keeps
+# lambda below 1 after rounding: 1 - phi sigma^2 when phi sigma^2 >= 1e3 eps
+# (p_transpose, floor 1e3 eps / phi), phi / (phi + sigma^2) when
+# sigma^2 >= 1e3 eps phi (norm_optimal, floor 1e3 eps phi). A shift scaled
+# by ||P|| alone is not sound: a 6 x 4 P with sigma^2 down to 4e-17 and
+# phi = 0.325 passed it while its p_transpose eigenvalue rounded to exactly
+# 1. p_transpose also needs lambda > -1: sigma_max^2 <= ||P||_1 ||P||_inf,
+# so phi (||P||_1 ||P||_inf + shift) < 2 keeps phi sigma^2 below 2, eigh's
+# error included. Where a test fails, the spectrum decides.
+_DENSE_FLOOR = 1e3 * _EPS
+
 
 class _Factorization:
     """Factorizations of one model's lifted matrix P, each computed on first use.
@@ -126,12 +163,14 @@ class _Factorization:
     (U, sigma, V) for partial_isometry and norm_optimal: built from gram,
     under the certificate max|V^T V - I| <= _ISOMETRY_TOLERANCE, and from the
     thin SVD of P only when that certificate fails or sigma has a zero.
-    `laws` holds one _LawOperator per (law kind, gain).
+    `laws` holds one _LawOperator per (law kind, gain), `dense` one _DenseLaw
+    per (law kind, gain), or None where its certificate failed.
     """
 
     def __init__(self, p_matrix):
         self.p_matrix = p_matrix
         self.laws = {}
+        self.dense = {}
 
     @cached_property
     def gram(self):
@@ -142,7 +181,10 @@ class _Factorization:
     @cached_property
     def isometry(self):
         u, sigma2 = self.gram
-        if sigma2.size and sigma2[0] > 0.0:  # eigh sorts ascending
+        # eigh sorts ascending. Where sigma_min^2 <= eps sigma_max^2
+        # (cond(P)^2 eps >= 1), V^T V - I has entries of order 1 or more and
+        # the certificate cannot pass: take the SVD without forming V
+        if sigma2.size and sigma2[0] > _EPS * sigma2[-1]:
             sigma = np.sqrt(sigma2)
             # a tiny sigma can overflow V; the certificate then rejects it
             with np.errstate(over="ignore", invalid="ignore"):
@@ -183,12 +225,18 @@ class _LawOperator:
     has_negative: bool
 
 
+def _new_entry(model):
+    """An empty _Factorization, stored on the model."""
+    entry = _Factorization(model.p_matrix)
+    object.__setattr__(model, "_factorization", entry)
+    return entry
+
+
 def _operator(model, law):
     """The cached _LawOperator of (model, law), built on first use."""
     entry = model._factorization
     if entry is None:
-        entry = _Factorization(model.p_matrix)
-        object.__setattr__(model, "_factorization", entry)
+        entry = _new_entry(model)
     # keyed by value: hashing the tuple is cheaper than the dataclass hash
     law_key = (law.kind, law.gain)
     op = entry.laws.get(law_key)
@@ -246,6 +294,76 @@ def _build_operator(entry, law):
         odd_offset=1.0 - sign,
         has_negative=bool(np.any(lam < 0.0)),
     )
+
+
+@dataclass(eq=False)
+class _DenseLaw:
+    """p_transpose or norm_optimal applied directly: L e = scale * gain_t^T e.
+
+    gain_t is P itself with scale phi for p_transpose, and
+    (phi I + P P^T)^-1 P with scale 1 for norm_optimal, whose gain
+    (phi I + P^T P)^-1 P^T equals P^T (phi I + P P^T)^-1.
+    """
+
+    p_matrix: np.ndarray
+    gain_t: np.ndarray
+    scale: float
+
+
+def _dense_law(model, law):
+    """The cached _DenseLaw of (model, law), or None if it is not certified."""
+    entry = model._factorization or _new_entry(model)
+    law_key = (law.kind, law.gain)
+    if law_key not in entry.dense:
+        entry.dense[law_key] = _build_dense_law(entry.p_matrix, law)
+    return entry.dense[law_key]
+
+
+def _build_dense_law(p, law):
+    """The _DenseLaw of p_transpose or norm_optimal on P, or None.
+
+    None when the rho < 1 certificate described at _DENSE_FLOOR fails.
+    """
+    phi = law.gain
+    transpose = law.kind == "p_transpose"
+    # a huge P overflows the norms; the certificate then fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = np.abs(p)
+        norm_product = magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max()
+        del magnitude  # an N x N temporary, freed before P P^T is formed
+        shift = (p.shape[1] ** 2 * _EPS * norm_product
+                 + _DENSE_FLOOR * (1.0 / phi if transpose else phi))
+        # written so that a NaN or inf fails the tests too
+        if not shift < np.inf:
+            return None
+        if transpose and not phi * (norm_product + shift) < 2.0:
+            return None
+        gram = p @ p.T
+    diagonal = gram.diagonal().copy()
+    on_diagonal = np.diag_indices_from(gram)
+    gram[on_diagonal] = diagonal - shift
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if transpose:
+        return _DenseLaw(p, p, phi)
+    gram[on_diagonal] = diagonal + phi
+    return _DenseLaw(p, np.linalg.solve(gram, p), 1.0)
+
+
+def _model_operator(model, law, largest):
+    """The law's operator for a model phase of at most `largest` iterations.
+
+    Runs the rho < 1 pre-flight: a _DenseLaw where the law is applied
+    directly and its certificate holds, else the cached _LawOperator, whose
+    spectrum refuses a divergent law with DivergenceError.
+    """
+    if law.kind != "partial_isometry" and largest <= model.horizon // _DENSE_DIVISOR:
+        dense = _dense_law(model, law)
+        if dense is not None:
+            return dense
+    return _convergent_operator(model, law)
 
 
 def fast_forward(model, law, u0, e0, n):
@@ -334,8 +452,11 @@ def _model_phase(op, u0v, e0v, counts):
     as rows, R out_map^T holds every [u_n - u_0; e_n - e_0] from one matrix
     product instead of one fast-forward per n. A hybrid run passes
     range(model_count), the switch advisor its candidates. A row with n = 0
-    is exactly u_0 and e_0, also where lambda is 0.
+    is exactly u_0 and e_0, also where lambda is 0. A _DenseLaw takes its
+    rows from the explicit loop instead.
     """
+    if isinstance(op, _DenseLaw):
+        return _dense_model_phase(op, u0v, e0v, counts)
     n = np.asarray(counts, dtype=int).reshape(-1, 1)
     moved = n[:, 0] > 0
     n_moved = n[moved]
@@ -351,19 +472,46 @@ def _model_phase(op, u0v, e0v, counts):
     return out[:, : u0v.size], out[:, u0v.size :]
 
 
-def _learn(model, law, u, e):
-    """One learning update u + L e, with L applied through the factorization.
+def _dense_model_phase(op, u0v, e0v, counts):
+    """_model_phase by max(counts) explicit updates, keeping the rows asked for.
 
-    Fetches the operator without the convergence check: a world phase runs
-    whatever the model spectrum, and fails only when its error overflows.
+    Each update is u <- u + L e, and the model error of u is
+    e_0 - P (u - u_0).
     """
-    op = _operator(model, law)
-    step = np.dot(op.lu_neg, op.lam_minus_one * np.dot(op.ut, e.values))
+    n = np.asarray(counts, dtype=int)
+    inputs = np.empty((n.size, u0v.size))
+    errors = np.empty((n.size, e0v.size))
+    moved = np.zeros_like(u0v)  # u - u_0
+    e = e0v
+    done = 0
+    for row in np.argsort(n, kind="stable"):
+        for _ in range(done, n[row]):
+            moved += op.scale * np.dot(e, op.gain_t)
+            e = e0v - np.dot(op.p_matrix, moved)
+        done = max(done, n[row])
+        np.add(u0v, moved, out=inputs[row])
+        errors[row] = e
+    return inputs, errors
+
+
+def _learn(op, u, e):
+    """One learning update u + L e through the law's operator.
+
+    The operator is a _DenseLaw or a cached _LawOperator; a world phase
+    fetches the latter without the convergence check, so it runs whatever
+    the model spectrum and fails only when its error overflows.
+    """
+    if isinstance(op, _DenseLaw):
+        step = op.scale * np.dot(e.values, op.gain_t)
+    else:
+        step = np.dot(op.lu_neg, op.lam_minus_one * np.dot(op.ut, e.values))
     return Trajectory(u.values + step)
 
 
 def _learn_rows(op, errors):
     """The learning steps L e of many errors at once, one row per error row."""
+    if isinstance(op, _DenseLaw):
+        return op.scale * (errors @ op.gain_t)
     return ((errors @ op.ut.T) * op.lam_minus_one) @ op.lu_neg.T
 
 
@@ -403,11 +551,11 @@ def _measure_rows(applied, inputs, x0, desired):
     return desired.values - y
 
 
-def _run_loop(applied, model, law, u, x0, desired, count, phase, first=0):
+def _run_loop(applied, op, u, x0, desired, count, phase, first=0):
     """Apply, measure, record and update, `count` times: count + 1 records.
 
-    Each input goes to `applied` and each update is the model's law; record
-    indices start at `first`.
+    Each input goes to `applied` and each update is the model law's
+    operator `op`; record indices start at `first`.
     """
     records = []
     # a diverging run overflows; _record reports it as a DivergenceError
@@ -416,18 +564,19 @@ def _run_loop(applied, model, law, u, x0, desired, count, phase, first=0):
             e = _measure(applied, u, x0, desired)
             records.append(_record(first + j, phase, u, e))
             if j < count:
-                u = _learn(model, law, u, e)
+                u = _learn(op, u, e)
     return records
 
 
 def run_iterations(world, model, law, u0, x0, count, phase, desired):
     """Explicit learning run: apply, measure, update, `count` times.
 
-    Every update is the model's law, applied through the model's cached
-    factorization; the dense gain is never formed. In the model phase every
-    input is applied to the model itself; in the world phase each update is
-    applied to the world plant and the true error is measured. Record 0 is
-    the initial run with u0, so the history holds count + 1 records.
+    Every update is the model's law: applied directly in a model phase of
+    at most N // 4 iterations with p_transpose or norm_optimal, else through
+    the model's cached factorization. In the model phase every input is
+    applied to the model itself; in the world phase each update is applied
+    to the world plant and the true error is measured. Record 0 is the
+    initial run with u0, so the history holds count + 1 records.
 
     Parameters
     ----------
@@ -461,15 +610,18 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
     applied = model if phase == "model" else world
     _check_run_inputs(applied, model, u0, desired)
     if phase == "model":
-        _convergent_operator(model, law)
-    return _run_loop(applied, model, law, u0, x0, desired, count, phase)
+        op = _model_operator(model, law, count)
+    else:
+        op = _operator(model, law)
+    return _run_loop(applied, op, u0, x0, desired, count, phase)
 
 
 def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     """Model iterations fast-forwarded, then a switch to world iterations.
 
     Produces model_count model-phase records (indices 0..model_count-1,
-    computed in one batched pass of the fast-forward formulas), then applies
+    computed in one batched pass of the fast-forward formulas, or by the
+    explicit loop where model_count is at most N // 4), then applies
     the final model-phase input u_{M,model_count} to the world as the first
     world record, then runs world_count learning iterations against the
     world: the switch is record model_count, where the phase turns to
@@ -490,18 +642,24 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     model_count = _integer("model_count", model_count, 0)
     world_count = _integer("world_count", world_count, 0)
     _check_run_inputs(world, model, u0, desired)
-    op = _convergent_operator(model, law)
+    op = _model_operator(model, law, model_count)
     e0 = _measure(model, u0, x0, desired)
+    # the explicit loop reaches the switch input on its way; the closed form
+    # jumps there with fast_forward
+    dense = isinstance(op, _DenseLaw)
     records = []
-    if model_count:
+    if model_count or dense:
         inputs, errors = _model_phase(
-            op, u0.values, e0.values, range(model_count)
+            op, u0.values, e0.values, range(model_count + 1 if dense else model_count)
         )
         for j in range(model_count):
             u_j, e_j = _wrap_trajectory(inputs[j]), _wrap_trajectory(errors[j])
             records.append(_record(j, "model", u_j, e_j))
-    u, _ = fast_forward(model, law, u0, e0, model_count)
+    if dense:
+        u = _wrap_trajectory(inputs[model_count])
+    else:
+        u, _ = fast_forward(model, law, u0, e0, model_count)
     records += _run_loop(
-        world, model, law, u, x0, desired, world_count, "world", model_count
+        world, op, u, x0, desired, world_count, "world", model_count
     )
     return records

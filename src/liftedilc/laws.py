@@ -4,8 +4,9 @@ Each law turns the model's lifted matrix into a gain L applied as
 u_{j+1} = u_j + L e_j. All three make I - P L symmetric when P is the model
 itself, diagonal in the left singular vectors of P, which is what allows the
 iteration engine to fast-forward the model phase from one factorization of
-P. The engine applies every law through that factorization; the dense gain
-built here is only the independent reference for it.
+P. The engine applies every law through that factorization, or directly in
+a short model phase; the dense gain built here is only the independent
+reference for it.
 """
 
 from dataclasses import dataclass

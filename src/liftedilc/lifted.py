@@ -32,7 +32,7 @@ from .errors import (
     RankDeficiencyError,
     _integer,
 )
-from .lti import _markov_parameters
+from .lti import _output_powers
 
 __all__ = ["Trajectory", "LiftedSystem", "build_lifted", "delete_rows",
            "lifted_output", "pseudo_inverse_input"]
@@ -82,11 +82,11 @@ def _wrap_trajectory(values):
 class LiftedSystem:
     """Lifted input-output model over a fixed horizon: y = P u + Abar x0.
 
-    Both matrices are taken as float arrays and marked read-only, so the
-    factorization the engine caches on first use stays that of P; a view of
-    an array that can still be written is copied first. The shape
-    of P is the whole layout: an input Trajectory covers steps 0..N-1 and an
-    output steps 1 + d..N.
+    Both matrices are copied as float arrays and marked read-only, so the
+    factorizations the engine caches on first use stay those of P: an array
+    the caller still holds could be made writable again. The shape of P is
+    the whole layout: an input Trajectory covers steps 0..N-1 and an output
+    steps 1 + d..N.
 
     Attributes
     ----------
@@ -113,33 +113,8 @@ class LiftedSystem:
     _factorization: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.p_matrix, dtype=float)
-        abar = np.asarray(self.abar_matrix, dtype=float)
-        if p.ndim != 2 or abar.ndim != 2:
-            raise DimensionError(
-                f"p_matrix and abar_matrix must be 2-D, got {p.ndim}-D and "
-                f"{abar.ndim}-D"
-            )
-        rows, cols = p.shape
-        if cols == 0:
-            raise EmptyHorizonError("p_matrix has no columns: the horizon is 0")
-        if rows == 0:
-            raise DegenerateDeletionError("p_matrix has no rows")
-        if rows > cols or abar.shape[0] != rows:
-            raise DimensionError(
-                f"p_matrix is {rows}x{cols} and abar_matrix has "
-                f"{abar.shape[0]} rows; need rows <= columns and equal row counts"
-            )
-        for name, array in (("p_matrix", p), ("abar_matrix", abar)):
-            # a view whose values another array or buffer can still write
-            # gets its own copy; a view of read-only arrays is shared
-            base = array.base
-            while isinstance(base, np.ndarray) and not base.flags.writeable:
-                base = base.base
-            if base is not None:
-                array = array.copy()
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        _freeze(self, np.array(self.p_matrix, dtype=float),
+                np.array(self.abar_matrix, dtype=float))
 
     @property
     def horizon(self):
@@ -157,6 +132,39 @@ class LiftedSystem:
         return self.horizon - self.row_count
 
 
+def _freeze(ls, p, abar):
+    """Check the shapes of P and Abar and store them read-only on `ls`."""
+    if p.ndim != 2 or abar.ndim != 2:
+        raise DimensionError(
+            f"p_matrix and abar_matrix must be 2-D, got {p.ndim}-D and "
+            f"{abar.ndim}-D"
+        )
+    rows, cols = p.shape
+    if cols == 0:
+        raise EmptyHorizonError("p_matrix has no columns: the horizon is 0")
+    if rows == 0:
+        raise DegenerateDeletionError("p_matrix has no rows")
+    if rows > cols or abar.shape[0] != rows:
+        raise DimensionError(
+            f"p_matrix is {rows}x{cols} and abar_matrix has "
+            f"{abar.shape[0]} rows; need rows <= columns and equal row counts"
+        )
+    for name, array in (("p_matrix", p), ("abar_matrix", abar)):
+        array.flags.writeable = False
+        object.__setattr__(ls, name, array)
+
+
+def _hand_over(p, abar):
+    """A LiftedSystem that takes P and Abar without copying them.
+
+    For float arrays no caller holds: fresh ones, or views of another
+    system's read-only matrices. Skips the constructor's N x N copy.
+    """
+    ls = object.__new__(LiftedSystem)
+    _freeze(ls, p, abar)
+    return ls
+
+
 def build_lifted(dss, horizon):
     """Assemble the full (undeleted) lifted system over `horizon` steps.
 
@@ -171,17 +179,15 @@ def build_lifted(dss, horizon):
     LiftedSystem
     """
     n = _integer("horizon", horizon, 1, EmptyHorizonError)
-    mk = _markov_parameters(dss, n)
+    # C Ad^k for k = 0..n: Markov parameter k is row k times Bd, row k + 1
+    # of Abar is row k + 1 itself
+    powers = _output_powers(dss, n + 1)
+    mk = powers[:n] @ dss.bd_vector[:, 0]
     # row i of P is mk[i], ..., mk[0] followed by zeros: reversed windows of
     # n - 1 zeros followed by mk
     padded = np.concatenate((np.zeros(n - 1), mk))
     p = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1].copy()
-    abar = np.empty((n, dss.order))
-    row = dss.c_vector[0] @ dss.ad_matrix
-    for k in range(n):
-        abar[k] = row
-        row = row @ dss.ad_matrix
-    return LiftedSystem(p, abar)
+    return _hand_over(p, powers[1:].copy())
 
 
 def delete_rows(ls, d):
@@ -200,7 +206,7 @@ def delete_rows(ls, d):
             f"cannot delete {d} rows from a {ls.horizon}-step system"
         )
     # both matrices are read-only, so the shorter system can share their rows
-    return LiftedSystem(ls.p_matrix[d:], ls.abar_matrix[d:])
+    return _hand_over(ls.p_matrix[d:], ls.abar_matrix[d:])
 
 
 def _free_response(ls, initial_state):

@@ -448,13 +448,21 @@ def sampled_zeros(dss):
     return sorted(zeros, key=lambda z: (z.real, z.imag))
 
 
+def _output_powers(dss, count):
+    """Rows C Ad^k, k = 0..count-1, built by doubling.
+
+    From the rows for k < m and Ad^m, the rows for m <= k < 2m are one
+    product: log2(count) matrix products instead of count vector products.
+    """
+    rows = dss.c_vector
+    power = dss.ad_matrix
+    while rows.shape[0] < count:
+        rows = np.vstack((rows, rows @ power))
+        if rows.shape[0] < count:
+            power = power @ power
+    return rows[:count]
+
+
 def _markov_parameters(dss, count):
     """First `count` impulse-response samples C Ad^k Bd, k = 0..count-1."""
-    out = np.empty(count)
-    v = dss.bd_vector[:, 0].copy()
-    c = dss.c_vector[0]
-    ad = dss.ad_matrix
-    for i in range(count):
-        out[i] = c @ v
-        v = ad @ v
-    return out
+    return _output_powers(dss, count) @ dss.bd_vector[:, 0]

@@ -8,9 +8,10 @@ learning faster than the model predicts. Each candidate consumes two world
 applications, which is the entire cost of asking.
 
 All candidates are evaluated in one pass: the model states at every
-candidate come from one matrix product of the closed form, and each later
-step (model update, world application, world update) is one matrix product
-with the candidates as rows.
+candidate come from one matrix product of the closed form (or, when the
+largest candidate is at most N // 4, from one explicit update loop), and
+each later step (model update, world application, world update) is one
+matrix product with the candidates as rows.
 """
 
 from dataclasses import dataclass
@@ -19,10 +20,10 @@ import numpy as np
 
 from .engine import (
     _check_run_inputs,
-    _convergent_operator,
     _learn_rows,
     _measure,
     _measure_rows,
+    _model_operator,
     _model_phase,
     fast_forward,  # unused here; bench/tests/test_tracer.py traces this binding
     rms,
@@ -61,11 +62,12 @@ class SwitchReport:
 def evaluate_switch(world, model, law, u0, x0, candidates, slope_factor, desired):
     """Assess switching from model to world iterations at each candidate.
 
-    For every candidate n, fast-forwards the model phase to n (no
-    iterating), takes one explicit model iteration for the model slope,
-    applies the candidate input to the world once for the jump, and runs one
-    world learning iteration for the world slope: two world applications per
-    candidate.
+    For every candidate n, takes the model phase to n (fast-forwarded, or
+    iterated with p_transpose and norm_optimal when no candidate exceeds
+    N // 4; see engine), takes one explicit model iteration for the model
+    slope, applies the candidate input to the world once for the jump, and
+    runs one world learning iteration for the world slope: two world
+    applications per candidate.
 
     Parameters
     ----------
@@ -99,7 +101,7 @@ def evaluate_switch(world, model, law, u0, x0, candidates, slope_factor, desired
     if not counts:
         return []
     e0 = _measure(model, u0, x0, desired)
-    op = _convergent_operator(model, law)
+    op = _model_operator(model, law, max(counts))
     if not np.isfinite(e0.values).all():
         raise InvalidParameterError("e0 holds non-finite values")
     reports = []

@@ -27,18 +27,23 @@ def third_order_pair():
 
 @pytest.fixture
 def factorization_calls(monkeypatch):
-    """Names of the eigh, svd and dense-gain solve calls made while the test runs.
+    """Names of the eigh, svd, cholesky and gain solve calls made while the test runs.
 
-    Only solves called from `liftedilc.laws` count: the Pade exponential in
-    `lti` also solves, but only the first time a plant is sampled in the
-    process, so counting it would make the result depend on test order.
+    Only solves called from `liftedilc.laws` (the dense reference gain) and
+    `liftedilc.engine` (the norm_optimal gain of the dense path) count: the
+    Pade exponential in `lti` also solves, but only the first time a plant
+    is sampled in the process, so counting it would make the result depend
+    on test order.
     """
     calls = []
-    for name, caller in (("eigh", None), ("svd", None), ("solve", "liftedilc.laws")):
+    gain_solvers = ("liftedilc.laws", "liftedilc.engine")
+    for name, callers in (("eigh", None), ("svd", None), ("cholesky", None),
+                          ("solve", gain_solvers)):
         real = getattr(np.linalg, name)
 
-        def counting(*args, _real=real, _name=name, _caller=caller, **kwargs):
-            if _caller in (None, sys._getframe(1).f_globals.get("__name__")):
+        def counting(*args, _real=real, _name=name, _callers=callers, **kwargs):
+            if (_callers is None
+                    or sys._getframe(1).f_globals.get("__name__") in _callers):
                 calls.append(_name)
             return _real(*args, **kwargs)
 

@@ -31,6 +31,7 @@ from liftedilc import (
     iteration_matrix,
     lifted_output,
     load_preset,
+    run_experiment,
     run_hybrid,
     run_iterations,
 )
@@ -112,8 +113,9 @@ def test_one_factorization_serves_a_run_and_twenty_switch_evaluations(
     world, model, u0, desired = second_order_pair
     model = _fresh(model)
     law = LearningLaw(kind, 1.0)
+    # every count above N // 4 = 25, so every call takes the closed form
     run_hybrid(world, model, law, u0, None, 50, 10, desired)
-    evaluate_switch(world, model, law, u0, None, range(1, 21), 1.0, desired)
+    evaluate_switch(world, model, law, u0, None, range(26, 46), 1.0, desired)
     assert factorization_calls == ["eigh"]
 
 
@@ -125,7 +127,7 @@ def test_one_factorization_serves_all_three_laws(
     for kind in LAW_KINDS:
         law = LearningLaw(kind, 1.0)
         run_hybrid(world, model, law, u0, None, 50, 10, desired)
-        evaluate_switch(world, model, law, u0, None, [25], 1.0, desired)
+        evaluate_switch(world, model, law, u0, None, [30], 1.0, desired)
     assert factorization_calls == ["eigh"]
 
 
@@ -143,7 +145,7 @@ def test_eigh_built_isometry_update_matches_the_dense_svd_gain(
     for values in (desired.values - model.p_matrix @ u0.values,
                    rng.standard_normal(model.row_count)):
         e = Trajectory(values)
-        step = engine._learn(model, law, u0, e).values - u0.values
+        step = engine._learn(engine._operator(model, law), u0, e).values - u0.values
         expected = l_matrix @ values
         assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
     assert factorization_calls == ["eigh"]
@@ -184,6 +186,230 @@ def test_factorization_is_freed_with_its_model(second_order_pair):
     gc.collect()
     assert model_ref() is None
     assert entry_ref() is None
+
+
+# -------------------------------------------------------------- the dense path
+
+
+def _random_wide_matrix(rng):
+    """A P of at most 12 x 16 with controlled singular values: largest from
+    1e-9 to 1e4, condition number up to 1e12."""
+    rows = int(rng.integers(1, 13))
+    cols = rows + int(rng.integers(0, 5))
+    left, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    right, _ = np.linalg.qr(rng.standard_normal((cols, rows)))
+    log_cond = rng.uniform(0.0, 12.0)
+    exponents = rng.uniform(-9.0, 4.0) - np.sort(rng.uniform(0.0, log_cond, rows))
+    return (left * 10.0**exponents) @ right.T
+
+
+def _spectral_preflight_passes(p, law):
+    op = engine._build_operator(engine._Factorization(p), law)
+    return op.spectral_radius < 1.0
+
+
+def test_the_dense_certificate_implies_the_spectral_preflight():
+    # the 1e3 eps floor matters: these draws hold thousands of models that a
+    # shift scaled by ||P|| alone passes while their eigenvalue rounds to 1
+    rng = np.random.default_rng(17)
+    certified = 0
+    for _ in range(1500):
+        p = _random_wide_matrix(rng)
+        sigma_max2 = np.linalg.norm(p, 2) ** 2
+        for law in (
+            LearningLaw("p_transpose", rng.uniform(0.05, 2.5) / sigma_max2),
+            LearningLaw("norm_optimal", 10.0 ** rng.uniform(-20.0, 5.0)),
+        ):
+            if engine._build_dense_law(p, law) is not None:
+                certified += 1
+                assert _spectral_preflight_passes(p, law), (p, law)
+    assert certified > 1000
+
+
+def test_the_dense_certificate_refuses_an_eigenvalue_that_rounds_to_one():
+    # sigma^2 from 4.4e-7 down to 3.7e-17: 1 - phi sigma_min^2 is exactly 1
+    rng = np.random.default_rng(2)
+    left, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    right, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+    sigma = np.sqrt([4.4e-7, 1e-9, 1e-13, 3.7e-17])
+    p = (left * sigma) @ right.T
+    law = LearningLaw("p_transpose", 0.325)
+    assert not _spectral_preflight_passes(p, law)
+    assert engine._build_dense_law(p, law) is None
+
+
+@pytest.mark.parametrize("horizon", [100, 400, 1000])
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_the_dense_certificate_accepts_both_presets(preset, horizon):
+    config = dataclasses.replace(load_preset(preset), horizon=horizon)
+    world, model = build_lifted_pair(config)
+    for kind in ("p_transpose", "norm_optimal"):
+        assert engine._build_dense_law(model.p_matrix, LearningLaw(kind, 1.0))
+
+
+@pytest.mark.parametrize("kind", ["p_transpose", "norm_optimal"])
+def test_a_refused_certificate_raises_the_spectral_divergence_text(
+    kind, factorization_calls
+):
+    # without its deleted row the third-order model has an eigenvalue that
+    # rounds to 1: the certificate fails and the spectrum refuses the law
+    config = dataclasses.replace(
+        load_preset("third_order"), horizon=400, deleted_rows=0
+    )
+    world, model, u0, desired = build_experiment(config)
+    law = LearningLaw(kind, 1.0)
+    factorization_calls.clear()
+    with pytest.raises(DivergenceError) as dense_side:
+        evaluate_switch(world, model, law, u0, None, [5], 1.0, desired)
+    assert factorization_calls[:2] == ["cholesky", "eigh"]
+    with pytest.raises(DivergenceError) as spectral_side:
+        evaluate_switch(world, _fresh(model), law, u0, None, [200], 1.0, desired)
+    assert str(dense_side.value) == str(spectral_side.value)
+    assert "outside (-1, 1)" in str(dense_side.value)
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_short_calls_build_no_spectrum(second_order_pair, factorization_calls, kind):
+    # every count at most N // 4 = 25: p_transpose and norm_optimal run on
+    # one certificate (and norm_optimal's one gain solve), partial_isometry
+    # on the spectrum
+    world, model, u0, desired = second_order_pair
+    model = _fresh(model)
+    law = LearningLaw(kind, 1.0)
+    run_iterations(world, model, law, u0, None, 25, "model", desired)
+    run_hybrid(world, model, law, u0, None, 20, 10, desired)
+    evaluate_switch(world, model, law, u0, None, range(1, 21), 1.0, desired)
+    assert factorization_calls == {
+        "p_transpose": ["cholesky"],
+        "partial_isometry": ["eigh"],
+        "norm_optimal": ["cholesky", "solve"],
+    }[kind]
+
+
+def test_check_10_loop_and_a_preset_run_take_the_closed_form(
+    tmp_path, factorization_calls
+):
+    config = load_preset("second_order")
+    world, model, u0, desired = build_experiment(config)
+    law = LearningLaw("p_transpose", 1.0)
+    factorization_calls.clear()
+    run_iterations(world, model, law, u0, None, 100, "model", desired)
+    assert factorization_calls == ["eigh"]
+    assert model._factorization.dense == {}
+    for preset in ("second_order", "third_order"):
+        factorization_calls.clear()
+        run_experiment(dataclasses.replace(
+            load_preset(preset), csv_path=str(tmp_path / f"{preset}.csv"),
+            plot_path=None,
+        ))
+        assert factorization_calls == ["eigh"]
+
+
+def _dense_and_spectral(monkeypatch, call):
+    """call() with every count on the dense side, then on the closed form."""
+    results = []
+    for divisor in (1, 10**9):  # N // 1 = N; N // 10^9 = 0
+        monkeypatch.setattr(engine, "_DENSE_DIVISOR", divisor)
+        results.append(call())
+    return results
+
+
+def _assert_close(got, want, rtol):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("horizon", [100, 400])
+@pytest.mark.parametrize("kind", ["p_transpose", "norm_optimal"])
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_dense_and_closed_form_paths_agree(preset, kind, horizon, monkeypatch):
+    config = dataclasses.replace(load_preset(preset), horizon=horizon)
+    world, model, u0, desired = build_experiment(config)
+    law = LearningLaw(kind, 1.0)
+    candidates = (1, 2, 7, 20, 25)
+
+    def call():
+        fresh = _fresh(model)
+        return (
+            run_iterations(world, fresh, law, u0, None, 25, "model", desired),
+            run_hybrid(world, fresh, law, u0, None, 25, 10, desired),
+            evaluate_switch(world, fresh, law, u0, None, candidates, 1.0, desired),
+            fresh._factorization,
+        )
+
+    dense, spectral = _dense_and_spectral(monkeypatch, call)
+    assert dense[3].laws == {} and spectral[3].dense == {}
+    for got_run, want_run in zip(dense[:2], spectral[:2]):
+        assert [(r.iteration, r.phase) for r in got_run] == [
+            (r.iteration, r.phase) for r in want_run
+        ]
+        for got, want in zip(got_run, want_run):
+            _assert_close(got.input.values, want.input.values, 1e-12)
+            _assert_close(got.error.values, want.error.values, 1e-12)
+            assert got.rms == pytest.approx(want.rms, rel=1e-12)
+    for got, want in zip(dense[2], spectral[2]):
+        assert got.candidate_n == want.candidate_n
+        assert got.recommend_switch == want.recommend_switch
+        for name in ("r_model_n", "r_model_n1", "r_world_n", "r_world_n1"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+
+    # and the dense path against the dense gain's own loop
+    gain = build_gain(law, model).l_matrix
+    model_ref = explicit_iterates(model, gain, u0.values, desired.values, 25)
+    world_ref = explicit_iterates(world, gain, model_ref[25][0], desired.values, 10)
+    _assert_records_match(dense[1], model_ref[:25] + world_ref)
+
+
+@pytest.mark.parametrize("kind", ["p_transpose", "norm_optimal"])
+def test_a_call_does_not_depend_on_what_ran_before_on_the_model(
+    second_order_pair, kind
+):
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw(kind, 1.0)
+
+    def short_calls(m):
+        return (
+            run_hybrid(world, m, law, u0, None, 20, 10, desired),
+            evaluate_switch(world, m, law, u0, None, range(1, 21), 1.0, desired),
+        )
+
+    def long_calls(m):
+        return (
+            run_hybrid(world, m, law, u0, None, 60, 10, desired),
+            evaluate_switch(world, m, law, u0, None, [30, 60], 1.0, desired),
+        )
+
+    first, second = _fresh(model), _fresh(model)
+    short_first, long_after = short_calls(first), long_calls(first)
+    long_first, short_after = long_calls(second), short_calls(second)
+    for a, b in ((short_first, short_after), (long_first, long_after)):
+        for got, want in zip(a[0], b[0], strict=True):
+            assert np.array_equal(got.input.values, want.input.values)
+            assert np.array_equal(got.error.values, want.error.values)
+        assert a[1] == b[1]
+
+
+def test_the_isometry_skip_never_fires_where_the_certificate_would_pass():
+    # where eigh's sigma_min^2 <= eps sigma_max^2 the isometry goes to the
+    # SVD without the certificate; every draw the certificate accepts keeps
+    # eigh's U, and some that it refuses are skipped
+    rng = np.random.default_rng(11)
+    accepted = skipped = 0
+    for _ in range(600):
+        rows = int(rng.integers(2, 13))
+        left, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+        right, _ = np.linalg.qr(rng.standard_normal((rows + 2, rows)))
+        sigma = 10.0 ** -np.sort(rng.uniform(0.0, rng.uniform(2.0, 12.0), rows))
+        entry = engine._Factorization((left * sigma) @ right.T)
+        u, sigma2 = entry.gram
+        with np.errstate(all="ignore"):  # a zero sigma: V is not finite
+            v = entry.p_matrix.T @ u / np.sqrt(sigma2)
+            defect = np.max(np.abs(v.T @ v - np.eye(rows)))
+        if defect <= engine._ISOMETRY_TOLERANCE:
+            accepted += 1
+            assert entry.isometry[0] is u
+        elif sigma2[0] <= engine._EPS * sigma2[-1]:
+            skipped += 1
+    assert accepted > 100 and skipped > 50
 
 
 # ----------------------------------------------------------------- fast_forward
@@ -356,10 +582,17 @@ def test_run_hybrid_record_layout(second_order_pair):
     assert [r.phase for r in history] == ["model"] * 5 + ["world"] * 4
     assert [r.iteration for r in history] == list(range(9))
 
-    # the first world input is the fast-forwarded model result at n = 5
+    # the first world input is the model-phase input at n = 5: bit for bit
+    # record 5 of a hybrid run with one more model iteration, and the
+    # fast-forwarded result to rounding
+    longer = run_hybrid(world, model, law, u0, None, 6, 0, desired)
+    assert longer[5].phase == "model"
+    assert np.array_equal(history[5].input.values, longer[5].input.values)
     e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
     u5, _ = fast_forward(model, law, u0, e0, 5)
-    assert np.array_equal(history[5].input.values, u5.values)
+    assert np.max(np.abs(history[5].input.values - u5.values)) <= (
+        1e-12 * np.max(np.abs(u5.values))
+    )
 
     # and the world error there really comes from the world plant
     y5 = lifted_output(world, history[5].input)

@@ -303,8 +303,9 @@ def test_marker_variants_annotate_the_switch(tmp_path):
 def test_reproduce_figure_factorizes_the_model_once(
     tmp_path, factorization_calls, kind
 ):
-    # three curves plus the marker advisor share one factorization of P
-    reproduce_figure("fig2", kind, 10, str(tmp_path))
+    # three curves plus the marker advisor share one factorization of P;
+    # switching at 30 > N // 4 = 25 keeps every call on the closed form
+    reproduce_figure("fig2", kind, 30, str(tmp_path))
     assert factorization_calls == ["eigh"]
 
 

@@ -31,6 +31,7 @@ from liftedilc import (
 
 from liftedilc.config import _sampled_plant
 from liftedilc.lifted import PINV_RTOL
+from liftedilc.lti import _markov_parameters
 
 from conftest import SAMPLE_PERIOD, explicit_iterates, random_stable_lifted
 
@@ -54,9 +55,14 @@ def test_p_matrix_is_lower_triangular_toeplitz():
             assert ls.p_matrix[i, j] == pytest.approx(expected, abs=1e-15)
 
 
-def _assert_toeplitz_of_markov_parameters(dss, horizon):
+def _assert_toeplitz_of_markov_parameters(dss, horizon, rtol):
+    # P is bit for bit the Toeplitz matrix of the package's Markov
+    # parameters, which the powers by doubling put within rtol (relative to
+    # the largest) of the step-by-step loop
     ls = build_lifted(dss, horizon)
-    mk = np.array(markov(dss, horizon))
+    mk = _markov_parameters(dss, horizon)
+    loop = np.array(markov(dss, horizon))
+    assert np.max(np.abs(mk - loop)) <= rtol * np.max(np.abs(loop))
     first_row = np.zeros(horizon)
     first_row[0] = mk[0]
     assert np.array_equal(ls.p_matrix, scipy.linalg.toeplitz(mk, first_row))
@@ -73,13 +79,15 @@ def _preset_plant(kind, side):
 @pytest.mark.parametrize("kind", ["second_order", "third_order"])
 def test_p_matrix_is_bit_identical_to_scipy_toeplitz(kind, horizon):
     for side in ("world", "model"):
-        _assert_toeplitz_of_markov_parameters(_preset_plant(kind, side), horizon)
+        _assert_toeplitz_of_markov_parameters(
+            _preset_plant(kind, side), horizon, 1e-15
+        )
 
 
 @given(st.integers(0, 10_000))
 def test_p_matrix_of_random_plants_is_bit_identical_to_scipy_toeplitz(seed):
     ls, dss = random_stable_lifted(np.random.default_rng(seed))
-    _assert_toeplitz_of_markov_parameters(dss, ls.horizon)
+    _assert_toeplitz_of_markov_parameters(dss, ls.horizon, 1e-14)
 
 
 def test_abar_rows_are_output_row_times_state_powers():
@@ -199,6 +207,23 @@ def test_a_view_of_a_writable_array_is_copied():
     shorter = delete_rows(full, 5)
     assert np.shares_memory(shorter.p_matrix, full.p_matrix)
     assert np.shares_memory(shorter.abar_matrix, full.abar_matrix)
+
+
+def test_an_array_the_caller_owns_is_copied():
+    # the caller could make its own array writable again and change P under
+    # the cached factorizations
+    a = np.eye(3)
+    ls = LiftedSystem(a, np.zeros((3, 1)))
+    a.flags.writeable = True
+    a[0, 0] = 5.0
+    assert ls.p_matrix[0, 0] == 1.0
+    assert not ls.p_matrix.flags.writeable
+    # a read-only array too, and a view of one
+    frozen = np.eye(4)
+    frozen.flags.writeable = False
+    for p in (frozen, frozen[1:]):
+        ls = LiftedSystem(p, np.zeros((p.shape[0], 1)))
+        assert not np.shares_memory(ls.p_matrix, frozen)
 
 
 def test_trajectory_validation_and_length():

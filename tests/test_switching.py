@@ -103,7 +103,7 @@ def test_candidate_must_be_positive(second_order_pair, monkeypatch):
     def refuse(*args):
         raise AssertionError("numerical work before the candidates were checked")
 
-    for name in ("_check_run_inputs", "_measure", "_convergent_operator"):
+    for name in ("_check_run_inputs", "_measure", "_model_operator"):
         monkeypatch.setattr(switching, name, refuse)
     for bad in (0, 1.5, np.nan, np.inf):
         with pytest.raises(InvalidParameterError, match=f"candidate_n .*got {bad!r}"):
