@@ -31,14 +31,15 @@ fast-forward, run and switch evaluation on one model shares it, and it is
 freed with the model.
 
 The closed form is used only where it pays. A model phase of at most N // 4
-iterations (`run_iterations` in the model phase, `run_hybrid`'s model_count,
-the advisor's largest candidate) with p_transpose or norm_optimal builds no
-spectrum: its updates are applied directly, u + phi P^T e or u + L e with
-the norm_optimal gain L = P^T (phi I + P P^T)^-1 solved once per model and
-law, its model states come from the explicit loop, and a Cholesky
-certificate stands in for the rho < 1 pre-flight. Where that certificate
-fails, the call takes the spectral path. partial_isometry, `fast_forward`
-and longer model phases always take the closed form.
+iterations with p_transpose, or N // 8 with norm_optimal (`run_iterations`
+in the model phase, `run_hybrid`'s model_count, the advisor's largest
+candidate), builds no spectrum: its updates are applied directly,
+u + phi P^T e or u + L e with the norm_optimal gain L = P^T (phi I +
+P P^T)^-1 solved once per model and law, its model states come from the
+explicit loop, and a Cholesky certificate stands in for the rho < 1
+pre-flight. Where that certificate fails, the call takes the spectral path.
+partial_isometry, `fast_forward` and longer model phases always take the
+closed form.
 
 `run_iterations` is the explicit counterpart of the fast-forward: it
 applies every input to the plant and records the full history. Each
@@ -130,11 +131,15 @@ _ISOMETRY_TOLERANCE = 3e-10
 
 _EPS = np.finfo(float).eps
 
-# A call whose largest model-iteration count is at most N // _DENSE_DIVISOR
-# applies p_transpose and norm_optimal directly instead of building the
-# spectrum. At N = 400 and 1000 a dense update loop overtook eigh(P P^T)
-# plus the closed form between 0.4 N and 0.7 N iterations.
-_DENSE_DIVISOR = 4
+# A call whose largest model-iteration count is at most N // divisor applies
+# the law directly instead of building the spectrum. Cold run_hybrid model
+# phases on both presets at N = 400 and 1000 (best of 5, 2-vCPU Xeon) put
+# the crossover with eigh(P P^T) plus the closed form at 0.4 N to above
+# 0.5 N for p_transpose, which needs no set-up, and at 0.2 N to 0.25 N for
+# norm_optimal, which first pays its certificate and gain solve (about
+# 100 ms at N = 1000). Each divisor sits about a factor 2 below its law's
+# crossover; partial_isometry always takes the spectrum.
+_DENSE_DIVISOR = {"p_transpose": 4, "norm_optimal": 8}
 
 # The dense path's rho < 1 pre-flight, without the spectrum: a Cholesky
 # factorization of P P^T - shift I that succeeds shows that sigma_min^2
@@ -359,7 +364,8 @@ def _model_operator(model, law, largest):
     directly and its certificate holds, else the cached _LawOperator, whose
     spectrum refuses a divergent law with DivergenceError.
     """
-    if law.kind != "partial_isometry" and largest <= model.horizon // _DENSE_DIVISOR:
+    divisor = _DENSE_DIVISOR.get(law.kind)
+    if divisor and largest <= model.horizon // divisor:
         dense = _dense_law(model, law)
         if dense is not None:
             return dense
@@ -572,11 +578,11 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
     """Explicit learning run: apply, measure, update, `count` times.
 
     Every update is the model's law: applied directly in a model phase of
-    at most N // 4 iterations with p_transpose or norm_optimal, else through
-    the model's cached factorization. In the model phase every input is
-    applied to the model itself; in the world phase each update is applied
-    to the world plant and the true error is measured. Record 0 is the
-    initial run with u0, so the history holds count + 1 records.
+    at most N // 4 iterations with p_transpose or N // 8 with norm_optimal,
+    else through the model's cached factorization. In the model phase every
+    input is applied to the model itself; in the world phase each update is
+    applied to the world plant and the true error is measured. Record 0 is
+    the initial run with u0, so the history holds count + 1 records.
 
     Parameters
     ----------
@@ -621,11 +627,11 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
 
     Produces model_count model-phase records (indices 0..model_count-1,
     computed in one batched pass of the fast-forward formulas, or by the
-    explicit loop where model_count is at most N // 4), then applies
-    the final model-phase input u_{M,model_count} to the world as the first
-    world record, then runs world_count learning iterations against the
-    world: the switch is record model_count, where the phase turns to
-    "world".
+    explicit loop where model_count is short enough; see the module
+    docstring), then applies the final model-phase input u_{M,model_count}
+    to the world as the first world record, then runs world_count learning
+    iterations against the world: the switch is record model_count, where
+    the phase turns to "world".
 
     Returns
     -------

@@ -9,7 +9,8 @@ applications, which is the entire cost of asking.
 
 All candidates are evaluated in one pass: the model states at every
 candidate come from one matrix product of the closed form (or, when the
-largest candidate is at most N // 4, from one explicit update loop), and
+largest candidate is at most N // 4 with p_transpose or N // 8 with
+norm_optimal, from one explicit update loop), and
 each later step (model update, world application, world update) is one
 matrix product with the candidates as rows.
 """
@@ -63,11 +64,11 @@ def evaluate_switch(world, model, law, u0, x0, candidates, slope_factor, desired
     """Assess switching from model to world iterations at each candidate.
 
     For every candidate n, takes the model phase to n (fast-forwarded, or
-    iterated with p_transpose and norm_optimal when no candidate exceeds
-    N // 4; see engine), takes one explicit model iteration for the model
-    slope, applies the candidate input to the world once for the jump, and
-    runs one world learning iteration for the world slope: two world
-    applications per candidate.
+    iterated with p_transpose when no candidate exceeds N // 4, and with
+    norm_optimal when none exceeds N // 8; see engine), takes one explicit
+    model iteration for the model slope, applies the candidate input to the
+    world once for the jump, and runs one world learning iteration for the
+    world slope: two world applications per candidate.
 
     Parameters
     ----------

@@ -270,15 +270,15 @@ def test_a_refused_certificate_raises_the_spectral_divergence_text(
 
 @pytest.mark.parametrize("kind", LAW_KINDS)
 def test_short_calls_build_no_spectrum(second_order_pair, factorization_calls, kind):
-    # every count at most N // 4 = 25: p_transpose and norm_optimal run on
+    # every count at most N // 8 = 12: p_transpose and norm_optimal run on
     # one certificate (and norm_optimal's one gain solve), partial_isometry
     # on the spectrum
     world, model, u0, desired = second_order_pair
     model = _fresh(model)
     law = LearningLaw(kind, 1.0)
-    run_iterations(world, model, law, u0, None, 25, "model", desired)
-    run_hybrid(world, model, law, u0, None, 20, 10, desired)
-    evaluate_switch(world, model, law, u0, None, range(1, 21), 1.0, desired)
+    run_iterations(world, model, law, u0, None, 12, "model", desired)
+    run_hybrid(world, model, law, u0, None, 12, 10, desired)
+    evaluate_switch(world, model, law, u0, None, range(1, 13), 1.0, desired)
     assert factorization_calls == {
         "p_transpose": ["cholesky"],
         "partial_isometry": ["eigh"],
@@ -305,11 +305,29 @@ def test_check_10_loop_and_a_preset_run_take_the_closed_form(
         assert factorization_calls == ["eigh"]
 
 
+@pytest.mark.parametrize(
+    "kind, bound", [("p_transpose", 25), ("norm_optimal", 12)]
+)
+def test_each_law_takes_the_dense_path_up_to_its_own_bound(
+    second_order_pair, factorization_calls, kind, bound
+):
+    # N = 100: N // 4 for p_transpose, N // 8 for norm_optimal
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw(kind, 1.0)
+    for count, dense in ((bound, True), (bound + 1, False)):
+        fresh = _fresh(model)
+        factorization_calls.clear()
+        run_iterations(world, fresh, law, u0, None, count, "model", desired)
+        assert ("eigh" not in factorization_calls) == dense
+        assert ("cholesky" in factorization_calls) == dense
+
+
 def _dense_and_spectral(monkeypatch, call):
     """call() with every count on the dense side, then on the closed form."""
     results = []
     for divisor in (1, 10**9):  # N // 1 = N; N // 10^9 = 0
-        monkeypatch.setattr(engine, "_DENSE_DIVISOR", divisor)
+        monkeypatch.setattr(engine, "_DENSE_DIVISOR", dict.fromkeys(
+            ("p_transpose", "norm_optimal"), divisor))
         results.append(call())
     return results
 
@@ -368,8 +386,8 @@ def test_a_call_does_not_depend_on_what_ran_before_on_the_model(
 
     def short_calls(m):
         return (
-            run_hybrid(world, m, law, u0, None, 20, 10, desired),
-            evaluate_switch(world, m, law, u0, None, range(1, 21), 1.0, desired),
+            run_hybrid(world, m, law, u0, None, 12, 10, desired),
+            evaluate_switch(world, m, law, u0, None, range(1, 13), 1.0, desired),
         )
 
     def long_calls(m):
@@ -577,10 +595,28 @@ def test_run_rejects_mismatched_world_and_model(second_order_pair, third_order_p
 def test_run_hybrid_record_layout(second_order_pair):
     world, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
+    # 30 > N // 4 = 25 model iterations: the closed form
+    history = run_hybrid(world, model, law, u0, None, 30, 3, desired)
+    assert len(history) == 34
+    assert [r.phase for r in history] == ["model"] * 30 + ["world"] * 4
+    assert [r.iteration for r in history] == list(range(34))
+
+    # the first world input is the fast-forwarded model result at n = 30
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
+    u30, _ = fast_forward(model, law, u0, e0, 30)
+    assert np.array_equal(history[30].input.values, u30.values)
+
+    # and the world error there really comes from the world plant
+    y30 = lifted_output(world, history[30].input)
+    assert np.allclose(history[30].error.values, desired.values - y30.values)
+
+
+def test_run_hybrid_dense_switch_input_is_the_model_loop(second_order_pair):
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw("p_transpose", 1.0)
+    # 5 and 6 <= N // 4 model iterations: the explicit loop
     history = run_hybrid(world, model, law, u0, None, 5, 3, desired)
-    assert len(history) == 9
     assert [r.phase for r in history] == ["model"] * 5 + ["world"] * 4
-    assert [r.iteration for r in history] == list(range(9))
 
     # the first world input is the model-phase input at n = 5: bit for bit
     # record 5 of a hybrid run with one more model iteration, and the
@@ -593,8 +629,6 @@ def test_run_hybrid_record_layout(second_order_pair):
     assert np.max(np.abs(history[5].input.values - u5.values)) <= (
         1e-12 * np.max(np.abs(u5.values))
     )
-
-    # and the world error there really comes from the world plant
     y5 = lifted_output(world, history[5].input)
     assert np.allclose(history[5].error.values, desired.values - y5.values)
 
