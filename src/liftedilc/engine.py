@@ -30,25 +30,27 @@ together with the products derived from it for each law, so every
 fast-forward, run and switch evaluation on one model shares it, and it is
 freed with the model.
 
-The closed form is used only where it pays. A model phase of at most N // 4
-iterations with p_transpose, or N // 8 with norm_optimal (`run_iterations`
-in the model phase, `run_hybrid`'s model_count, the advisor's largest
-candidate), builds no spectrum: its updates are applied directly,
-u + phi P^T e or u + L e with the norm_optimal gain L = P^T (phi I +
-P P^T)^-1 solved once per model and law, its model states come from the
-explicit loop, and a Cholesky certificate stands in for the rho < 1
-pre-flight. Where that certificate fails, the call takes the spectral path.
-partial_isometry, `fast_forward` and longer model phases always take the
-closed form.
+A model phase has two algorithms: the explicit loop of `run_iterations`
+and the closed form, which is used only where it pays. A model phase of at
+most N // 4 iterations with p_transpose, or N // 8 with norm_optimal
+(`run_iterations` in the model phase, `run_hybrid`'s model_count, the
+advisor's largest candidate), builds no spectrum: it is the explicit loop,
+bit for bit in all three, with its updates applied directly, u + phi P^T e
+or u + L e with the norm_optimal gain L = P^T (phi I + P P^T)^-1 solved
+once per model and law, and a Cholesky certificate stands in for the
+rho < 1 pre-flight. Where that certificate fails, the call takes the
+spectral path. partial_isometry, `fast_forward` and longer model phases
+always take the closed form.
 
 `run_iterations` is the explicit counterpart of the fast-forward: it
 applies every input to the plant and records the full history. Each
 learning update u + L e goes through the operator the call chose, the
 cached factorization (two matrix-vector products, or two matrix products
-for the advisor's candidates taken as rows) or the direct law; a world
-phase on its own always uses the factorization. The dense gain built in
-`laws` is only the independent reference. A run returns its list of
-IterationRecords; a hybrid run switches where the phase turns to "world".
+for the advisor's candidates taken as rows) or the direct law. A world
+phase on its own needs no pre-flight, so p_transpose applies phi P^T e
+there without any factorization. The dense gain built in `laws` is only
+the independent reference. A run returns its list of IterationRecords; a
+hybrid run switches where the phase turns to "world".
 """
 
 import math
@@ -310,7 +312,6 @@ class _DenseLaw:
     (phi I + P^T P)^-1 P^T equals P^T (phi I + P P^T)^-1.
     """
 
-    p_matrix: np.ndarray
     gain_t: np.ndarray
     scale: float
 
@@ -352,9 +353,9 @@ def _build_dense_law(p, law):
     except np.linalg.LinAlgError:
         return None
     if transpose:
-        return _DenseLaw(p, p, phi)
+        return _DenseLaw(p, phi)
     gram[on_diagonal] = diagonal + phi
-    return _DenseLaw(p, np.linalg.solve(gram, p), 1.0)
+    return _DenseLaw(np.linalg.solve(gram, p), 1.0)
 
 
 def _model_operator(model, law, largest):
@@ -457,47 +458,24 @@ def _model_phase(op, u0v, e0v, counts):
     The batched form of fast_forward: with R[n] = (lambda^n - 1) * U^T e_0
     as rows, R out_map^T holds every [u_n - u_0; e_n - e_0] from one matrix
     product instead of one fast-forward per n. A hybrid run passes
-    range(model_count), the switch advisor its candidates. A row with n = 0
-    is exactly u_0 and e_0, also where lambda is 0. A _DenseLaw takes its
-    rows from the explicit loop instead.
+    range(model_count), the switch advisor its candidates n and n + 1. A row
+    with n = 0 is exactly u_0 and e_0, also where lambda is 0. As in
+    fast_forward, each n enters as float(n) with its parity taken from the
+    integer, so a count beyond the int64 range is fine.
     """
-    if isinstance(op, _DenseLaw):
-        return _dense_model_phase(op, u0v, e0v, counts)
-    n = np.asarray(counts, dtype=int).reshape(-1, 1)
+    n = np.array([float(c) for c in counts]).reshape(-1, 1)
+    odd = np.array([c % 2 == 1 for c in counts], dtype=bool).reshape(-1, 1)
     moved = n[:, 0] > 0
-    n_moved = n[moved]
-    r = np.expm1(n_moved * op.log_abs_lam)  # |lambda|^n - 1
+    r = np.expm1(n[moved] * op.log_abs_lam)  # |lambda|^n - 1
     # allocated after the temporaries, as before the generalization: allocated
     # first, it left the heap in a state that cost N = 100 commands page faults
     steps = np.zeros((n.shape[0], op.lam.size))
-    steps[moved] = np.where(n_moved % 2 == 1, r * op.sign_lam - op.odd_offset, r)
+    steps[moved] = np.where(odd[moved], r * op.sign_lam - op.odd_offset, r)
     steps *= np.dot(op.ut, e0v)
     out = steps @ op.out_map.T
     out[:, : u0v.size] += u0v
     out[:, u0v.size :] += e0v
     return out[:, : u0v.size], out[:, u0v.size :]
-
-
-def _dense_model_phase(op, u0v, e0v, counts):
-    """_model_phase by max(counts) explicit updates, keeping the rows asked for.
-
-    Each update is u <- u + L e, and the model error of u is
-    e_0 - P (u - u_0).
-    """
-    n = np.asarray(counts, dtype=int)
-    inputs = np.empty((n.size, u0v.size))
-    errors = np.empty((n.size, e0v.size))
-    moved = np.zeros_like(u0v)  # u - u_0
-    e = e0v
-    done = 0
-    for row in np.argsort(n, kind="stable"):
-        for _ in range(done, n[row]):
-            moved += op.scale * np.dot(e, op.gain_t)
-            e = e0v - np.dot(op.p_matrix, moved)
-        done = max(done, n[row])
-        np.add(u0v, moved, out=inputs[row])
-        errors[row] = e
-    return inputs, errors
 
 
 def _learn(op, u, e):
@@ -617,21 +595,24 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
     _check_run_inputs(applied, model, u0, desired)
     if phase == "model":
         op = _model_operator(model, law, count)
+    elif law.kind == "p_transpose":
+        # phi P^T e needs no factorization, and a world phase no pre-flight
+        op = _DenseLaw(model.p_matrix, law.gain)
     else:
         op = _operator(model, law)
     return _run_loop(applied, op, u0, x0, desired, count, phase)
 
 
 def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
-    """Model iterations fast-forwarded, then a switch to world iterations.
+    """Model iterations, then a switch to world iterations.
 
-    Produces model_count model-phase records (indices 0..model_count-1,
-    computed in one batched pass of the fast-forward formulas, or by the
-    explicit loop where model_count is short enough; see the module
-    docstring), then applies the final model-phase input u_{M,model_count}
-    to the world as the first world record, then runs world_count learning
-    iterations against the world: the switch is record model_count, where
-    the phase turns to "world".
+    Produces model_count model-phase records (indices 0..model_count-1),
+    then applies the model-phase input u_{M,model_count} to the world as the
+    first world record, then runs world_count learning iterations against
+    the world: the switch is record model_count, where the phase turns to
+    "world". A short model phase (see the module docstring) is the loop of
+    run_iterations and switches with that loop's record model_count; else
+    one batched pass of the fast-forward formulas and fast_forward.
 
     Returns
     -------
@@ -649,23 +630,39 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     world_count = _integer("world_count", world_count, 0)
     _check_run_inputs(world, model, u0, desired)
     op = _model_operator(model, law, model_count)
-    e0 = _measure(model, u0, x0, desired)
-    # the explicit loop reaches the switch input on its way; the closed form
-    # jumps there with fast_forward
-    dense = isinstance(op, _DenseLaw)
-    records = []
-    if model_count or dense:
-        inputs, errors = _model_phase(
-            op, u0.values, e0.values, range(model_count + 1 if dense else model_count)
-        )
-        for j in range(model_count):
-            u_j, e_j = _wrap_trajectory(inputs[j]), _wrap_trajectory(errors[j])
-            records.append(_record(j, "model", u_j, e_j))
-    if dense:
-        u = _wrap_trajectory(inputs[model_count])
+    if isinstance(op, _DenseLaw):
+        records = _run_loop(model, op, u0, x0, desired, model_count, "model")
+        u = records.pop().input
     else:
+        e0 = _measure(model, u0, x0, desired)
+        inputs, errors = _model_phase(op, u0.values, e0.values, range(model_count))
+        records = [
+            _record(j, "model", _wrap_trajectory(u_j), _wrap_trajectory(e_j))
+            for j, (u_j, e_j) in enumerate(zip(inputs, errors))
+        ]
         u, _ = fast_forward(model, law, u0, e0, model_count)
-    records += _run_loop(
-        world, op, u, x0, desired, world_count, "world", model_count
-    )
+    records += _run_loop(world, op, u, x0, desired, world_count, "world", model_count)
     return records
+
+
+def _model_states(model, op, u0, x0, desired, e0, largest):
+    """states(counts): the model-phase u_n, e_n and e_{n+1}, a row per n <= largest.
+
+    With a _DenseLaw they are records of one explicit model run to
+    largest + 1, made here once; else each call is one _model_phase product
+    over every n and n + 1, from the model error e0.
+    """
+    if isinstance(op, _DenseLaw):
+        records = _run_loop(model, op, u0, x0, desired, largest + 1, "model")
+        inputs = np.array([r.input.values for r in records])
+        errors = np.array([r.error.values for r in records])
+        return lambda counts: (
+            inputs[counts], errors[counts], errors[[n + 1 for n in counts]]
+        )
+
+    def states(counts):
+        both = [*counts, *(n + 1 for n in counts)]
+        inputs, errors = _model_phase(op, u0.values, e0.values, both)
+        return inputs[: len(counts)], errors[: len(counts)], errors[len(counts) :]
+
+    return states

@@ -7,12 +7,11 @@ the two one-iteration improvements tells whether the hardware is still
 learning faster than the model predicts. Each candidate consumes two world
 applications, which is the entire cost of asking.
 
-All candidates are evaluated in one pass: the model states at every
-candidate come from one matrix product of the closed form (or, when the
-largest candidate is at most N // 4 with p_transpose or N // 8 with
-norm_optimal, from one explicit update loop), and
-each later step (model update, world application, world update) is one
-matrix product with the candidates as rows.
+The model points at n and n+1 are the model-phase states a model run
+records: rows of one explicit model run where the largest candidate is short
+enough, else one matrix product of the closed form (see engine). All
+candidates are evaluated in one pass: each world step (world application,
+world update) is one matrix product with the candidates as rows.
 """
 
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .engine import (
     _measure,
     _measure_rows,
     _model_operator,
-    _model_phase,
+    _model_states,
     fast_forward,  # unused here; bench/tests/test_tracer.py traces this binding
     rms,
 )
@@ -63,12 +62,10 @@ class SwitchReport:
 def evaluate_switch(world, model, law, u0, x0, candidates, slope_factor, desired):
     """Assess switching from model to world iterations at each candidate.
 
-    For every candidate n, takes the model phase to n (fast-forwarded, or
-    iterated with p_transpose when no candidate exceeds N // 4, and with
-    norm_optimal when none exceeds N // 8; see engine), takes one explicit
-    model iteration for the model slope, applies the candidate input to the
-    world once for the jump, and runs one world learning iteration for the
-    world slope: two world applications per candidate.
+    For every candidate n, reads the model-phase states at n and n + 1 for
+    the model slope (see engine), applies the candidate input to the world
+    once for the jump, and runs one world learning iteration for the world
+    slope: two world applications per candidate.
 
     Parameters
     ----------
@@ -105,12 +102,11 @@ def evaluate_switch(world, model, law, u0, x0, candidates, slope_factor, desired
     op = _model_operator(model, law, max(counts))
     if not np.isfinite(e0.values).all():
         raise InvalidParameterError("e0 holds non-finite values")
+    states = _model_states(model, op, u0, x0, desired, e0, max(counts))
     reports = []
     for start in range(0, len(counts), _BLOCK):
         block = counts[start : start + _BLOCK]
-        u_n, e_model_n = _model_phase(op, u0.values, e0.values, block)
-        u_model_n1 = u_n + _learn_rows(op, e_model_n)
-        e_model_n1 = _measure_rows(model, u_model_n1, x0, desired)
+        u_n, e_model_n, e_model_n1 = states(block)
         e_world_n = _measure_rows(world, u_n, x0, desired)
         u_world_n1 = u_n + _learn_rows(op, e_world_n)
         e_world_n1 = _measure_rows(world, u_world_n1, x0, desired)

@@ -15,7 +15,7 @@ from liftedilc import LAW_KINDS
 from liftedilc.cli import main
 from liftedilc.config import PRESET_FILES
 
-from conftest import MINIMAL_THIRD_ORDER
+from conftest import MINIMAL_SECOND_ORDER, MINIMAL_THIRD_ORDER
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -178,6 +178,39 @@ def test_advise_switch_prints_nothing_when_a_candidate_fails(tmp_path):
     code, text = run_cli(["advise-switch", str(path)])
     assert code == 2
     assert text == ""
+
+
+def test_candidates_beyond_int64_run_in_both_commands(tmp_path, monkeypatch):
+    # one past the int64 range, and far past it
+    big = "9223372036854775808,100000000000000000001"
+    path = write_preset("second_order", tmp_path,
+                        [("switch.candidates = 25,50,100", f"switch.candidates = {big}")])
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, text = run_cli(["advise-switch", path.name, "--candidates", big])
+        assert code == 0
+        assert "candidate 9223372036854775808:" in text
+        assert "candidate 100000000000000000001:" in text
+        assert run_cli(["run", path.name])[0] == 0
+
+
+@pytest.mark.parametrize("law", ["p_transpose", "norm_optimal"])
+@pytest.mark.parametrize("base", [MINIMAL_SECOND_ORDER, MINIMAL_THIRD_ORDER],
+                         ids=["second_order", "third_order"])
+def test_model_and_hybrid_runs_write_the_same_model_rows(
+    base, law, write_cfg, tmp_path, monkeypatch
+):
+    # 12 model iterations at N = 100 are on the dense side for both laws
+    monkeypatch.chdir(tmp_path)
+    rows = {}
+    for mode in ("model", "hybrid"):
+        overrides = {"law.kind": law, "run.mode": mode, "run.model_count": "12",
+                     "output.csv": f"{mode}.csv"}
+        path = write_cfg(overrides, base=base, name=f"{mode}.cfg")
+        assert run_cli(["run", str(path)])[0] == 0
+        rows[mode] = Path(f"{mode}.csv").read_text().splitlines()[:13]
+    assert rows["model"] == rows["hybrid"]
 
 
 def test_advise_switch_requires_candidates_somewhere(write_cfg, capsys):

@@ -633,6 +633,33 @@ def test_run_hybrid_dense_switch_input_is_the_model_loop(second_order_pair):
     assert np.allclose(history[5].error.values, desired.values - y5.values)
 
 
+@pytest.mark.parametrize("kind, bound", [("p_transpose", 25), ("norm_optimal", 12)])
+@pytest.mark.parametrize("preset", ["second_order_pair", "third_order_pair"])
+def test_dense_hybrid_model_phase_is_the_model_run(preset, kind, bound, request):
+    # N = 100, model_count at the law's bound: the hybrid model phase is the
+    # explicit loop of run_iterations, and its switch input that loop's
+    # record model_count, bit for bit
+    world, model, u0, desired = request.getfixturevalue(preset)
+    law = LearningLaw(kind, 1.0)
+    hybrid = run_hybrid(world, model, law, u0, None, bound, 5, desired)
+    run = run_iterations(world, model, law, u0, None, bound, "model", desired)
+    for got, want in zip(hybrid[:bound], run[:bound], strict=True):
+        assert (got.iteration, got.phase, got.rms) == (want.iteration, want.phase, want.rms)
+        assert np.array_equal(got.input.values, want.input.values)
+        assert np.array_equal(got.error.values, want.error.values)
+    assert hybrid[bound].phase == "world"
+    assert np.array_equal(hybrid[bound].input.values, run[bound].input.values)
+
+
+def test_world_only_p_transpose_run_builds_no_factorization(
+    second_order_pair, factorization_calls
+):
+    world, model, u0, desired = second_order_pair
+    run_iterations(world, _fresh(model), LearningLaw("p_transpose", 1.0), u0, None,
+                   50, "world", desired)
+    assert factorization_calls == []
+
+
 def test_run_hybrid_model_records_match_explicit_loop(
     second_order_pair, third_order_pair
 ):

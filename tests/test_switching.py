@@ -12,8 +12,10 @@ from liftedilc import (
     Trajectory,
     UndefinedDbError,
     evaluate_switch,
+    fast_forward,
     rms,
     run_hybrid,
+    run_iterations,
     to_db,
 )
 
@@ -88,11 +90,13 @@ def test_advisor_consumes_exactly_two_world_runs(second_order_pair, monkeypatch)
 
     monkeypatch.setattr(engine, "lifted_output", counting_output)
     monkeypatch.setattr(switching, "_measure_rows", counting_rows)
-    # one candidate, and more than one block of them
-    for candidates in ([25], range(1, 71)):
+    # one candidate, and more than one block of them. The model takes the
+    # initial error, plus, on the dense side (25 <= N // 4), the 27 records of
+    # the one explicit model run to 26; the closed form applies no model row
+    for candidates, model_rows in (([25], 1 + 27), (range(1, 71), 1)):
         rows.update(world=0, model=0)
         evaluate_switch(world, model, law, u0, None, candidates, 1.0, desired)
-        assert rows == {"world": 2 * len(candidates), "model": 1 + len(candidates)}
+        assert rows == {"world": 2 * len(candidates), "model": model_rows}
 
 
 def test_candidate_must_be_positive(second_order_pair, monkeypatch):
@@ -157,3 +161,51 @@ def test_extreme_slope_factor_blocks_the_switch(second_order_pair):
     law = LearningLaw("p_transpose", 1.0)
     [report] = evaluate_switch(world, model, law, u0, None, [50], 1e9, desired)
     assert not report.recommend_switch
+
+
+@pytest.mark.parametrize("kind, bound", [("p_transpose", 25), ("norm_optimal", 12)])
+@pytest.mark.parametrize("preset", ["second_order_pair", "third_order_pair"])
+def test_dense_advisor_model_rms_is_the_model_run_rms(preset, kind, bound, request):
+    # N = 100, every candidate at most the law's bound: the advisor's model
+    # values are rows of the explicit model run, bit for bit
+    world, model, u0, desired = request.getfixturevalue(preset)
+    law = LearningLaw(kind, 1.0)
+    candidates = (1, 2, 7, bound - 1, bound)
+    history = run_iterations(world, model, law, u0, None, bound, "model", desired)
+    reports = evaluate_switch(world, model, law, u0, None, candidates, 1.0, desired)
+    for n, report in zip(candidates, reports):
+        assert report.r_model_n == history[n].rms
+        if n < bound:
+            assert report.r_model_n1 == history[n + 1].rms
+
+
+@pytest.mark.parametrize("kind", ["p_transpose", "partial_isometry", "norm_optimal"])
+@pytest.mark.parametrize("preset", ["second_order_pair", "third_order_pair"])
+def test_closed_form_advisor_model_rms_follows_the_model_run(preset, kind, request):
+    # 60 > N // 4 = 25: the advisor reads n and n + 1 from the closed form
+    world, model, u0, desired = request.getfixturevalue(preset)
+    law = LearningLaw(kind, 1.0)
+    history = run_iterations(world, model, law, u0, None, 61, "model", desired)
+    reports = evaluate_switch(world, model, law, u0, None, [30, 60], 1.0, desired)
+    for n, report in zip((30, 60), reports):
+        assert report.r_model_n == pytest.approx(history[n].rms, rel=1e-12)
+        assert report.r_model_n1 == pytest.approx(history[n + 1].rms, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["p_transpose", "partial_isometry", "norm_optimal"])
+def test_candidates_beyond_int64_match_fast_forward(second_order_pair, kind):
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw(kind, 1.0)
+    candidates = [2**63, 10**20 + 1]
+    reports = evaluate_switch(world, model, law, u0, None, candidates, 1.0, desired)
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
+    for n, report in zip(candidates, reports):
+        assert report.candidate_n == n
+        u_n, e_n = fast_forward(model, law, u0, e0, n)
+        _, e_n1 = fast_forward(model, law, u0, e0, n + 1)
+        e_world = Trajectory(desired.values - world.p_matrix @ u_n.values)
+        for got, want in ((report.r_model_n, rms(e_n)),
+                          (report.r_model_n1, rms(e_n1)),
+                          (report.r_world_n, rms(e_world))):
+            assert math.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-12)
