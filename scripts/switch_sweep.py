@@ -12,9 +12,8 @@ import argparse
 from liftedilc import (
     LAW_KINDS,
     LearningLaw,
-    build_experiment,
+    bundled_experiment,
     evaluate_switch,
-    load_preset,
     run_hybrid,
     to_db,
 )
@@ -46,7 +45,7 @@ def main():
                         default="5,10,25,50,100,200")
     args = parser.parse_args()
 
-    world, model, u0, desired = build_experiment(load_preset("second_order"))
+    _, (world, model, u0, desired) = bundled_experiment("second_order")
     law = LearningLaw(args.law, 1.0)
     print(f"law {args.law}, hardware budget {args.budget}")
     print("     n   R_M,n      jump       model slope  world slope  "

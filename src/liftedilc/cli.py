@@ -8,6 +8,7 @@ self-checks.
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .config import _parse_candidates, _sampled_plant, load_config
 from .engine import to_db
@@ -133,7 +134,9 @@ def _cmd_zeros(args, out):
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on the first main call and reused."""
     parser = argparse.ArgumentParser(
         prog="liftedilc",
         description=(

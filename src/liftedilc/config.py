@@ -287,7 +287,8 @@ def load_preset(kind):
     """Load the packaged preset of one bundled plant pair.
 
     kind is 'second_order' or 'third_order'. The two presets are the one
-    definition of the pairs: figures and self-checks read them through here.
+    definition of the pairs: figures, self-checks and scripts read them
+    through experiments.bundled_experiment, which lifts each pair once.
     """
     if kind not in PRESET_FILES:
         raise ConfigError(

@@ -8,6 +8,7 @@ is the quantity the fast-forward scheme is designed to save.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional
 
@@ -26,6 +27,7 @@ __all__ = [
     "CSV_HEADER",
     "Experiment",
     "build_experiment",
+    "bundled_experiment",
     "build_lifted_pair",
     "build_desired_trajectory",
     "build_initial_input",
@@ -74,12 +76,35 @@ def build_experiment(config):
     """The one experiment setup of a configuration.
 
     Each plant is sampled once per process: the sampled plants are memoized
-    by their parameters, so repeated commands only lift them again.
+    by their parameters. The lifted pair is not: a user configuration is
+    lifted again by every command that reads it. The two bundled pairs are
+    built once per process, by bundled_experiment.
     """
     world, model = build_lifted_pair(config)
     return Experiment(
         world, model, build_initial_input(config), build_desired_trajectory(config)
     )
+
+
+@lru_cache(maxsize=None)
+def bundled_experiment(kind):
+    """The packaged configuration and experiment of one bundled plant pair.
+
+    kind is 'second_order' or 'third_order'. The pair is lifted once per
+    process and shared by every figure, self-check and script that reads it,
+    so the engine's factorization of its model (one eigh of P P^T, one
+    operator per law) is computed once too. Like the lifted matrices, the
+    shared u0 and desired samples are read-only.
+
+    Returns
+    -------
+    (ExperimentConfig, Experiment)
+    """
+    config = load_preset(kind)
+    experiment = build_experiment(config)
+    for trajectory in (experiment.u0, experiment.desired):
+        trajectory.values.flags.writeable = False
+    return config, experiment
 
 
 def build_lifted_pair(config):
@@ -260,6 +285,10 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     for the preset's run.world_count updates (red). The marker variants (fig2,
     fig4) annotate the four switch-decision RMS values at the switch point.
 
+    The pair comes from bundled_experiment: the first figure of a pair in a
+    process lifts and factorizes it, and every later figure of that pair, in
+    any law, reuses both. The output does not depend on which came first.
+
     Parameters
     ----------
     figure_id : str
@@ -280,10 +309,9 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
             f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}"
         )
     family, with_markers = _FIGURE_FAMILY[figure_id]
-    config = load_preset(family)
+    config, (world, model, u0, desired) = bundled_experiment(family)
     if switch_n is None:
         switch_n = config.model_count
-    world, model, u0, desired = build_experiment(config)
     law = LearningLaw(law_kind, config.gain)
     total = switch_n + config.world_count
 

@@ -13,14 +13,13 @@ import math
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .config import _sampled_plant, load_preset
 from .engine import _measure, fast_forward, run_hybrid, run_iterations
-from .experiments import build_desired_trajectory, build_experiment
+from .experiments import build_desired_trajectory, bundled_experiment
 from .laws import LAW_KINDS, LearningLaw, build_gain, iteration_matrix
 from .lifted import build_lifted, delete_rows, pseudo_inverse_input
 from .lti import (
@@ -55,15 +54,6 @@ def format_result(result):
     )
 
 
-@lru_cache(maxsize=None)
-def _example_pair(kind):
-    """(world, model, u0, desired) for one of the two bundled plant pairs.
-
-    Cached so that the checks share one model object and its factorization.
-    """
-    return build_experiment(load_preset(kind))
-
-
 def _rel_gap(candidate, reference):
     scale = max(float(np.max(np.abs(reference))), 1e-12)
     return float(np.max(np.abs(candidate - reference))) / scale
@@ -74,7 +64,7 @@ def check_fast_forward_matches_explicit():
     t0 = time.perf_counter()
     worst = 0.0
     for kind in ("second_order", "third_order"):
-        _, model, u0, desired = _example_pair(kind)
+        _, (_, model, u0, desired) = bundled_experiment(kind)
         e0 = _measure(model, u0, None, desired)
         for law_kind in LAW_KINDS:
             law = LearningLaw(law_kind, 1.0)
@@ -120,8 +110,8 @@ def check_law_eigenvalue_identities():
             a, rng.standard_normal((order, 1)), rng.standard_normal((1, order)), _T
         )
         cases.append((build_lifted(dss, steps), float(rng.uniform(0.2, 1.5))))
-    cases.append((_example_pair("second_order")[1], 1.0))
-    cases.append((_example_pair("third_order")[1], 1.0))
+    cases.append((bundled_experiment("second_order")[1].model, 1.0))
+    cases.append((bundled_experiment("third_order")[1].model, 1.0))
 
     worst_eig = 0.0
     worst_asym = 0.0
@@ -241,7 +231,7 @@ def check_stable_inverse_boundedness():
 
 
 def _second_order_curves(law_kind):
-    world, model, u0, desired = _example_pair("second_order")
+    _, (world, model, u0, desired) = bundled_experiment("second_order")
     law = LearningLaw(law_kind, 1.0)
     model_history = run_iterations(world, model, law, u0, None, 100, "model", desired)
     hybrid = run_hybrid(world, model, law, u0, None, 50, 10, desired)
@@ -306,7 +296,7 @@ def check_switch_advisor_consistency():
     from .switching import evaluate_switch
 
     t0 = time.perf_counter()
-    world, model, u0, desired = _example_pair("second_order")
+    _, (world, model, u0, desired) = bundled_experiment("second_order")
     law = LearningLaw("p_transpose", 1.0)
     same = evaluate_switch(model, model, law, u0, None, [50], 1.0, desired)[0]
     split = evaluate_switch(world, model, law, u0, None, [50], 1.0, desired)[0]
@@ -376,7 +366,7 @@ def check_figure_determinism():
 
 def check_fast_forward_speedup():
     """10: the closed form beats 100 explicit iterations by > 100x."""
-    world, model, u0, desired = _example_pair("second_order")
+    _, (world, model, u0, desired) = bundled_experiment("second_order")
     law = LearningLaw("p_transpose", 1.0)
     e0 = _measure(model, u0, None, desired)
     fast_forward(model, law, u0, e0, 100)  # populate the operator cache

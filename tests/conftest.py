@@ -15,13 +15,22 @@ SAMPLE_PERIOD = 0.01
 
 @pytest.fixture(scope="session")
 def second_order_pair():
-    """(world, model, u0, desired) for the second-order preset."""
+    """(world, model, u0, desired) for the second-order preset.
+
+    Built here, not taken from bundled_experiment: a test that counts
+    factorization calls on this pair must not depend on which figures or
+    checks ran before it in the session.
+    """
     return build_experiment(load_preset("second_order"))
 
 
 @pytest.fixture(scope="session")
 def third_order_pair():
-    """(world, model, u0, desired) for the third-order preset, one row deleted."""
+    """(world, model, u0, desired) for the third-order preset, one row deleted.
+
+    Its own instance, not bundled_experiment's, for the same reason as
+    second_order_pair.
+    """
     return build_experiment(load_preset("third_order"))
 
 

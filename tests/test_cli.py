@@ -12,7 +12,7 @@ import pytest
 
 import liftedilc.engine as engine
 from liftedilc import LAW_KINDS
-from liftedilc.cli import main
+from liftedilc.cli import _build_parser, main
 from liftedilc.config import PRESET_FILES
 
 from conftest import MINIMAL_SECOND_ORDER, MINIMAL_THIRD_ORDER
@@ -149,6 +149,33 @@ def test_figure_rejects_unknown_id():
     with pytest.raises(SystemExit) as info:
         run_cli(["figure", "fig9"])
     assert info.value.code == 2  # argparse rejects values outside choices
+
+
+def test_the_cached_parser_behaves_as_a_fresh_one_after_exits(write_cfg, capsys):
+    # one parser serves a call argparse rejects, a --help and a valid call
+    _build_parser.cache_clear()
+    cached = []
+    for argv in (["figure", "fig9"], ["--help"]):
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv)
+        cached.append((info.value.code, capsys.readouterr()))
+    path = write_cfg(base=MINIMAL_THIRD_ORDER)
+    cached.append(run_cli(["zeros", str(path)]))
+    assert _build_parser.cache_info().misses == 1
+
+    fresh = []
+    for argv in (["figure", "fig9"], ["--help"]):
+        with pytest.raises(SystemExit) as info:
+            _build_parser.__wrapped__().parse_args(argv)
+        fresh.append((info.value.code, capsys.readouterr()))
+    args = _build_parser.__wrapped__().parse_args(["zeros", str(path)])
+    out = io.StringIO()
+    fresh.append((args.handler(args, out), out.getvalue()))
+    assert cached == fresh
+    assert [code for code, _ in cached] == [2, 0, 0]
+    assert "invalid choice: 'fig9'" in cached[0][1].err
+    assert "usage: liftedilc" in cached[1][1].out
+    assert "configured deleted rows: 1" in cached[2][1]
 
 
 def test_advise_switch_uses_flag_over_config(write_cfg):

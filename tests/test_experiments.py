@@ -9,6 +9,7 @@ import pytest
 from liftedilc import (
     CSV_HEADER,
     ConfigError,
+    FIGURE_IDS,
     LAW_KINDS,
     LearningLaw,
     PlantParams,
@@ -17,6 +18,7 @@ from liftedilc import (
     build_initial_input,
     build_lifted,
     build_lifted_pair,
+    bundled_experiment,
     continuous_plant,
     delete_rows,
     discretize_zoh,
@@ -299,14 +301,73 @@ def test_marker_variants_annotate_the_switch(tmp_path):
     assert plain.summary["switch_report"] is None
 
 
+# the two figure ids drawn from each bundled pair: marker variant, plain variant
+_PAIR_FIGURES = (("fig2", "fig3"), ("fig4", "fig5"))
+
+
 @pytest.mark.parametrize("kind", LAW_KINDS)
 def test_reproduce_figure_factorizes_the_model_once(
     tmp_path, factorization_calls, kind
 ):
-    # three curves plus the marker advisor share one factorization of P;
-    # switching at 30 > N // 4 = 25 keeps every call on the closed form
-    reproduce_figure("fig2", kind, 30, str(tmp_path))
-    assert factorization_calls == ["eigh"]
+    # the first figure of a pair makes its one eigh: three curves plus the
+    # marker advisor share it, and the default switch (50 and 100, both past
+    # N // 4 = 25) keeps every call on the closed form. Every later figure of
+    # that pair, in any law and either figure id, factorizes nothing.
+    for first, other in _PAIR_FIGURES:
+        bundled_experiment.cache_clear()
+        reproduce_figure(first, kind, output_dir=str(tmp_path))
+        assert factorization_calls == ["eigh"]
+        factorization_calls.clear()
+        for law in LAW_KINDS:
+            if law != kind:
+                reproduce_figure(first, law, output_dir=str(tmp_path))
+            reproduce_figure(other, law, output_dir=str(tmp_path))
+        assert factorization_calls == []
+
+
+def _figure_bytes(figure_id, law, directory):
+    artifacts = reproduce_figure(figure_id, law, output_dir=str(directory))
+    paths = list(artifacts.curve_csv_paths.values()) + artifacts.plot_paths
+    assert len(paths) == 4
+    return {Path(path).name: Path(path).read_bytes() for path in paths}
+
+
+@pytest.mark.parametrize("law", LAW_KINDS)
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_figure_output_is_the_same_on_a_fresh_and_a_shared_pair(
+    tmp_path, figure_id, law
+):
+    # fresh: this figure lifts and factorizes its pair. Shared: the pair's
+    # other figure id in every law and this one in the other two laws ran
+    # first, so the eigh, the isometry and this law's operator are reused.
+    [pair] = [p for p in _PAIR_FIGURES if figure_id in p]
+    bundled_experiment.cache_clear()
+    fresh = _figure_bytes(figure_id, law, tmp_path / "fresh")
+
+    bundled_experiment.cache_clear()
+    other = pair[1 - pair.index(figure_id)]
+    for earlier_law in LAW_KINDS:
+        reproduce_figure(other, earlier_law, output_dir=str(tmp_path / "earlier"))
+        if earlier_law != law:
+            reproduce_figure(
+                figure_id, earlier_law, output_dir=str(tmp_path / "earlier")
+            )
+    assert _figure_bytes(figure_id, law, tmp_path / "shared") == fresh
+
+
+@pytest.mark.parametrize("kind", ["second_order", "third_order"])
+def test_bundled_experiment_is_one_shared_read_only_setup(kind):
+    config, experiment = bundled_experiment(kind)
+    assert bundled_experiment(kind)[1] is experiment
+    assert config == load_preset(kind)
+    reference = build_experiment(config)
+    for name in ("u0", "desired"):
+        values = getattr(experiment, name).values
+        np.testing.assert_array_equal(values, getattr(reference, name).values)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+    # a user configuration's setup stays private to its command
+    assert reference.u0.values.flags.writeable
 
 
 def test_reproduce_figure_rejects_unknown_id(tmp_path):
