@@ -43,14 +43,18 @@ spectral path. partial_isometry, `fast_forward` and longer model phases
 always take the closed form.
 
 `run_iterations` is the explicit counterpart of the fast-forward: it
-applies every input to the plant and records the full history. Each
-learning update u + L e goes through the operator the call chose, the
-cached factorization (two matrix-vector products, or two matrix products
-for the advisor's candidates taken as rows) or the direct law. A world
-phase on its own needs no pre-flight, so p_transpose applies phi P^T e
-there without any factorization. The dense gain built in `laws` is only
-the independent reference. A run returns its list of IterationRecords; a
-hybrid run switches where the phase turns to "world".
+applies every input to the plant and records the full history. The engine
+has one plant apply, `_measure` (e = y* - P u - Abar x0), and one learning
+step, `_learn` (L e), each taking one vector or a block with one row per
+input or error: the explicit loop passes vectors, the switch advisor its
+candidates as rows. `_learn` goes through the operator the call chose, the
+cached factorization (two matrix-vector products) or the direct law. A
+world phase on its own needs no pre-flight, so p_transpose applies
+phi P^T e there without any factorization. The dense gain built in `laws`
+is only the independent reference. A run is its arrays: the loop returns
+the inputs, errors and RMS values it produced, and the public calls wrap
+those rows into a list of IterationRecords; a hybrid run switches where the
+phase turns to "world".
 """
 
 import math
@@ -68,7 +72,7 @@ from .errors import (
     UndefinedDbError,
     _integer,
 )
-from .lifted import Trajectory, _free_response, _wrap_trajectory, lifted_output
+from .lifted import Trajectory, _free_response, _wrap_trajectory
 
 __all__ = [
     "IterationRecord",
@@ -94,12 +98,17 @@ class IterationRecord:
     rms_db: Optional[float]
 
 
+def _rms(v):
+    """sqrt(v'v / len) of a non-empty 1-D array: the one RMS definition."""
+    return math.sqrt(float(np.dot(v, v)) / v.size)
+
+
 def rms(error):
     """Root mean square of a trajectory, sqrt(e'e / len)."""
     v = error.values
     if v.size == 0:
         raise EmptyInputError("cannot take the RMS of an empty trajectory")
-    return math.sqrt(float(np.dot(v, v)) / v.size)
+    return _rms(v)
 
 
 def to_db(rms_value):
@@ -111,13 +120,23 @@ def to_db(rms_value):
     return 20.0 * math.log10(rms_value)
 
 
-def _record(iteration, phase, u, e):
-    r = rms(e)
+def _checked_rms(e, phase, iteration):
+    """_rms of one error row; raises DivergenceError where it is not finite."""
+    r = _rms(e)
     if not math.isfinite(r):
         raise DivergenceError(
             f"{phase} phase diverged: error RMS is {r} at iteration {iteration}"
         )
-    return IterationRecord(iteration, phase, u, e, r, to_db(r) if r > 0 else None)
+    return r
+
+
+def _records(first, phase, inputs, errors, rms_values):
+    """IterationRecords over a run's rows, numbered from `first`."""
+    return [
+        IterationRecord(first + j, phase, _wrap_trajectory(u), _wrap_trajectory(e),
+                        r, to_db(r) if r > 0 else None)
+        for j, (u, e, r) in enumerate(zip(inputs, errors, rms_values))
+    ]
 
 
 # Largest max|V^T V - I| for which V = P^T U diag(1 / sigma) from eigh(P P^T)
@@ -478,22 +497,13 @@ def _model_phase(op, u0v, e0v, counts):
     return out[:, : u0v.size], out[:, u0v.size :]
 
 
-def _learn(op, u, e):
-    """One learning update u + L e through the law's operator.
+def _learn(op, errors):
+    """The learning step L e of one error, or of each row of a block of them.
 
     The operator is a _DenseLaw or a cached _LawOperator; a world phase
     fetches the latter without the convergence check, so it runs whatever
     the model spectrum and fails only when its error overflows.
     """
-    if isinstance(op, _DenseLaw):
-        step = op.scale * np.dot(e.values, op.gain_t)
-    else:
-        step = np.dot(op.lu_neg, op.lam_minus_one * np.dot(op.ut, e.values))
-    return Trajectory(u.values + step)
-
-
-def _learn_rows(op, errors):
-    """The learning steps L e of many errors at once, one row per error row."""
     if isinstance(op, _DenseLaw):
         return op.scale * (errors @ op.gain_t)
     return ((errors @ op.ut.T) * op.lam_minus_one) @ op.lu_neg.T
@@ -521,13 +531,12 @@ def _check_run_inputs(applied, model, u0, desired):
             raise InvalidParameterError(f"{name} holds non-finite values")
 
 
-def _measure(applied, u, x0, desired):
-    y = lifted_output(applied, u, x0)
-    return Trajectory(desired.values - y.values)
+def _measure(applied, inputs, x0, desired):
+    """The error y* - (P u + Abar x0) of one input, or of each row of a block.
 
-
-def _measure_rows(applied, inputs, x0, desired):
-    """_measure of many inputs at once: one error row per input row."""
+    Applies each input to the plant `applied` over the full horizon; x0 is
+    validated by _free_response, the input lengths by the public callers.
+    """
     y = inputs @ applied.p_matrix.T
     free = _free_response(applied, x0)
     if free is not None:
@@ -536,20 +545,24 @@ def _measure_rows(applied, inputs, x0, desired):
 
 
 def _run_loop(applied, op, u, x0, desired, count, phase, first=0):
-    """Apply, measure, record and update, `count` times: count + 1 records.
+    """Apply, measure and update `count` times from the input vector u.
 
     Each input goes to `applied` and each update is the model law's
-    operator `op`; record indices start at `first`.
+    operator `op`. Returns the count + 1 inputs, errors and RMS values as
+    lists, built as the loop goes; raises DivergenceError at the first
+    non-finite RMS, naming its iteration counted from `first`.
     """
-    records = []
-    # a diverging run overflows; _record reports it as a DivergenceError
+    inputs, errors, rms_values = [], [], []
+    # a diverging run overflows; _checked_rms reports it as a DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(count + 1):
             e = _measure(applied, u, x0, desired)
-            records.append(_record(first + j, phase, u, e))
+            inputs.append(u)
+            errors.append(e)
+            rms_values.append(_checked_rms(e, phase, first + j))
             if j < count:
-                u = _learn(op, u, e)
-    return records
+                u = u + _learn(op, e)
+    return inputs, errors, rms_values
 
 
 def run_iterations(world, model, law, u0, x0, count, phase, desired):
@@ -600,7 +613,8 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
         op = _DenseLaw(model.p_matrix, law.gain)
     else:
         op = _operator(model, law)
-    return _run_loop(applied, op, u0, x0, desired, count, phase)
+    rows = _run_loop(applied, op, u0.values, x0, desired, count, phase)
+    return _records(0, phase, *rows)
 
 
 def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
@@ -611,7 +625,7 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     first world record, then runs world_count learning iterations against
     the world: the switch is record model_count, where the phase turns to
     "world". A short model phase (see the module docstring) is the loop of
-    run_iterations and switches with that loop's record model_count; else
+    run_iterations and switches with that loop's input model_count; else
     one batched pass of the fast-forward formulas and fast_forward.
 
     Returns
@@ -622,7 +636,7 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     ------
     DivergenceError
         If the model iteration matrix has an eigenvalue outside (-1, 1), or
-        a world-phase error RMS becomes non-finite.
+        an error RMS of either phase becomes non-finite.
     InvalidParameterError
         If a count is not a whole number >= 0, or u0 or desired is not finite.
     """
@@ -631,38 +645,43 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     _check_run_inputs(world, model, u0, desired)
     op = _model_operator(model, law, model_count)
     if isinstance(op, _DenseLaw):
-        records = _run_loop(model, op, u0, x0, desired, model_count, "model")
-        u = records.pop().input
+        inputs, errors, rms_values = _run_loop(
+            model, op, u0.values, x0, desired, model_count, "model"
+        )
+        u = inputs.pop()
+        del errors[-1], rms_values[-1]
     else:
-        e0 = _measure(model, u0, x0, desired)
-        inputs, errors = _model_phase(op, u0.values, e0.values, range(model_count))
-        records = [
-            _record(j, "model", _wrap_trajectory(u_j), _wrap_trajectory(e_j))
-            for j, (u_j, e_j) in enumerate(zip(inputs, errors))
-        ]
-        u, _ = fast_forward(model, law, u0, e0, model_count)
-    records += _run_loop(world, op, u, x0, desired, world_count, "world", model_count)
-    return records
+        # a huge u0 overflows the model phase; its RMS raises DivergenceError
+        with np.errstate(over="ignore", invalid="ignore"):
+            e0 = _measure(model, u0.values, x0, desired)
+            inputs, errors = _model_phase(op, u0.values, e0, range(model_count))
+            rms_values = [_checked_rms(e, "model", j) for j, e in enumerate(errors)]
+            u_n, _ = fast_forward(model, law, u0, _wrap_trajectory(e0), model_count)
+            u = u_n.values
+    world_rows = _run_loop(world, op, u, x0, desired, world_count, "world", model_count)
+    return (_records(0, "model", inputs, errors, rms_values)
+            + _records(model_count, "world", *world_rows))
 
 
 def _model_states(model, op, u0, x0, desired, e0, largest):
     """states(counts): the model-phase u_n, e_n and e_{n+1}, a row per n <= largest.
 
-    With a _DenseLaw they are records of one explicit model run to
+    u0 and e0 are the initial input and model error as vectors. With a
+    _DenseLaw the states are the rows of one explicit model run to
     largest + 1, made here once; else each call is one _model_phase product
-    over every n and n + 1, from the model error e0.
+    over every n and n + 1, from e0.
     """
     if isinstance(op, _DenseLaw):
-        records = _run_loop(model, op, u0, x0, desired, largest + 1, "model")
-        inputs = np.array([r.input.values for r in records])
-        errors = np.array([r.error.values for r in records])
+        inputs, errors, _ = _run_loop(model, op, u0, x0, desired, largest + 1, "model")
+        inputs = np.array(inputs)
+        errors = np.array(errors)
         return lambda counts: (
             inputs[counts], errors[counts], errors[[n + 1 for n in counts]]
         )
 
     def states(counts):
         both = [*counts, *(n + 1 for n in counts)]
-        inputs, errors = _model_phase(op, u0.values, e0.values, both)
+        inputs, errors = _model_phase(op, u0, e0, both)
         return inputs[: len(counts)], errors[: len(counts)], errors[len(counts) :]
 
     return states

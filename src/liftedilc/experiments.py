@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import _sampled_plant, load_preset
 from .engine import run_hybrid, run_iterations, to_db
-from .errors import ConfigError
+from .errors import ConfigError, _integer
 from .laws import LearningLaw
 from .lifted import LiftedSystem, Trajectory, build_lifted, delete_rows
 from .switching import evaluate_switch
@@ -312,6 +312,9 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     config, (world, model, u0, desired) = bundled_experiment(family)
     if switch_n is None:
         switch_n = config.model_count
+    else:
+        # checked here, so a bad value is named, not the curves' total count
+        switch_n = _integer("switch_n", switch_n, 0)
     law = LearningLaw(law_kind, config.gain)
     total = switch_n + config.world_count
 

@@ -35,7 +35,7 @@ from .errors import (
 from .lti import _output_powers
 
 __all__ = ["Trajectory", "LiftedSystem", "build_lifted", "delete_rows",
-           "lifted_output", "pseudo_inverse_input"]
+           "pseudo_inverse_input"]
 
 # relative cutoff on singular values when forming the pseudoinverse
 PINV_RTOL = 1e-10
@@ -219,41 +219,6 @@ def _free_response(ls, initial_state):
     if not np.any(x0):
         return None
     return ls.abar_matrix @ x0
-
-
-def lifted_output(ls, input_trajectory, initial_state=None):
-    """Apply an input over the full horizon and return the (deleted) output.
-
-    Parameters
-    ----------
-    ls : LiftedSystem
-    input_trajectory : Trajectory
-        Length must equal the horizon N regardless of deleted rows.
-    initial_state : array_like, optional
-        Defaults to the origin.
-
-    Returns
-    -------
-    Trajectory
-        Output samples for steps 1 + d .. N.
-
-    Raises
-    ------
-    DimensionError
-        If the input or initial_state has the wrong length.
-    InvalidParameterError
-        If initial_state holds NaN or inf.
-    """
-    u = input_trajectory.values
-    if u.size != ls.horizon:
-        raise DimensionError(
-            f"input length {u.size} does not match horizon {ls.horizon}"
-        )
-    free = _free_response(ls, initial_state)
-    y = ls.p_matrix @ u
-    if free is not None:
-        y = y + free
-    return Trajectory(y)
 
 
 def _invert_upper_triangular(r):

@@ -11,25 +11,25 @@ The model points at n and n+1 are the model-phase states a model run
 records: rows of one explicit model run where the largest candidate is short
 enough, else one matrix product of the closed form (see engine). All
 candidates are evaluated in one pass: each world step (world application,
-world update) is one matrix product with the candidates as rows.
+world update) is the engine's one plant apply or learning step, given the
+candidates as rows, and each RMS is the one the run records hold.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import (
     _check_run_inputs,
-    _learn_rows,
+    _learn,
     _measure,
-    _measure_rows,
     _model_operator,
     _model_states,
+    _rms,
     fast_forward,  # unused here; bench/tests/test_tracer.py traces this binding
-    rms,
 )
-from .errors import InvalidParameterError, _integer
-from .lifted import _wrap_trajectory
+from .errors import DivergenceError, InvalidParameterError, _integer
 
 __all__ = ["SwitchReport", "evaluate_switch"]
 
@@ -92,29 +92,37 @@ def evaluate_switch(world, model, law, u0, x0, candidates, slope_factor, desired
         If a candidate is not a whole number >= 1 (before any numerical
         work), or u0, desired or the initial error is not finite.
     DivergenceError
-        If the model iteration matrix has an eigenvalue outside (-1, 1).
+        If the model iteration matrix has an eigenvalue outside (-1, 1), or
+        any of a candidate's four RMS values is not finite.
     """
     counts = [_integer("candidate_n", n, 1) for n in candidates]
     _check_run_inputs(world, model, u0, desired)
     if not counts:
         return []
-    e0 = _measure(model, u0, x0, desired)
+    # a huge u0 can overflow e0 (invalid) or a state's RMS (a divergence)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0 = _measure(model, u0.values, x0, desired)
     op = _model_operator(model, law, max(counts))
-    if not np.isfinite(e0.values).all():
+    if not np.isfinite(e0).all():
         raise InvalidParameterError("e0 holds non-finite values")
-    states = _model_states(model, op, u0, x0, desired, e0, max(counts))
+    states = _model_states(model, op, u0.values, x0, desired, e0, max(counts))
     reports = []
     for start in range(0, len(counts), _BLOCK):
         block = counts[start : start + _BLOCK]
-        u_n, e_model_n, e_model_n1 = states(block)
-        e_world_n = _measure_rows(world, u_n, x0, desired)
-        u_world_n1 = u_n + _learn_rows(op, e_world_n)
-        e_world_n1 = _measure_rows(world, u_world_n1, x0, desired)
-        for j, candidate_n in enumerate(block):
-            r_model_n, r_model_n1, r_world_n, r_world_n1 = (
-                rms(_wrap_trajectory(e[j]))
-                for e in (e_model_n, e_model_n1, e_world_n, e_world_n1)
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_n, e_model_n, e_model_n1 = states(block)
+            e_world_n = _measure(world, u_n, x0, desired)
+            e_world_n1 = _measure(world, u_n + _learn(op, e_world_n), x0, desired)
+            errors = (e_model_n, e_model_n1, e_world_n, e_world_n1)
+            rms_rows = [[_rms(e[j]) for e in errors] for j in range(len(block))]
+        for candidate_n, rms_values in zip(block, rms_rows):
+            r_model_n, r_model_n1, r_world_n, r_world_n1 = rms_values
+            if not all(map(math.isfinite, rms_values)):
+                raise DivergenceError(
+                    f"switch evaluation diverged at candidate {candidate_n}: "
+                    f"error RMS model {r_model_n} -> {r_model_n1}, "
+                    f"world {r_world_n} -> {r_world_n1}"
+                )
             model_slope = r_model_n - r_model_n1
             world_slope = r_world_n - r_world_n1
             reports.append(SwitchReport(

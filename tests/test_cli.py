@@ -321,6 +321,54 @@ def test_run_rejects_a_non_finite_initial_input_file(
     assert not (tmp_path / "results.csv").exists()
 
 
+def _huge_input_preset(directory, mode="hybrid"):
+    """The second-order preset, run from an input of 100 x 1e306."""
+    source = Path(directory) / "u0.txt"
+    source.write_text("1e306\n" * 100)
+    return write_preset("second_order", directory, [
+        ("run.initial_input = desired_output", f"run.initial_input = {source}"),
+        ("run.mode = hybrid", f"run.mode = {mode}"),
+    ])
+
+
+@pytest.mark.parametrize("mode", ["model", "world", "hybrid"])
+def test_a_run_that_overflows_exits_2_without_a_warning(
+    mode, tmp_path, monkeypatch, capsys
+):
+    # a finite input so large that its error RMS overflows diverges at
+    # iteration 0 in every mode; no numpy overflow warning escapes first
+    monkeypatch.chdir(tmp_path)
+    path = _huge_input_preset(tmp_path, mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, text = run_cli(["run", str(path)])
+    assert code == 2
+    assert text == ""
+    phase = "world" if mode == "world" else "model"
+    assert f"error: {phase} phase diverged: error RMS is inf at iteration 0" in (
+        capsys.readouterr().err
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["second_order.cfg", "u0.txt"]
+
+
+@pytest.mark.parametrize("candidates, message", [
+    # 60 > N // 4: the closed form's states, whose RMS overflows
+    ("5,60", "error: switch evaluation diverged at candidate 5: error RMS model inf"),
+    # 25 <= N // 4: the explicit model run to 26, which stops at iteration 0
+    ("5,25", "error: model phase diverged: error RMS is inf at iteration 0"),
+], ids=["closed_form", "dense"])
+def test_an_advisor_that_overflows_exits_2_without_a_warning(
+    candidates, message, tmp_path, capsys
+):
+    path = _huge_input_preset(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, text = run_cli(["advise-switch", str(path), "--candidates", candidates])
+    assert code == 2
+    assert text == ""
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, overrides", [
     # (1 - cos(20 pi t)) is exactly 0 at t = 0.1 s, and 0 ** -1 is inf
     ("run", {"trajectory.exponent": "-1"}),
@@ -437,6 +485,13 @@ def test_switch_zero_fails_only_for_marker_figures_and_then_writes_nothing(
     assert run_cli(argv)[0] == code
     written = list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.svg"))
     assert len(written) == (4 if code == 0 else 0)
+
+
+def test_a_negative_switch_is_named_and_writes_nothing(tmp_path, capsys):
+    argv = ["figure", "fig3", "--switch", "-60", "--output-dir", str(tmp_path)]
+    assert run_cli(argv) == (2, "")
+    assert "error: switch_n must be at least 0, got -60" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("law", LAW_KINDS)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,7 +30,6 @@ from liftedilc import (
     evaluate_switch,
     fast_forward,
     iteration_matrix,
-    lifted_output,
     load_preset,
     run_experiment,
     run_hybrid,
@@ -131,6 +131,31 @@ def test_one_factorization_serves_all_three_laws(
     assert factorization_calls == ["eigh"]
 
 
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_measure_and_learn_take_a_vector_or_a_block_of_rows(third_order_pair, kind):
+    # one plant apply and one learning step serve the explicit loop's vectors
+    # and the advisor's blocks: each row of a block is that row's vector result
+    world, model, _, desired = third_order_pair
+    law = LearningLaw(kind, 1.0)
+    x0 = np.array([0.1, -0.2, 0.05])
+    rng = np.random.default_rng(11)
+    inputs = rng.standard_normal((3, model.horizon))
+    errors = engine._measure(world, inputs, x0, desired)
+    assert errors.shape == (3, model.row_count)
+    operators = [engine._operator(model, law)]
+    if kind != "partial_isometry":
+        operators.append(engine._build_dense_law(model.p_matrix, law))
+    for op in operators:
+        steps = engine._learn(op, errors)
+        assert steps.shape == inputs.shape
+        for u, e, step in zip(inputs, errors, steps):
+            e_single = engine._measure(world, u, x0, desired)
+            step_single = engine._learn(op, e_single)
+            for row, single in ((e, e_single), (step, step_single)):
+                scale = np.max(np.abs(single))
+                assert np.max(np.abs(row - single)) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("horizon", [100, 400])
 @pytest.mark.parametrize("preset", ["second_order", "third_order"])
 def test_eigh_built_isometry_update_matches_the_dense_svd_gain(
@@ -144,8 +169,7 @@ def test_eigh_built_isometry_update_matches_the_dense_svd_gain(
     rng = np.random.default_rng(3)
     for values in (desired.values - model.p_matrix @ u0.values,
                    rng.standard_normal(model.row_count)):
-        e = Trajectory(values)
-        step = engine._learn(engine._operator(model, law), u0, e).values - u0.values
+        step = engine._learn(engine._operator(model, law), values)
         expected = l_matrix @ values
         assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
     assert factorization_calls == ["eigh"]
@@ -549,7 +573,7 @@ def test_run_iterations_world_phase_measures_the_world(second_order_pair):
     world, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
     history = run_iterations(world, model, law, u0, None, 1, "world", desired)
-    e0 = desired.values - lifted_output(world, u0).values
+    e0 = desired.values - world.p_matrix @ u0.values
     assert np.allclose(history[0].error.values, e0)
     assert history[0].phase == "world"
 
@@ -607,8 +631,8 @@ def test_run_hybrid_record_layout(second_order_pair):
     assert np.array_equal(history[30].input.values, u30.values)
 
     # and the world error there really comes from the world plant
-    y30 = lifted_output(world, history[30].input)
-    assert np.allclose(history[30].error.values, desired.values - y30.values)
+    y30 = world.p_matrix @ history[30].input.values
+    assert np.allclose(history[30].error.values, desired.values - y30)
 
 
 def test_run_hybrid_dense_switch_input_is_the_model_loop(second_order_pair):
@@ -629,8 +653,8 @@ def test_run_hybrid_dense_switch_input_is_the_model_loop(second_order_pair):
     assert np.max(np.abs(history[5].input.values - u5.values)) <= (
         1e-12 * np.max(np.abs(u5.values))
     )
-    y5 = lifted_output(world, history[5].input)
-    assert np.allclose(history[5].error.values, desired.values - y5.values)
+    y5 = world.p_matrix @ history[5].input.values
+    assert np.allclose(history[5].error.values, desired.values - y5)
 
 
 @pytest.mark.parametrize("kind, bound", [("p_transpose", 25), ("norm_optimal", 12)])
@@ -769,20 +793,56 @@ def test_runs_reject_a_non_finite_input_or_target(second_order_pair, target, val
         run_hybrid(world, model, law, u0, None, 5, 5, desired)
 
 
-def test_world_phase_divergence_names_phase_and_iteration(second_order_pair):
-    # the model-built gain on a plant it cannot stabilize: the world error
-    # grows until its RMS overflows
-    _, model, u0, desired = second_order_pair
-    world = build_lifted(
+def _lightly_damped_world(model):
+    """A world that the model-built gain cannot stabilize (damping 0.05)."""
+    return build_lifted(
         discretize_zoh(continuous_plant("second_order", PlantParams(0.05, 37.0)),
                        SAMPLE_PERIOD),
         model.horizon,
     )
+
+
+def test_world_phase_divergence_names_phase_and_iteration(second_order_pair):
+    # the model-built gain on a plant it cannot stabilize: the world error
+    # grows until its RMS overflows
+    _, model, u0, desired = second_order_pair
+    world = _lightly_damped_world(model)
     law = LearningLaw("p_transpose", 1.0)
     with pytest.raises(DivergenceError, match=r"world phase diverged.*iteration \d+"):
         run_iterations(world, model, law, u0, None, 1000, "world", desired)
     with pytest.raises(DivergenceError, match=r"world phase diverged.*iteration \d+"):
         run_hybrid(world, model, law, u0, None, 10, 1000, desired)
+
+
+def test_a_diverging_run_stops_at_its_first_non_finite_rms(
+    second_order_pair, monkeypatch
+):
+    # a million updates asked for, 384 made: the loop applies one input per
+    # iteration up to the first overflowing RMS, and holds only what it ran
+    _, model, u0, desired = second_order_pair
+    world = _lightly_damped_world(model)
+    law = LearningLaw("p_transpose", 1.0)
+    applied = []
+    real_measure = engine._measure
+
+    def counting_measure(plant, inputs, x0, target):
+        applied.append(plant)
+        return real_measure(plant, inputs, x0, target)
+
+    monkeypatch.setattr(engine, "_measure", counting_measure)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DivergenceError, match="world phase diverged: error "
+                           "RMS is inf at iteration 384$"):
+            run_iterations(world, model, law, u0, None, 10**6, "world", desired)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(applied) <= 385
+    assert all(plant is world for plant in applied)
+    # 385 inputs and errors of 100 samples take 0.6 MB; storage sized by the
+    # count, even a list of 10**6 pointers, would take 8 MB or more
+    assert peak < 4e6
 
 
 def test_run_hybrid_zero_counts_yield_one_world_record(second_order_pair):
@@ -830,7 +890,7 @@ def test_integer_arguments_reject_nan_inf_and_fractions(
 
 def test_rms_db_is_none_for_exact_tracking(second_order_pair):
     _, model, u0, _ = second_order_pair
-    desired = lifted_output(model, u0)
+    desired = Trajectory(model.p_matrix @ u0.values)
     law = LearningLaw("p_transpose", 1.0)
     history = run_iterations(model, model, law, u0, None, 0, "model", desired)
     assert history[0].rms == 0.0

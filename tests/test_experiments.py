@@ -13,6 +13,7 @@ from liftedilc import (
     LAW_KINDS,
     LearningLaw,
     PlantParams,
+    Trajectory,
     build_desired_trajectory,
     build_experiment,
     build_initial_input,
@@ -22,7 +23,6 @@ from liftedilc import (
     continuous_plant,
     delete_rows,
     discretize_zoh,
-    lifted_output,
     load_config,
     load_preset,
     reproduce_figure,
@@ -110,7 +110,7 @@ def test_csv_layout_counts_hardware_rows(write_cfg, tmp_path):
 
 def test_csv_leaves_db_blank_when_error_is_zero(second_order_pair, tmp_path):
     _, model, u0, _ = second_order_pair
-    desired = lifted_output(model, u0)
+    desired = Trajectory(model.p_matrix @ u0.values)
     history = run_iterations(
         model, model, LearningLaw("p_transpose", 1.0), u0, None, 0, "model", desired
     )

@@ -20,16 +20,19 @@ from liftedilc import (
     build_lifted_pair,
     delete_rows,
     discretize_zoh,
+    evaluate_switch,
     fast_forward,
-    lifted_output,
     load_preset,
     make_second_order,
     make_third_order,
     pseudo_inverse_input,
+    run_hybrid,
+    run_iterations,
     simulate,
 )
 
 from liftedilc.config import _sampled_plant
+from liftedilc.engine import _measure
 from liftedilc.lifted import PINV_RTOL
 from liftedilc.lti import _markov_parameters
 
@@ -127,25 +130,25 @@ def test_abar_rows_are_output_row_times_state_powers():
 
 
 @given(st.integers(0, 10_000))
-def test_lifted_output_equals_step_by_step_simulation(seed):
+def test_measured_output_equals_step_by_step_simulation(seed):
+    # the engine's plant apply P u + Abar x0, measured against the simulated
+    # output as its target, leaves only rounding
     rng = np.random.default_rng(seed)
     ls, dss = random_stable_lifted(rng)
-    u = Trajectory(rng.standard_normal(ls.horizon))
+    u = rng.standard_normal(ls.horizon)
     x0 = rng.standard_normal(dss.order)
-    y_lifted = lifted_output(ls, u, x0)
-    y_sim = simulate(dss, u.values, x0)
-    assert np.max(np.abs(y_lifted.values - y_sim)) < 1e-9 * max(
-        1.0, float(np.max(np.abs(y_sim)))
-    )
+    y_sim = simulate(dss, u, x0)
+    error = _measure(ls, u, x0, Trajectory(y_sim))
+    assert np.max(np.abs(error)) < 1e-9 * max(1.0, float(np.max(np.abs(y_sim))))
 
 
 def test_deleted_output_is_a_suffix_of_the_full_output(third_order_pair):
     _, model, u0, _ = third_order_pair
     full = build_lifted(_preset_plant("third_order", "model"), model.horizon)
-    y_full = lifted_output(full, u0)
-    y_del = lifted_output(model, u0)
+    y_full = full.p_matrix @ u0.values
+    y_del = model.p_matrix @ u0.values
     # same rows, but BLAS may round a 99-row product differently from a slice
-    assert np.max(np.abs(y_del.values - y_full.values[1:])) < 1e-12
+    assert np.max(np.abs(y_del - y_full[1:])) < 1e-12
 
 
 def test_delete_rows_validation():
@@ -159,10 +162,21 @@ def test_delete_rows_validation():
         delete_rows(once, 1)
 
 
-def test_lifted_output_rejects_wrong_input_length(second_order_pair):
-    _, model, _, _ = second_order_pair
-    with pytest.raises(DimensionError):
-        lifted_output(model, Trajectory(np.ones(7)))
+def test_public_entries_reject_wrong_input_length(second_order_pair):
+    world, model, _, desired = second_order_pair
+    law = LearningLaw("p_transpose", 1.0)
+    short = Trajectory(np.ones(7))
+    e0 = Trajectory(np.zeros(model.row_count))
+    calls = [
+        lambda: run_iterations(world, model, law, short, None, 1, "model", desired),
+        lambda: run_iterations(world, model, law, short, None, 1, "world", desired),
+        lambda: run_hybrid(world, model, law, short, None, 1, 1, desired),
+        lambda: evaluate_switch(world, model, law, short, None, [1], 1.0, desired),
+        lambda: fast_forward(model, law, short, e0, 1),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionError, match="u0 length 7"):
+            call()
 
 
 @pytest.mark.parametrize("p_shape, abar_shape, error", [
@@ -266,8 +280,8 @@ def test_trajectory_validation_and_length():
 def test_pseudo_inverse_reproduces_minimum_phase_target(second_order_pair):
     _, model, _, desired = second_order_pair
     u = pseudo_inverse_input(model, desired)
-    y = lifted_output(model, u)
-    assert np.max(np.abs(y.values - desired.values)) < 1e-8
+    y = model.p_matrix @ u.values
+    assert np.max(np.abs(y - desired.values)) < 1e-8
 
 
 def test_pseudo_inverse_refuses_effectively_singular_rows():
@@ -282,9 +296,9 @@ def test_pseudo_inverse_refuses_effectively_singular_rows():
 def test_pseudo_inverse_tracks_deleted_target_exactly(third_order_pair):
     _, model, _, desired = third_order_pair
     u = pseudo_inverse_input(model, desired)
-    y = lifted_output(model, u)
+    y = model.p_matrix @ u.values
     scale = float(np.max(np.abs(desired.values)))
-    assert np.max(np.abs(y.values - desired.values)) < 1e-7 * scale
+    assert np.max(np.abs(y - desired.values)) < 1e-7 * scale
     # the bounded stable-inverse input stays at a modest scale
     assert np.max(np.abs(u.values)) < 1e3
 
@@ -293,9 +307,9 @@ def test_pseudo_inverse_subtracts_initial_state_response(third_order_pair):
     _, model, _, desired = third_order_pair
     x0 = np.array([0.1, -0.2, 0.05])
     u = pseudo_inverse_input(model, desired, x0)
-    y = lifted_output(model, u, x0)
+    y = model.p_matrix @ u.values + model.abar_matrix @ x0
     scale = float(np.max(np.abs(desired.values)))
-    assert np.max(np.abs(y.values - desired.values)) < 1e-7 * scale
+    assert np.max(np.abs(y - desired.values)) < 1e-7 * scale
 
 
 def _svd_rule(p, rhs):
@@ -411,20 +425,23 @@ def test_non_finite_initial_state_is_rejected(third_order_pair, x0):
     _, model, u0, desired = third_order_pair
     with pytest.raises(InvalidParameterError):
         pseudo_inverse_input(model, desired, x0)
-    with pytest.raises(InvalidParameterError):
-        lifted_output(model, u0, x0)
+    law = LearningLaw("p_transpose", 1.0)
+    with pytest.raises(InvalidParameterError, match="initial_state"):
+        run_iterations(model, model, law, u0, x0, 0, "model", desired)
 
 
-def test_lifted_output_adds_the_free_response_only_for_a_nonzero_state(
+def test_measure_adds_the_free_response_only_for_a_nonzero_state(
     third_order_pair,
 ):
+    # against a zero target the measured error is exactly -(P u + Abar x0)
     _, model, u0, _ = third_order_pair
+    zero = Trajectory(np.zeros(model.row_count))
     forced = model.p_matrix @ u0.values
-    assert np.array_equal(lifted_output(model, u0).values, forced)
-    assert np.array_equal(lifted_output(model, u0, np.zeros(3)).values, forced)
+    assert np.array_equal(-_measure(model, u0.values, None, zero), forced)
+    assert np.array_equal(-_measure(model, u0.values, np.zeros(3), zero), forced)
     x0 = np.array([0.1, -0.2, 0.05])
     assert np.array_equal(
-        lifted_output(model, u0, x0).values, forced + model.abar_matrix @ x0
+        -_measure(model, u0.values, x0, zero), forced + model.abar_matrix @ x0
     )
     with pytest.raises(DimensionError):
-        lifted_output(model, u0, np.zeros(2))
+        _measure(model, u0.values, np.zeros(2), zero)

@@ -74,22 +74,16 @@ def test_advisor_consumes_exactly_two_world_runs(second_order_pair, monkeypatch)
     world, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
     rows = {"world": 0, "model": 0}
-    real_output = engine.lifted_output
-    real_rows = switching._measure_rows
+    real_measure = engine._measure
 
-    def count(plant, n):
-        rows["world" if plant is world else "model"] += n
+    def counting_measure(plant, inputs, x0, target):
+        plant_rows = inputs.shape[0] if inputs.ndim == 2 else 1
+        rows["world" if plant is world else "model"] += plant_rows
+        return real_measure(plant, inputs, x0, target)
 
-    def counting_output(plant, u, x0=None):
-        count(plant, 1)
-        return real_output(plant, u, x0)
-
-    def counting_rows(plant, inputs, x0, target):
-        count(plant, inputs.shape[0])
-        return real_rows(plant, inputs, x0, target)
-
-    monkeypatch.setattr(engine, "lifted_output", counting_output)
-    monkeypatch.setattr(switching, "_measure_rows", counting_rows)
+    # the one plant apply, as the engine's loop and the advisor bind it
+    monkeypatch.setattr(engine, "_measure", counting_measure)
+    monkeypatch.setattr(switching, "_measure", counting_measure)
     # one candidate, and more than one block of them. The model takes the
     # initial error, plus, on the dense side (25 <= N // 4), the 27 records of
     # the one explicit model run to 26; the closed form applies no model row
