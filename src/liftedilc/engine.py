@@ -33,14 +33,24 @@ freed with the model.
 A model phase has two algorithms: the explicit loop of `run_iterations`
 and the closed form, which is used only where it pays. A model phase of at
 most N // 4 iterations with p_transpose, or N // 8 with norm_optimal
-(`run_iterations` in the model phase, `run_hybrid`'s model_count, the
-advisor's largest candidate), builds no spectrum: it is the explicit loop,
-bit for bit in all three, with its updates applied directly, u + phi P^T e
-or u + L e with the norm_optimal gain L = P^T (phi I + P P^T)^-1 solved
-once per model and law, and a Cholesky certificate stands in for the
-rho < 1 pre-flight. Where that certificate fails, the call takes the
-spectral path. partial_isometry, `fast_forward` and longer model phases
-always take the closed form.
+(a model run's count, a hybrid's model_count, the advisor's largest
+candidate), builds no spectrum: it is the explicit loop, bit for bit in
+all three, with its updates applied directly, u + phi P^T e or u + L e
+with the norm_optimal gain L = P^T (phi I + P P^T)^-1 solved once per
+model and law, and a Cholesky certificate stands in for the rho < 1
+pre-flight. Where that certificate fails, the call takes the spectral
+path. partial_isometry, `fast_forward` and longer model phases always
+take the closed form.
+
+A command computes its model phase once, as one model pass (`_ModelPass`):
+a figure's model curve, its hybrid's model phase and its markers' model
+points, or a run's hybrid and its advisor, read their rows from it. Readers
+whose lengths pick the same operator share rows: one explicit model run,
+extended to the largest n read, or closed-form products over aligned blocks
+of _BLOCK counts, with one more product for the advisor's points that no
+run holds. `run_iterations` and `fast_forward` stay outside it: they are
+the explicit loop and the closed form that the self-checks compare and time,
+and `run_iterations` is the model-mode run.
 
 `run_iterations` is the explicit counterpart of the fast-forward: it
 applies every input to the plant and records the full history. The engine
@@ -161,6 +171,11 @@ _EPS = np.finfo(float).eps
 # 100 ms at N = 1000). Each divisor sits about a factor 2 below its law's
 # crossover; partial_isometry always takes the spectrum.
 _DENSE_DIVISOR = {"p_transpose": 4, "norm_optimal": 8}
+
+# counts in one closed-form product of a model pass, and candidates the switch
+# advisor takes together: fixed blocks keep a row's bits independent of the
+# row count, and the advisor's temporaries O(_BLOCK N)
+_BLOCK = 64
 
 # The dense path's rho < 1 pre-flight, without the spectrum: a Cholesky
 # factorization of P P^T - shift I that succeeds shows that sigma_min^2
@@ -476,11 +491,11 @@ def _model_phase(op, u0v, e0v, counts):
 
     The batched form of fast_forward: with R[n] = (lambda^n - 1) * U^T e_0
     as rows, R out_map^T holds every [u_n - u_0; e_n - e_0] from one matrix
-    product instead of one fast-forward per n. A hybrid run passes
-    range(model_count), the switch advisor its candidates n and n + 1. A row
-    with n = 0 is exactly u_0 and e_0, also where lambda is 0. As in
-    fast_forward, each n enters as float(n) with its parity taken from the
-    integer, so a count beyond the int64 range is fine.
+    product instead of one fast-forward per n. A _ModelPass passes a run's
+    rows one aligned block of _BLOCK counts at a time, and the advisor's
+    other points together. A row with n = 0 is exactly u_0 and e_0, also
+    where lambda is 0. As in fast_forward, each n enters as float(n) with its
+    parity taken from the integer, so a count beyond the int64 range is fine.
     """
     n = np.array([float(c) for c in counts]).reshape(-1, 1)
     odd = np.array([c % 2 == 1 for c in counts], dtype=bool).reshape(-1, 1)
@@ -617,6 +632,94 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
     return _records(0, phase, *rows)
 
 
+def _model_records(rows):
+    """IterationRecords of model-phase rows (u_n, e_n) for n = 0, 1, ..."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rms_values = [_checked_rms(e, "model", j) for j, (_, e) in enumerate(rows)]
+    return _records(0, "model", [u for u, _ in rows], [e for _, e in rows], rms_values)
+
+
+class _ModelPass:
+    """The model-phase states (u_n, e_n) of one command, each computed once.
+
+    Its readers (a model run, a hybrid's model phase, the advisor's points)
+    each take the operator their own model-phase length picks
+    (_model_operator), and readers on one operator share rows. With a
+    _DenseLaw the rows are one explicit model run from u0 and e0, extended as
+    a read needs. With a _LawOperator a run's rows are _model_phase products
+    over aligned blocks of _BLOCK counts, each computed whole, so a row's bits
+    do not depend on how far the run goes (one product over all the rows is
+    not prefix-stable); other points come from one product and are not kept.
+    """
+
+    def __init__(self, model, law, u0, x0, desired):
+        self.model, self.law, self.u0 = model, law, u0
+        self.x0, self.desired = x0, desired
+        self._rows = {}
+
+    @cached_property
+    def e0(self):
+        """The model error of u0, measured on first use."""
+        # a huge u0 can overflow e0 (invalid) or its RMS (a divergence)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _measure(self.model, self.u0.values, self.x0, self.desired)
+
+    def rows(self, op, counts, keep=False):
+        """The (u_n, e_n) at each n in counts under op; keep=True for a run's rows."""
+        rows = self._rows.setdefault(op, {})
+        extra = {}
+        u0v, e0 = self.u0.values, self.e0
+        # a huge u0 overflows the model phase; its RMS raises DivergenceError
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(op, _DenseLaw):
+                if not rows:
+                    _checked_rms(e0, "model", 0)  # the run's iteration 0
+                    rows[0] = u0v, e0
+                last, largest = len(rows) - 1, max(counts, default=0)
+                if largest > last:
+                    u, e = rows[last]
+                    inputs, errors, _ = _run_loop(
+                        self.model, op, u + _learn(op, e), self.x0, self.desired,
+                        largest - last - 1, "model", first=last + 1,
+                    )
+                    rows.update(enumerate(zip(inputs, errors), last + 1))
+            elif keep:
+                for block in {n // _BLOCK for n in counts if n not in rows}:
+                    start = block * _BLOCK
+                    states = _model_phase(op, u0v, e0, range(start, start + _BLOCK))
+                    rows.update(enumerate(zip(*states), start))
+            else:
+                missing = sorted({n for n in counts if n not in rows})
+                if missing:
+                    states = _model_phase(op, u0v, e0, missing)
+                    extra = dict(zip(missing, zip(*states)))
+        return [rows[n] if n in rows else extra[n] for n in counts]
+
+    def model_run(self, count):
+        """run_iterations' model-phase records, to rounding on the closed form."""
+        op = _model_operator(self.model, self.law, count)
+        return _model_records(self.rows(op, range(count + 1), keep=True))
+
+    def hybrid(self, world, model_count, world_count):
+        """run_hybrid's records from the pass; the closed form switches at fast_forward."""
+        op = _model_operator(self.model, self.law, model_count)
+        dense = isinstance(op, _DenseLaw)
+        # the dense side's switch input is its row model_count
+        count = model_count + 1 if dense else model_count
+        rows = self.rows(op, range(count), keep=True)
+        records = _model_records(rows[:model_count])
+        if dense:
+            u = rows[model_count][0]
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                u_n, _ = fast_forward(self.model, self.law, self.u0,
+                                      _wrap_trajectory(self.e0), model_count)
+            u = u_n.values
+        world_rows = _run_loop(world, op, u, self.x0, self.desired, world_count,
+                               "world", model_count)
+        return records + _records(model_count, "world", *world_rows)
+
+
 def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     """Model iterations, then a switch to world iterations.
 
@@ -626,7 +729,7 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     the world: the switch is record model_count, where the phase turns to
     "world". A short model phase (see the module docstring) is the loop of
     run_iterations and switches with that loop's input model_count; else
-    one batched pass of the fast-forward formulas and fast_forward.
+    the closed form's rows and fast_forward(model_count).
 
     Returns
     -------
@@ -643,45 +746,5 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     model_count = _integer("model_count", model_count, 0)
     world_count = _integer("world_count", world_count, 0)
     _check_run_inputs(world, model, u0, desired)
-    op = _model_operator(model, law, model_count)
-    if isinstance(op, _DenseLaw):
-        inputs, errors, rms_values = _run_loop(
-            model, op, u0.values, x0, desired, model_count, "model"
-        )
-        u = inputs.pop()
-        del errors[-1], rms_values[-1]
-    else:
-        # a huge u0 overflows the model phase; its RMS raises DivergenceError
-        with np.errstate(over="ignore", invalid="ignore"):
-            e0 = _measure(model, u0.values, x0, desired)
-            inputs, errors = _model_phase(op, u0.values, e0, range(model_count))
-            rms_values = [_checked_rms(e, "model", j) for j, e in enumerate(errors)]
-            u_n, _ = fast_forward(model, law, u0, _wrap_trajectory(e0), model_count)
-            u = u_n.values
-    world_rows = _run_loop(world, op, u, x0, desired, world_count, "world", model_count)
-    return (_records(0, "model", inputs, errors, rms_values)
-            + _records(model_count, "world", *world_rows))
-
-
-def _model_states(model, op, u0, x0, desired, e0, largest):
-    """states(counts): the model-phase u_n, e_n and e_{n+1}, a row per n <= largest.
-
-    u0 and e0 are the initial input and model error as vectors. With a
-    _DenseLaw the states are the rows of one explicit model run to
-    largest + 1, made here once; else each call is one _model_phase product
-    over every n and n + 1, from e0.
-    """
-    if isinstance(op, _DenseLaw):
-        inputs, errors, _ = _run_loop(model, op, u0, x0, desired, largest + 1, "model")
-        inputs = np.array(inputs)
-        errors = np.array(errors)
-        return lambda counts: (
-            inputs[counts], errors[counts], errors[[n + 1 for n in counts]]
-        )
-
-    def states(counts):
-        both = [*counts, *(n + 1 for n in counts)]
-        inputs, errors = _model_phase(op, u0, e0, both)
-        return inputs[: len(counts)], errors[: len(counts)], errors[len(counts) :]
-
-    return states
+    model_pass = _ModelPass(model, law, u0, x0, desired)
+    return model_pass.hybrid(world, model_count, world_count)

@@ -15,11 +15,11 @@ from typing import Dict, List, NamedTuple, Optional
 import numpy as np
 
 from .config import _sampled_plant, load_preset
-from .engine import run_hybrid, run_iterations, to_db
+from .engine import _ModelPass, run_iterations, to_db
 from .errors import ConfigError, _integer
 from .laws import LearningLaw
 from .lifted import LiftedSystem, Trajectory, build_lifted, delete_rows
-from .switching import evaluate_switch
+from .switching import _reports
 from .svg import Marker, Series, render_line_chart
 
 __all__ = [
@@ -232,26 +232,19 @@ def run_experiment(config):
     world, model, u0, desired = build_experiment(config)
     law = LearningLaw(config.law_kind, config.gain)
 
-    if config.mode == "model":
-        records = run_iterations(
-            world, model, law, u0, None, config.model_count, "model", desired
-        )
-    elif config.mode == "world":
-        records = run_iterations(
-            world, model, law, u0, None, config.world_count, "world", desired
-        )
+    # a hybrid's model phase and the advisor's model points read one pass
+    model_pass = _ModelPass(model, law, u0, None, desired)
+    if config.mode == "hybrid":
+        records = model_pass.hybrid(world, config.model_count, config.world_count)
     else:
-        records = run_hybrid(
-            world, model, law, u0, None, config.model_count,
-            config.world_count, desired,
+        count = config.model_count if config.mode == "model" else config.world_count
+        records = run_iterations(
+            world, model, law, u0, None, count, config.mode, desired
         )
-
     # every numerical step runs before the first file is written, so a
     # failure leaves no output behind
-    reports = evaluate_switch(
-        world, model, law, u0, None, config.switch_candidates,
-        config.slope_factor, desired,
-    )
+    reports = _reports(world, model_pass, list(config.switch_candidates),
+                       config.slope_factor)
     warning = unhandled_zero_warning(config)
     summary = {
         "final_rms": {r.phase: r.rms for r in records},
@@ -283,7 +276,13 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     only (black), against the world from the start (blue), and the hybrid
     run that fast-forwards the model phase, switches at `switch_n` and learns
     for the preset's run.world_count updates (red). The marker variants (fig2,
-    fig4) annotate the four switch-decision RMS values at the switch point.
+    fig4) annotate the four switch-decision RMS values at the switch point;
+    they refuse a switch_n below 1 before any numerical work.
+
+    The model curve, the hybrid's model phase and the markers' model points
+    are rows of one model pass (see engine), so the model curve matches
+    run_iterations to rounding where it is long enough for the closed form.
+    The world curve and the hybrid's world segment are explicit runs.
 
     The pair comes from bundled_experiment: the first figure of a pair in a
     process lifts and factorizes it, and every later figure of that pair, in
@@ -314,15 +313,16 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
         switch_n = config.model_count
     else:
         # checked here, so a bad value is named, not the curves' total count
-        switch_n = _integer("switch_n", switch_n, 0)
+        # or the advisor's candidate
+        switch_n = _integer("switch_n", switch_n, 1 if with_markers else 0)
     law = LearningLaw(law_kind, config.gain)
     total = switch_n + config.world_count
 
+    model_pass = _ModelPass(model, law, u0, None, desired)
     histories = {
-        "model": run_iterations(world, model, law, u0, None, total, "model", desired),
+        "model": model_pass.model_run(total),
         "world": run_iterations(world, model, law, u0, None, total, "world", desired),
-        "hybrid": run_hybrid(world, model, law, u0, None, switch_n,
-                             config.world_count, desired),
+        "hybrid": model_pass.hybrid(world, switch_n, config.world_count),
     }
 
     # every numerical step runs before the first file is written, so a
@@ -330,9 +330,7 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     report = None
     markers = []
     if with_markers:
-        [report] = evaluate_switch(
-            world, model, law, u0, None, [switch_n], config.slope_factor, desired
-        )
+        [report] = _reports(world, model_pass, [switch_n], config.slope_factor)
         markers = [
             Marker("A1", switch_n, to_db(report.r_model_n), "#000000"),
             Marker("A2", switch_n + 1, to_db(report.r_model_n1), "#000000"),

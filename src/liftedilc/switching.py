@@ -7,12 +7,14 @@ the two one-iteration improvements tells whether the hardware is still
 learning faster than the model predicts. Each candidate consumes two world
 applications, which is the entire cost of asking.
 
-The model points at n and n+1 are the model-phase states a model run
-records: rows of one explicit model run where the largest candidate is short
-enough, else one matrix product of the closed form (see engine). All
-candidates are evaluated in one pass: each world step (world application,
-world update) is the engine's one plant apply or learning step, given the
-candidates as rows, and each RMS is the one the run records hold.
+The model points at n and n+1 are rows of the command's model pass (see
+engine): of one explicit model run to the largest candidate + 1 where that
+is short enough, else of the closed form, one product for the points that
+no model run of the command holds. A figure's markers and a hybrid run's
+advisor share the pass with the hybrid run's model phase where both pick
+the same operator. The candidates are evaluated in blocks of
+rows: each world step (world application, world update) is the engine's one
+plant apply or learning step, and each RMS is the one the run records hold.
 """
 
 import math
@@ -21,21 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    _BLOCK,
+    _ModelPass,
     _check_run_inputs,
     _learn,
     _measure,
     _model_operator,
-    _model_states,
     _rms,
     fast_forward,  # unused here; bench/tests/test_tracer.py traces this binding
 )
 from .errors import DivergenceError, InvalidParameterError, _integer
 
 __all__ = ["SwitchReport", "evaluate_switch"]
-
-# candidates evaluated together at most, so the advisor's temporaries stay
-# O(_BLOCK N) however many candidates it is given
-_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -97,23 +96,28 @@ def evaluate_switch(world, model, law, u0, x0, candidates, slope_factor, desired
     """
     counts = [_integer("candidate_n", n, 1) for n in candidates]
     _check_run_inputs(world, model, u0, desired)
+    return _reports(world, _ModelPass(model, law, u0, x0, desired), counts,
+                    slope_factor)
+
+
+def _reports(world, model_pass, counts, slope_factor):
+    """evaluate_switch's reports, the model states read from model_pass."""
     if not counts:
         return []
-    # a huge u0 can overflow e0 (invalid) or a state's RMS (a divergence)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e0 = _measure(model, u0.values, x0, desired)
-    op = _model_operator(model, law, max(counts))
-    if not np.isfinite(e0).all():
+    op = _model_operator(model_pass.model, model_pass.law, max(counts))
+    if not np.isfinite(model_pass.e0).all():
         raise InvalidParameterError("e0 holds non-finite values")
-    states = _model_states(model, op, u0.values, x0, desired, e0, max(counts))
+    x0, desired = model_pass.x0, model_pass.desired
     reports = []
     for start in range(0, len(counts), _BLOCK):
         block = counts[start : start + _BLOCK]
         with np.errstate(over="ignore", invalid="ignore"):
-            u_n, e_model_n, e_model_n1 = states(block)
+            states = model_pass.rows(op, [*block, *(n + 1 for n in block)])
+            u_n = np.array([u for u, _ in states[: len(block)]])
             e_world_n = _measure(world, u_n, x0, desired)
             e_world_n1 = _measure(world, u_n + _learn(op, e_world_n), x0, desired)
-            errors = (e_model_n, e_model_n1, e_world_n, e_world_n1)
+            errors = ([e for _, e in states[: len(block)]],
+                      [e for _, e in states[len(block) :]], e_world_n, e_world_n1)
             rms_rows = [[_rms(e[j]) for e in errors] for j in range(len(block))]
         for candidate_n, rms_values in zip(block, rms_rows):
             r_model_n, r_model_n1, r_world_n, r_world_n1 = rms_values

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import liftedilc.engine as engine
+import liftedilc.experiments as experiments
 from liftedilc import LAW_KINDS
 from liftedilc.cli import _build_parser, main
 from liftedilc.config import PRESET_FILES
@@ -494,25 +495,48 @@ def test_a_negative_switch_is_named_and_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fig_id", ["fig2", "fig4"])
+def test_a_marker_figure_names_a_zero_switch_and_writes_nothing(
+    fig_id, tmp_path, capsys, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("numerical work before switch_n was checked")
+
+    monkeypatch.setattr(experiments, "_ModelPass", refuse)
+    argv = ["figure", fig_id, "--switch", "0", "--output-dir", str(tmp_path)]
+    assert run_cli(argv) == (2, "")
+    assert "error: switch_n must be at least 1, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("law", LAW_KINDS)
 @pytest.mark.parametrize("kind, fig_id, switch_n", [
     ("second_order", "fig3", 50), ("third_order", "fig5", 100),
     ("second_order", "fig3", None), ("third_order", "fig5", None),
+    # at most N // 4 (p_transpose) or N // 8 (norm_optimal, 10 only): the
+    # hybrid's model phase is the explicit loop, while the figure's model
+    # curve, 50 iterations longer, takes the closed form
+    ("second_order", "fig3", 10), ("third_order", "fig5", 10),
+    ("second_order", "fig3", 25), ("third_order", "fig5", 25),
 ])
 def test_run_on_a_preset_writes_its_figure_hybrid_curve(
     kind, fig_id, switch_n, law, tmp_path, monkeypatch
 ):
-    path = write_preset(kind, tmp_path,
-                        [("law.kind = p_transpose", f"law.kind = {law}")])
+    # the preset's run.model_count is the switch, and names the file when
+    # --switch is left out
+    default_switch = {"fig3": 50, "fig5": 100}[fig_id]
+    model_count = default_switch if switch_n is None else switch_n
+    path = write_preset(kind, tmp_path, [
+        ("law.kind = p_transpose", f"law.kind = {law}"),
+        (f"run.model_count = {default_switch}", f"run.model_count = {model_count}"),
+    ])
     monkeypatch.chdir(tmp_path)
     assert run_cli(["run", path.name])[0] == 0
     argv = ["figure", fig_id, "--law", law, "--output-dir", "figures"]
     if switch_n is not None:
         argv += ["--switch", str(switch_n)]
     assert run_cli(argv)[0] == 0
-    # the preset's run.model_count names the file when --switch is left out
-    default_switch = {"fig3": 50, "fig5": 100}[fig_id]
-    hybrid = Path("figures", f"{fig_id}_{law}_switch{default_switch}_hybrid.csv")
+    hybrid = Path("figures", f"{fig_id}_{law}_switch{model_count}_hybrid.csv")
     assert Path(f"{kind}_results.csv").read_bytes() == hybrid.read_bytes()
 
 

@@ -675,6 +675,34 @@ def test_dense_hybrid_model_phase_is_the_model_run(preset, kind, bound, request)
     assert np.array_equal(hybrid[bound].input.values, run[bound].input.values)
 
 
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("horizon", [100, 400])
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_a_model_pass_is_prefix_stable(preset, horizon, kind):
+    # the rows of a shorter pass are bit for bit the first rows of a longer
+    # one, on both sides of each block boundary. One closed-form product over
+    # all the rows is not: its rows' last bits move with the row count
+    world, model, u0, desired = build_experiment(
+        dataclasses.replace(load_preset(preset), horizon=horizon)
+    )
+    law = LearningLaw(kind, 1.0)
+    block = engine._BLOCK
+    # the explicit loop where a law has one (a model phase of 1), and the
+    # closed form (one of N)
+    for count in (1, horizon):
+        op = engine._model_operator(model, law, count)
+        longest = engine._ModelPass(model, law, u0, None, desired).rows(
+            op, range(2 * block + 1), keep=True
+        )
+        for rows in (1, block - 1, block, block + 1, 2 * block):
+            model_pass = engine._ModelPass(model, law, u0, None, desired)
+            for (u, e), (u_long, e_long) in zip(
+                model_pass.rows(op, range(rows), keep=True), longest[:rows],
+                strict=True,
+            ):
+                assert np.array_equal(u, u_long) and np.array_equal(e, e_long)
+
+
 def test_world_only_p_transpose_run_builds_no_factorization(
     second_order_pair, factorization_calls
 ):

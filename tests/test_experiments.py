@@ -6,6 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import liftedilc.engine as engine
+import liftedilc.experiments as experiments
+import liftedilc.switching as switching
 from liftedilc import (
     CSV_HEADER,
     ConfigError,
@@ -34,6 +37,7 @@ from liftedilc import (
 )
 
 from liftedilc.config import _sampled_plant
+from liftedilc.experiments import _FIGURE_FAMILY
 
 from conftest import MINIMAL_THIRD_ORDER
 
@@ -368,6 +372,72 @@ def test_bundled_experiment_is_one_shared_read_only_setup(kind):
             values[0] = 1.0
     # a user configuration's setup stays private to its command
     assert reference.u0.values.flags.writeable
+
+
+@pytest.mark.parametrize("law", LAW_KINDS)
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_a_figure_model_curve_is_the_explicit_model_run(tmp_path, figure_id, law):
+    # the closed form's rows, to rounding: every model phase of a figure at
+    # its default switch is longer than N // 4
+    artifacts = reproduce_figure(figure_id, law, output_dir=str(tmp_path))
+    curve = [float(r["rms"]) for r in read_rows(artifacts.curve_csv_paths["model"])]
+    config, (world, model, u0, desired) = bundled_experiment(
+        _FIGURE_FAMILY[figure_id][0]
+    )
+    explicit = run_iterations(world, model, LearningLaw(law, config.gain), u0, None,
+                              len(curve) - 1, "model", desired)
+    np.testing.assert_allclose(curve, [r.rms for r in explicit], rtol=1e-12, atol=0)
+
+
+def _count_applied_rows(monkeypatch, model):
+    """{'model': rows, 'world': rows} applied through the one plant apply."""
+    applied = {"model": 0, "world": 0}
+    real_measure = engine._measure
+
+    def counting_measure(plant, inputs, x0, target):
+        plant_rows = inputs.shape[0] if inputs.ndim == 2 else 1
+        applied["model" if plant is model() else "world"] += plant_rows
+        return real_measure(plant, inputs, x0, target)
+
+    monkeypatch.setattr(engine, "_measure", counting_measure)
+    monkeypatch.setattr(switching, "_measure", counting_measure)
+    return applied
+
+
+@pytest.mark.parametrize("law", LAW_KINDS)
+@pytest.mark.parametrize("figure_id, switch_n", [("fig2", 50), ("fig4", 100)])
+def test_a_closed_form_figure_applies_the_model_only_for_e0(
+    tmp_path, monkeypatch, figure_id, switch_n, law
+):
+    # the model curve, the hybrid's model phase and the markers' model points
+    # are rows of one closed-form pass from the initial error
+    config, (_, model, _, _) = bundled_experiment(_FIGURE_FAMILY[figure_id][0])
+    applied = _count_applied_rows(monkeypatch, lambda: model)
+    reproduce_figure(figure_id, law, switch_n, str(tmp_path))
+    # the world curve's records, the hybrid's world segment, the markers' B1, B2
+    world_count = config.world_count
+    assert applied == {"model": 1,
+                       "world": (switch_n + world_count + 1) + (world_count + 1) + 2}
+
+
+@pytest.mark.parametrize("law", ["p_transpose", "norm_optimal"])
+def test_a_dense_hybrid_run_and_its_advisor_share_one_model_run(
+    tmp_path, monkeypatch, law
+):
+    # N = 1000: model_count 50 and the candidates 25, 50 and 100 are at most
+    # N // 8, so the hybrid's model phase and the advisor's model points are
+    # rows of one explicit model run to max(50, 100 + 1) = 101
+    config = dataclasses.replace(
+        load_preset("second_order"), horizon=1000, law_kind=law,
+        csv_path=str(tmp_path / "run.csv"), plot_path=None,
+    )
+    built = []
+    monkeypatch.setattr(experiments, "build_experiment",
+                        lambda c: built.append(build_experiment(c)) or built[0])
+    applied = _count_applied_rows(monkeypatch, lambda: built[0].model)
+    run_experiment(config)
+    # the world segment's records, then two world rows per candidate
+    assert applied == {"model": 102, "world": 51 + 2 * 3}
 
 
 def test_reproduce_figure_rejects_unknown_id(tmp_path):

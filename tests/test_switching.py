@@ -84,10 +84,11 @@ def test_advisor_consumes_exactly_two_world_runs(second_order_pair, monkeypatch)
     # the one plant apply, as the engine's loop and the advisor bind it
     monkeypatch.setattr(engine, "_measure", counting_measure)
     monkeypatch.setattr(switching, "_measure", counting_measure)
-    # one candidate, and more than one block of them. The model takes the
-    # initial error, plus, on the dense side (25 <= N // 4), the 27 records of
-    # the one explicit model run to 26; the closed form applies no model row
-    for candidates, model_rows in (([25], 1 + 27), (range(1, 71), 1)):
+    # one candidate, and more than one block of them. On the dense side
+    # (25 <= N // 4) the model takes the 27 records of the one explicit model
+    # run to 26, the first of them the initial error; the closed form applies
+    # the model for the initial error only
+    for candidates, model_rows in (([25], 27), (range(1, 71), 1)):
         rows.update(world=0, model=0)
         evaluate_switch(world, model, law, u0, None, candidates, 1.0, desired)
         assert rows == {"world": 2 * len(candidates), "model": model_rows}
