@@ -42,18 +42,25 @@ pre-flight. Where that certificate fails, the call takes the spectral
 path. partial_isometry, `fast_forward` and longer model phases always
 take the closed form.
 
+Since U is square, (N - d) x (N - d), and orthogonal, the model error's
+RMS after n model iterations needs no row at all:
+
+    RMS_n = ||e_n|| / sqrt(N - d) = sqrt(sum lambda^(2n) (U^T e_0)^2 / (N - d))
+
 A command computes its model phase once, as one model pass (`_ModelPass`):
 a figure's model curve, its hybrid's model phase and its markers' model
-points, or a run's hybrid and its advisor, read their rows from it. Readers
-whose lengths pick the same operator share rows: one explicit model run,
-extended to the largest n read, or closed-form products over aligned blocks
-of _BLOCK counts, with one more product for the advisor's points that no
-run holds. `run_iterations` and `fast_forward` stay outside it: they are
-the explicit loop and the closed form that the self-checks compare and time,
-and `run_iterations` is the model-mode run.
+points, or a run's model phase and its advisor, read it. Readers whose
+lengths pick the same operator share it: one explicit model run, extended to
+the largest n read, or the closed form's RMS curve over aligned blocks of
+_BLOCK counts. Of the closed form's states, a pass forms only those a reader
+hands on: a run's last input and error, a hybrid's switch input
+(`fast_forward`), and the inputs of the advisor's world probes (one
+`_model_phase` product). `run_iterations` and `fast_forward` stay outside
+the pass: they are the explicit loop and the closed form that the
+self-checks compare and time.
 
 `run_iterations` is the explicit counterpart of the fast-forward: it
-applies every input to the plant and records the full history. The engine
+applies every input to the plant and measures every error. The engine
 has one plant apply, `_measure` (e = y* - P u - Abar x0), and one learning
 step, `_learn` (L e), each taking one vector or a block with one row per
 input or error: the explicit loop passes vectors, the switch advisor its
@@ -61,14 +68,14 @@ candidates as rows. `_learn` goes through the operator the call chose, the
 cached factorization (two matrix-vector products) or the direct law. A
 world phase on its own needs no pre-flight, so p_transpose applies
 phi P^T e there without any factorization. The dense gain built in `laws`
-is only the independent reference. A run is its arrays: the loop returns
-the inputs, errors and RMS values it produced, and the public calls wrap
-those rows into a list of IterationRecords; a hybrid run switches where the
-phase turns to "world".
+is only the independent reference. A run is its RMS curve: its records
+carry the iteration, phase and RMS, and only the records that hand a state
+on keep their input and error, a run's last record and a hybrid's switch
+record, where the phase turns to "world".
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -82,7 +89,7 @@ from .errors import (
     UndefinedDbError,
     _integer,
 )
-from .lifted import Trajectory, _free_response, _wrap_trajectory
+from .lifted import Trajectory, _free_response
 
 __all__ = [
     "IterationRecord",
@@ -98,14 +105,18 @@ PHASES = ("model", "world")
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """State of the learning process at one iteration."""
+    """State of the learning process at one iteration.
+
+    input and error are kept only by the records that hand a state on: a
+    run's last record and a hybrid run's switch record; elsewhere None.
+    """
 
     iteration: int
     phase: str
-    input: Trajectory
-    error: Trajectory
     rms: float
     rms_db: Optional[float]
+    input: Optional[Trajectory] = None
+    error: Optional[Trajectory] = None
 
 
 def _rms(v):
@@ -130,23 +141,30 @@ def to_db(rms_value):
     return 20.0 * math.log10(rms_value)
 
 
+def _diverged(phase, r, iteration):
+    return DivergenceError(
+        f"{phase} phase diverged: error RMS is {r} at iteration {iteration}"
+    )
+
+
 def _checked_rms(e, phase, iteration):
     """_rms of one error row; raises DivergenceError where it is not finite."""
     r = _rms(e)
     if not math.isfinite(r):
-        raise DivergenceError(
-            f"{phase} phase diverged: error RMS is {r} at iteration {iteration}"
-        )
+        raise _diverged(phase, r, iteration)
     return r
 
 
-def _records(first, phase, inputs, errors, rms_values):
-    """IterationRecords over a run's rows, numbered from `first`."""
-    return [
-        IterationRecord(first + j, phase, _wrap_trajectory(u), _wrap_trajectory(e),
-                        r, to_db(r) if r > 0 else None)
-        for j, (u, e, r) in enumerate(zip(inputs, errors, rms_values))
-    ]
+def _records(first, phase, rms_values, kept):
+    """IterationRecords of a run's RMS values, numbered from `first`.
+
+    kept maps a position in the run to the (input, error) its record keeps.
+    """
+    records = [IterationRecord(first + j, phase, r, to_db(r) if r > 0 else None)
+               for j, r in enumerate(rms_values)]
+    for j, (u, e) in kept.items():
+        records[j] = replace(records[j], input=Trajectory(u), error=Trajectory(e))
+    return records
 
 
 # Largest max|V^T V - I| for which V = P^T U diag(1 / sigma) from eigh(P P^T)
@@ -264,6 +282,9 @@ class _LawOperator:
     sign_lam: np.ndarray       # -1 for negative lambda, else +1
     odd_offset: np.ndarray     # 1 - sign_lam
     has_negative: bool
+    # 1 / (2 N) in each of N entries: its product with a finite input is at
+    # most half the input's largest magnitude, so it cannot overflow
+    input_witness: np.ndarray
 
 
 def _new_entry(model):
@@ -334,6 +355,7 @@ def _build_operator(entry, law):
         sign_lam=sign,
         odd_offset=1.0 - sign,
         has_negative=bool(np.any(lam < 0.0)),
+        input_witness=np.full(lu.shape[0], 0.5 / lu.shape[0]),
     )
 
 
@@ -407,6 +429,26 @@ def _model_operator(model, law, largest):
     return _convergent_operator(model, law)
 
 
+def _check_lengths(model, u0v, e0v):
+    """Raise DimensionError if u0 or e0 does not fit the model."""
+    row_count, horizon = model.p_matrix.shape
+    if u0v.size != horizon:
+        raise DimensionError(
+            f"u0 length {u0v.size} does not match horizon {horizon}"
+        )
+    if e0v.size != row_count:
+        raise DimensionError(
+            f"e0 length {e0v.size} does not match row count {row_count}"
+        )
+
+
+# fast_forward wraps its two float 1-D results without Trajectory's
+# validating constructor, which costs about as much as one of its
+# matrix-vector products
+_new_object = object.__new__
+_set_attribute = object.__setattr__
+
+
 def fast_forward(model, law, u0, e0, n):
     """Input and error after n model iterations, without iterating.
 
@@ -437,79 +479,70 @@ def fast_forward(model, law, u0, e0, n):
     DivergenceError
         If any eigenvalue of the model iteration matrix lies outside (-1, 1).
     """
-    # inline on check 10's timed path; a failing n goes to _integer to raise
-    try:
-        whole = n >= 0 and int(n) == n
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        _integer("n", n, 0)
-    op = _convergent_operator(model, law)
+    # check 10 times this path, so the common case is inline: an int n, a
+    # cached convergent operator, and the two result wraps
+    if type(n) is not int or n < 0:
+        n = _integer("n", n, 0)
+    entry = model._factorization
+    op = entry.laws.get((law.kind, law.gain)) if entry is not None else None
+    if op is None or op.spectral_radius >= 1.0:
+        op = _convergent_operator(model, law)
     u0v = u0.values
     e0v = e0.values
-    # P's shape read once: two property reads cost more on check 10's path
-    row_count, horizon = model.p_matrix.shape
-    if u0v.size != horizon:
-        raise DimensionError(
-            f"u0 length {u0v.size} does not match horizon {horizon}"
-        )
-    if e0v.size != row_count:
-        raise DimensionError(
-            f"e0 length {e0v.size} does not match row count {row_count}"
-        )
-    ep0 = np.dot(op.ut, e0v)
-    # cheap witnesses on check 10's timed path: u0 . u0, and one entry of
-    # U^T e0, which mixes all of e0; only a non-finite witness costs a scan
-    if not math.isfinite(u0v.dot(u0v)) and not np.isfinite(u0v).all():
+    # the two products check the lengths: a mismatch raises ValueError. The
+    # methods skip np.dot's dispatch and compute the same products
+    try:
+        ep0 = op.ut.dot(e0v)
+        u0_witness = op.input_witness.dot(u0v)
+    except ValueError:
+        _check_lengths(model, u0v, e0v)
+        raise
+    # cheap witnesses: a positive weighting of u0, which cannot overflow, and
+    # one entry of U^T e0, which mixes all of e0; only a non-finite witness
+    # costs a scan
+    if not math.isfinite(u0_witness) and not np.isfinite(u0v).all():
         raise InvalidParameterError("u0 holds non-finite values")
     if not math.isfinite(ep0[0]) and not np.isfinite(e0v).all():
         raise InvalidParameterError("e0 holds non-finite values")
+    horizon = u0v.size
     if n == 0:
-        return (
-            _wrap_trajectory(u0v.copy()),
-            _wrap_trajectory(e0v.copy()),
-        )
-    r = np.multiply(op.log_abs_lam, float(n))
-    np.expm1(r, out=r)                      # |lambda|^n - 1
-    if n % 2 and op.has_negative:
-        np.multiply(r, op.sign_lam, out=r)
-        np.subtract(r, op.odd_offset, out=r)  # lambda^n - 1
-    np.multiply(r, ep0, out=r)
-    out = np.dot(op.out_map, r)
-    u_vals = out[: u0v.size]
-    e_vals = out[u0v.size :]
-    np.add(u_vals, u0v, out=u_vals)
-    np.add(e_vals, e0v, out=e_vals)
-    return (
-        _wrap_trajectory(u_vals),
-        _wrap_trajectory(e_vals),
-    )
+        u_vals, e_vals = u0v.copy(), e0v.copy()
+    else:
+        r = np.multiply(op.log_abs_lam, float(n))
+        np.expm1(r, r)                          # |lambda|^n - 1
+        if n % 2 and op.has_negative:
+            r *= op.sign_lam
+            r -= op.odd_offset                  # lambda^n - 1
+        r *= ep0
+        out = op.out_map.dot(r)
+        u_vals = out[:horizon]
+        u_vals += u0v
+        e_vals = out[horizon:]
+        e_vals += e0v
+    u_n = _new_object(Trajectory)
+    _set_attribute(u_n, "values", u_vals)
+    e_n = _new_object(Trajectory)
+    _set_attribute(e_n, "values", e_vals)
+    return u_n, e_n
 
 
 def _model_phase(op, u0v, e0v, counts):
-    """Inputs and errors after each n in `counts` model iterations, one row per n.
+    """Inputs after each n >= 1 in `counts` model iterations, one row per n.
 
-    The batched form of fast_forward: with R[n] = (lambda^n - 1) * U^T e_0
-    as rows, R out_map^T holds every [u_n - u_0; e_n - e_0] from one matrix
-    product instead of one fast-forward per n. A _ModelPass passes a run's
-    rows one aligned block of _BLOCK counts at a time, and the advisor's
-    other points together. A row with n = 0 is exactly u_0 and e_0, also
-    where lambda is 0. As in fast_forward, each n enters as float(n) with its
-    parity taken from the integer, so a count beyond the int64 range is fine.
+    The batched form of fast_forward's input: with R[n] = (lambda^n - 1) *
+    U^T e_0 as rows, R (-L U diag(G))^T holds every u_n - u_0 from one matrix
+    product instead of one fast-forward per n. As in fast_forward, each n
+    enters as float(n) with its parity taken from the integer, so a count
+    beyond the int64 range is fine.
     """
     n = np.array([float(c) for c in counts]).reshape(-1, 1)
-    odd = np.array([c % 2 == 1 for c in counts], dtype=bool).reshape(-1, 1)
-    moved = n[:, 0] > 0
-    r = np.expm1(n[moved] * op.log_abs_lam)  # |lambda|^n - 1
-    # allocated after the temporaries, as before the generalization: allocated
-    # first, it left the heap in a state that cost N = 100 commands page faults
-    steps = np.zeros((n.shape[0], op.lam.size))
-    steps[moved] = np.where(odd[moved], r * op.sign_lam - op.odd_offset, r)
-    steps *= np.dot(op.ut, e0v)
-    out = steps @ op.out_map.T
-    out[:, : u0v.size] += u0v
-    out[:, u0v.size :] += e0v
-    return out[:, : u0v.size], out[:, u0v.size :]
+    odd = np.array([c % 2 == 1 for c in counts]).reshape(-1, 1)
+    r = np.expm1(n * op.log_abs_lam)  # |lambda|^n - 1
+    steps = np.where(odd, r * op.sign_lam - op.odd_offset, r)
+    steps *= op.ut.dot(e0v)
+    inputs = steps @ op.lu_neg.T
+    inputs += u0v
+    return inputs
 
 
 def _learn(op, errors):
@@ -559,25 +592,28 @@ def _measure(applied, inputs, x0, desired):
     return desired.values - y
 
 
-def _run_loop(applied, op, u, x0, desired, count, phase, first=0):
+def _run_loop(applied, op, u, x0, desired, count, phase, first=0, rows=None):
     """Apply, measure and update `count` times from the input vector u.
 
     Each input goes to `applied` and each update is the model law's
-    operator `op`. Returns the count + 1 inputs, errors and RMS values as
-    lists, built as the loop goes; raises DivergenceError at the first
+    operator `op`. Returns the count + 1 RMS values and the (input, error)
+    of the first and of the last iteration; a list passed as `rows` takes
+    every (input, error) as well. Raises DivergenceError at the first
     non-finite RMS, naming its iteration counted from `first`.
     """
-    inputs, errors, rms_values = [], [], []
+    rms_values = []
     # a diverging run overflows; _checked_rms reports it as a DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(count + 1):
             e = _measure(applied, u, x0, desired)
-            inputs.append(u)
-            errors.append(e)
             rms_values.append(_checked_rms(e, phase, first + j))
+            if rows is not None:
+                rows.append((u, e))
+            if j == 0:
+                start = u, e
             if j < count:
                 u = u + _learn(op, e)
-    return inputs, errors, rms_values
+    return rms_values, start, (u, e)
 
 
 def run_iterations(world, model, law, u0, x0, count, phase, desired):
@@ -628,34 +664,30 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
         op = _DenseLaw(model.p_matrix, law.gain)
     else:
         op = _operator(model, law)
-    rows = _run_loop(applied, op, u0.values, x0, desired, count, phase)
-    return _records(0, phase, *rows)
-
-
-def _model_records(rows):
-    """IterationRecords of model-phase rows (u_n, e_n) for n = 0, 1, ..."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rms_values = [_checked_rms(e, "model", j) for j, (_, e) in enumerate(rows)]
-    return _records(0, "model", [u for u, _ in rows], [e for _, e in rows], rms_values)
+    rms_values, _, last = _run_loop(applied, op, u0.values, x0, desired, count, phase)
+    return _records(0, phase, rms_values, {count: last})
 
 
 class _ModelPass:
-    """The model-phase states (u_n, e_n) of one command, each computed once.
+    """The model phase of one command, each part computed once.
 
     Its readers (a model run, a hybrid's model phase, the advisor's points)
     each take the operator their own model-phase length picks
-    (_model_operator), and readers on one operator share rows. With a
-    _DenseLaw the rows are one explicit model run from u0 and e0, extended as
-    a read needs. With a _LawOperator a run's rows are _model_phase products
-    over aligned blocks of _BLOCK counts, each computed whole, so a row's bits
-    do not depend on how far the run goes (one product over all the rows is
-    not prefix-stable); other points come from one product and are not kept.
+    (_model_operator), and readers on one operator share what it computed.
+    With a _DenseLaw that is one explicit model run from u0 and e0, its
+    states and RMS values, extended as a read needs. With a _LawOperator it
+    is the RMS curve, computed over aligned blocks of _BLOCK counts with no
+    state formed (see the module docstring); a block is computed whole, so a
+    count's value does not depend on how far the curve is read. The closed
+    form's states come one at a time from fast_forward, the advisor's inputs
+    from one _model_phase product.
     """
 
     def __init__(self, model, law, u0, x0, desired):
         self.model, self.law, self.u0 = model, law, u0
         self.x0, self.desired = x0, desired
-        self._rows = {}
+        self._runs = {}    # _DenseLaw: (states, RMS values) of the explicit run
+        self._curves = {}  # _LawOperator: (weights, {block: RMS values})
 
     @cached_property
     def e0(self):
@@ -664,60 +696,98 @@ class _ModelPass:
         with np.errstate(over="ignore", invalid="ignore"):
             return _measure(self.model, self.u0.values, self.x0, self.desired)
 
-    def rows(self, op, counts, keep=False):
-        """The (u_n, e_n) at each n in counts under op; keep=True for a run's rows."""
-        rows = self._rows.setdefault(op, {})
-        extra = {}
-        u0v, e0 = self.u0.values, self.e0
-        # a huge u0 overflows the model phase; its RMS raises DivergenceError
+    def _run(self, op, largest):
+        """The explicit model run under the _DenseLaw op, to at least `largest`."""
+        if op not in self._runs:
+            with np.errstate(over="ignore", invalid="ignore"):
+                r0 = _checked_rms(self.e0, "model", 0)
+            self._runs[op] = [(self.u0.values, self.e0)], [r0]
+        states, rms_values = self._runs[op]
+        last = len(states) - 1
+        if largest > last:
+            u, e = states[last]
+            # a huge u0 overflows the model phase; its RMS raises DivergenceError
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = u + _learn(op, e)
+            more, _, _ = _run_loop(self.model, op, u, self.x0, self.desired,
+                                   largest - last - 1, "model", last + 1, states)
+            rms_values += more
+        return states, rms_values
+
+    def _block(self, op, block):
+        """The RMS curve's values for the counts of one aligned block."""
+        if op not in self._curves:
+            with np.errstate(over="ignore", invalid="ignore"):
+                weights = np.square(op.ut.dot(self.e0)) / self.e0.size
+            self._curves[op] = weights, {}
+        weights, blocks = self._curves[op]
+        if block not in blocks:
+            # RMS_n for n >= 1 as in the module docstring, with lambda^(2n) as
+            # exp(2 n log|lambda|), and e0's own RMS for n = 0. A huge e0
+            # overflows the weights; a run raises on the RMS that shows it
+            start = block * _BLOCK
+            n = np.array([float(c) for c in range(max(start, 1), start + _BLOCK)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers = np.exp(np.multiply.outer(n, 2.0 * op.log_abs_lam))
+                blocks[block] = ([_rms(self.e0)] if start == 0 else []) + (
+                    np.sqrt(powers @ weights).tolist())
+        return blocks[block]
+
+    def _curve(self, op, count):
+        """RMS_0 .. RMS_(count - 1) of the closed form; raises where one is not finite."""
+        values = []
+        for block in range(-(-count // _BLOCK)):
+            values += self._block(op, block)
+        del values[count:]
+        if not all(map(math.isfinite, values)):
+            n = next(n for n, r in enumerate(values) if not math.isfinite(r))
+            raise _diverged("model", values[n], n)
+        return values
+
+    def _phase(self, op, count):
+        """RMS_0 .. RMS_count under op, and (u_count, e_count).
+
+        On the closed form the state is fast_forward's, formed after the
+        curve has checked e0.
+        """
+        if isinstance(op, _DenseLaw):
+            states, rms_values = self._run(op, count)
+            return rms_values[: count + 1], states[count]
+        rms_values = self._curve(op, count + 1)
+        # a huge u0 can still overflow u_count
         with np.errstate(over="ignore", invalid="ignore"):
-            if isinstance(op, _DenseLaw):
-                if not rows:
-                    _checked_rms(e0, "model", 0)  # the run's iteration 0
-                    rows[0] = u0v, e0
-                last, largest = len(rows) - 1, max(counts, default=0)
-                if largest > last:
-                    u, e = rows[last]
-                    inputs, errors, _ = _run_loop(
-                        self.model, op, u + _learn(op, e), self.x0, self.desired,
-                        largest - last - 1, "model", first=last + 1,
-                    )
-                    rows.update(enumerate(zip(inputs, errors), last + 1))
-            elif keep:
-                for block in {n // _BLOCK for n in counts if n not in rows}:
-                    start = block * _BLOCK
-                    states = _model_phase(op, u0v, e0, range(start, start + _BLOCK))
-                    rows.update(enumerate(zip(*states), start))
-            else:
-                missing = sorted({n for n in counts if n not in rows})
-                if missing:
-                    states = _model_phase(op, u0v, e0, missing)
-                    extra = dict(zip(missing, zip(*states)))
-        return [rows[n] if n in rows else extra[n] for n in counts]
+            u_n, e_n = fast_forward(self.model, self.law, self.u0,
+                                    Trajectory(self.e0), count)
+        return rms_values, (u_n.values, e_n.values)
+
+    def points(self, op, counts):
+        """The inputs u_n, one row per n >= 1 in counts, and the RMS at n and n + 1."""
+        if isinstance(op, _DenseLaw):
+            states, rms_values = self._run(op, max(counts) + 1)
+            return (np.array([states[n][0] for n in counts]),
+                    [(rms_values[n], rms_values[n + 1]) for n in counts])
+        with np.errstate(over="ignore", invalid="ignore"):
+            inputs = _model_phase(op, self.u0.values, self.e0, counts)
+        return inputs, [
+            tuple(self._block(op, m // _BLOCK)[m % _BLOCK] for m in (n, n + 1))
+            for n in counts
+        ]
 
     def model_run(self, count):
-        """run_iterations' model-phase records, to rounding on the closed form."""
+        """run_iterations' model-phase records: on the closed form, its RMS curve."""
         op = _model_operator(self.model, self.law, count)
-        return _model_records(self.rows(op, range(count + 1), keep=True))
+        rms_values, last = self._phase(op, count)
+        return _records(0, "model", rms_values, {count: last})
 
     def hybrid(self, world, model_count, world_count):
-        """run_hybrid's records from the pass; the closed form switches at fast_forward."""
+        """run_hybrid's records: the model phase's, then the world's from u_model_count."""
         op = _model_operator(self.model, self.law, model_count)
-        dense = isinstance(op, _DenseLaw)
-        # the dense side's switch input is its row model_count
-        count = model_count + 1 if dense else model_count
-        rows = self.rows(op, range(count), keep=True)
-        records = _model_records(rows[:model_count])
-        if dense:
-            u = rows[model_count][0]
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                u_n, _ = fast_forward(self.model, self.law, self.u0,
-                                      _wrap_trajectory(self.e0), model_count)
-            u = u_n.values
-        world_rows = _run_loop(world, op, u, self.x0, self.desired, world_count,
-                               "world", model_count)
-        return records + _records(model_count, "world", *world_rows)
+        rms_values, (u, _) = self._phase(op, model_count)
+        world_rms, switch, last = _run_loop(world, op, u, self.x0, self.desired,
+                                            world_count, "world", model_count)
+        return (_records(0, "model", rms_values[:-1], {})
+                + _records(model_count, "world", world_rms,
+                           {0: switch, world_count: last}))
 
 
 def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
@@ -729,7 +799,8 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     the world: the switch is record model_count, where the phase turns to
     "world". A short model phase (see the module docstring) is the loop of
     run_iterations and switches with that loop's input model_count; else
-    the closed form's rows and fast_forward(model_count).
+    the closed form's RMS curve and fast_forward(model_count). The switch
+    record and the last record keep their input and error.
 
     Returns
     -------

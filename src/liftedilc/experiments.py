@@ -232,14 +232,15 @@ def run_experiment(config):
     world, model, u0, desired = build_experiment(config)
     law = LearningLaw(config.law_kind, config.gain)
 
-    # a hybrid's model phase and the advisor's model points read one pass
+    # a run's model phase and the advisor's model points read one pass
     model_pass = _ModelPass(model, law, u0, None, desired)
     if config.mode == "hybrid":
         records = model_pass.hybrid(world, config.model_count, config.world_count)
+    elif config.mode == "model":
+        records = model_pass.model_run(config.model_count)
     else:
-        count = config.model_count if config.mode == "model" else config.world_count
         records = run_iterations(
-            world, model, law, u0, None, count, config.mode, desired
+            world, model, law, u0, None, config.world_count, "world", desired
         )
     # every numerical step runs before the first file is written, so a
     # failure leaves no output behind

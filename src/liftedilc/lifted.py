@@ -69,15 +69,6 @@ class Trajectory:
         return self.values.size
 
 
-def _wrap_trajectory(values):
-    # Bypasses __init__ for vectors that are float and 1-D by construction.
-    # The fast-forward kernel wraps two results per call and the validating
-    # constructor would cost as much as one of its matrix-vector products.
-    t = object.__new__(Trajectory)
-    object.__setattr__(t, "values", values)
-    return t
-
-
 @dataclass(frozen=True, eq=False)
 class LiftedSystem:
     """Lifted input-output model over a fixed horizon: y = P u + Abar x0.

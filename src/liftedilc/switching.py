@@ -7,14 +7,15 @@ the two one-iteration improvements tells whether the hardware is still
 learning faster than the model predicts. Each candidate consumes two world
 applications, which is the entire cost of asking.
 
-The model points at n and n+1 are rows of the command's model pass (see
-engine): of one explicit model run to the largest candidate + 1 where that
-is short enough, else of the closed form, one product for the points that
-no model run of the command holds. A figure's markers and a hybrid run's
-advisor share the pass with the hybrid run's model phase where both pick
-the same operator. The candidates are evaluated in blocks of
-rows: each world step (world application, world update) is the engine's one
-plant apply or learning step, and each RMS is the one the run records hold.
+The model points at n and n+1 come from the command's model pass (see
+engine): rows of one explicit model run to the largest candidate + 1 where
+that is short enough, else the closed form's RMS curve, with the inputs u_n
+from one product. A figure's markers and a run's advisor share the pass
+with the run's model phase where both pick the same operator, so A1 and A2
+are values of the figure's model curve. The candidates are evaluated in
+blocks of rows: each world step (world application, world update) is the
+engine's one plant apply or learning step, and each world RMS is the one
+the run records hold.
 """
 
 import math
@@ -111,14 +112,12 @@ def _reports(world, model_pass, counts, slope_factor):
     reports = []
     for start in range(0, len(counts), _BLOCK):
         block = counts[start : start + _BLOCK]
+        u_n, model_rms = model_pass.points(op, block)
         with np.errstate(over="ignore", invalid="ignore"):
-            states = model_pass.rows(op, [*block, *(n + 1 for n in block)])
-            u_n = np.array([u for u, _ in states[: len(block)]])
             e_world_n = _measure(world, u_n, x0, desired)
             e_world_n1 = _measure(world, u_n + _learn(op, e_world_n), x0, desired)
-            errors = ([e for _, e in states[: len(block)]],
-                      [e for _, e in states[len(block) :]], e_world_n, e_world_n1)
-            rms_rows = [[_rms(e[j]) for e in errors] for j in range(len(block))]
+            rms_rows = [(*model_rms[j], _rms(e_world_n[j]), _rms(e_world_n1[j]))
+                        for j in range(len(block))]
         for candidate_n, rms_values in zip(block, rms_rows):
             r_model_n, r_model_n1, r_world_n, r_world_n1 = rms_values
             if not all(map(math.isfinite, rms_values)):

@@ -540,6 +540,33 @@ def test_run_on_a_preset_writes_its_figure_hybrid_curve(
     assert Path(f"{kind}_results.csv").read_bytes() == hybrid.read_bytes()
 
 
+@pytest.mark.parametrize("law", LAW_KINDS)
+@pytest.mark.parametrize("kind, fig_id, model_count", [
+    ("second_order", "fig3", 50), ("third_order", "fig5", 100),
+    # one count either side of the 64-count block boundary
+    ("second_order", "fig3", 63), ("second_order", "fig3", 64),
+])
+def test_a_model_run_on_a_preset_writes_the_start_of_its_figure_model_curve(
+    kind, fig_id, model_count, law, tmp_path, monkeypatch
+):
+    # model_count > N // 4: the run's model phase and the figure's longer
+    # model curve read one prefix-stable RMS curve, in separate processes
+    # too, so the run's CSV is the first model_count + 1 rows of the figure's
+    default_switch = {"fig3": 50, "fig5": 100}[fig_id]
+    path = write_preset(kind, tmp_path, [
+        ("law.kind = p_transpose", f"law.kind = {law}"),
+        ("run.mode = hybrid", "run.mode = model"),
+        (f"run.model_count = {default_switch}", f"run.model_count = {model_count}"),
+    ])
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["run", path.name])[0] == 0
+    assert run_cli(["figure", fig_id, "--law", law, "--output-dir", "figures"])[0] == 0
+    model = Path("figures", f"{fig_id}_{law}_switch{default_switch}_model.csv")
+    lines = model.read_text().splitlines()
+    assert len(lines) > model_count + 2
+    assert Path(f"{kind}_results.csv").read_text().splitlines() == lines[: model_count + 2]
+
+
 _COMMANDS_WITHOUT_SCIPY = """
 import io, json, sys
 import liftedilc, liftedilc.cli, liftedilc.selfcheck

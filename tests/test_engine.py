@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -87,6 +89,31 @@ def test_factorization_spectra_follow_the_singular_values(seed, kind, phi):
 def _fresh(model):
     """A new LiftedSystem object over the same matrices, with an empty cache."""
     return dataclasses.replace(model)
+
+
+@pytest.fixture
+def loop_rows(monkeypatch):
+    """Every (input, error) the engine's explicit loops compute, in order.
+
+    A run's records keep only the states they hand on; the loop's own rows
+    are its arrays, kept here for the test to read.
+    """
+    rows = []
+    real_loop = engine._run_loop
+
+    def keeping(applied, op, u, x0, desired, count, phase, first=0, kept=None):
+        kept = [] if kept is None else kept
+        start = len(kept)
+        result = real_loop(applied, op, u, x0, desired, count, phase, first, kept)
+        rows.extend(kept[start:])
+        return result
+
+    monkeypatch.setattr(engine, "_run_loop", keeping)
+    return rows
+
+
+def _rms_of(e):
+    return float(np.sqrt(np.mean(e**2)))
 
 
 def test_run_hybrid_and_switch_advice_never_build_the_dense_gain(
@@ -179,7 +206,7 @@ def test_eigh_built_isometry_update_matches_the_dense_svd_gain(
 # cond(P) is about 8e8, and the certificate reads 1
 @pytest.mark.parametrize("horizon", [100, 400])
 def test_an_uncertified_isometry_falls_back_to_the_thin_svd(
-    horizon, factorization_calls
+    horizon, factorization_calls, loop_rows
 ):
     config = dataclasses.replace(
         load_preset("third_order"), horizon=horizon, deleted_rows=0
@@ -191,12 +218,14 @@ def test_an_uncertified_isometry_falls_back_to_the_thin_svd(
     assert factorization_calls == ["eigh", "svd"]
     l_matrix = build_gain(law, model).l_matrix
     u = u0.values
-    for record in history:
+    for record, (u_got, e_got) in zip(history, loop_rows, strict=True):
         e = desired.values - world.p_matrix @ u
         scale = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(e))))
-        assert np.max(np.abs(record.input.values - u)) <= 1e-9 * scale
-        assert np.max(np.abs(record.error.values - e)) <= 1e-9 * scale
+        assert np.max(np.abs(u_got - u)) <= 1e-9 * scale
+        assert np.max(np.abs(e_got - e)) <= 1e-9 * scale
+        assert record.rms == engine._rms(e_got)
         u = u + l_matrix @ e
+    assert np.array_equal(history[-1].input.values, loop_rows[-1][0])
 
 
 def test_factorization_is_freed_with_its_model(second_order_pair):
@@ -363,7 +392,9 @@ def _assert_close(got, want, rtol):
 @pytest.mark.parametrize("horizon", [100, 400])
 @pytest.mark.parametrize("kind", ["p_transpose", "norm_optimal"])
 @pytest.mark.parametrize("preset", ["second_order", "third_order"])
-def test_dense_and_closed_form_paths_agree(preset, kind, horizon, monkeypatch):
+def test_dense_and_closed_form_paths_agree(
+    preset, kind, horizon, monkeypatch, loop_rows
+):
     config = dataclasses.replace(load_preset(preset), horizon=horizon)
     world, model, u0, desired = build_experiment(config)
     law = LearningLaw(kind, 1.0)
@@ -371,22 +402,31 @@ def test_dense_and_closed_form_paths_agree(preset, kind, horizon, monkeypatch):
 
     def call():
         fresh = _fresh(model)
+        loop_rows.clear()
+        run = run_iterations(world, fresh, law, u0, None, 25, "model", desired)
         return (
-            run_iterations(world, fresh, law, u0, None, 25, "model", desired),
+            run,
             run_hybrid(world, fresh, law, u0, None, 25, 10, desired),
             evaluate_switch(world, fresh, law, u0, None, candidates, 1.0, desired),
             fresh._factorization,
+            loop_rows[:26],  # the model run's rows
         )
 
     dense, spectral = _dense_and_spectral(monkeypatch, call)
     assert dense[3].laws == {} and spectral[3].dense == {}
+    for (u_got, e_got), (u_want, e_want) in zip(dense[4], spectral[4], strict=True):
+        _assert_close(u_got, u_want, 1e-12)
+        _assert_close(e_got, e_want, 1e-12)
     for got_run, want_run in zip(dense[:2], spectral[:2]):
         assert [(r.iteration, r.phase) for r in got_run] == [
             (r.iteration, r.phase) for r in want_run
         ]
         for got, want in zip(got_run, want_run):
-            _assert_close(got.input.values, want.input.values, 1e-12)
-            _assert_close(got.error.values, want.error.values, 1e-12)
+            # the same records keep their states: the switch and the last
+            assert (got.input is None) == (want.input is None)
+            if got.input is not None:
+                _assert_close(got.input.values, want.input.values, 1e-12)
+                _assert_close(got.error.values, want.error.values, 1e-12)
             assert got.rms == pytest.approx(want.rms, rel=1e-12)
     for got, want in zip(dense[2], spectral[2]):
         assert got.candidate_n == want.candidate_n
@@ -425,8 +465,12 @@ def test_a_call_does_not_depend_on_what_ran_before_on_the_model(
     long_first, short_after = long_calls(second), short_calls(second)
     for a, b in ((short_first, short_after), (long_first, long_after)):
         for got, want in zip(a[0], b[0], strict=True):
-            assert np.array_equal(got.input.values, want.input.values)
-            assert np.array_equal(got.error.values, want.error.values)
+            assert (got.iteration, got.phase, got.rms) == (
+                want.iteration, want.phase, want.rms)
+            for name in ("input", "error"):
+                kept, other = getattr(got, name), getattr(want, name)
+                assert (kept is None and other is None) or np.array_equal(
+                    kept.values, other.values)
         assert a[1] == b[1]
 
 
@@ -548,17 +592,41 @@ def test_fast_forward_rejects_a_non_finite_input_or_error(
             fast_forward(model, LearningLaw(kind, 1.0), u0, e0, n)
 
 
+def test_fast_forward_takes_a_huge_finite_input_without_a_warning(second_order_pair):
+    # the u0 witness weights each sample by 1 / (2 N), so it stays finite for
+    # every finite u0, where u0 . u0 overflowed; a non-finite sample still
+    # makes it non-finite
+    _, model, u0, desired = second_order_pair
+    e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
+    huge = Trajectory(np.full(model.horizon, 1e306))
+    for kind in LAW_KINDS:
+        law = LearningLaw(kind, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u_n, e_n = fast_forward(model, law, huge, e0, 5)
+        assert np.all(np.isfinite(u_n.values))
+        # e_n depends on e0 alone
+        assert np.array_equal(e_n.values, fast_forward(model, law, u0, e0, 5)[1].values)
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidParameterError, match="u0 holds non-finite"):
+                fast_forward(model, law, poisoned(huge, value), e0, 5)
+
+
 # ------------------------------------------------------------------- run loops
 
 
-def test_run_iterations_record_layout(second_order_pair):
+def test_run_iterations_record_layout(second_order_pair, loop_rows):
     _, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
     history = run_iterations(model, model, law, u0, None, 7, "model", desired)
     assert len(history) == 8
     assert [r.iteration for r in history] == list(range(8))
     assert all(r.phase == "model" for r in history)
-    assert np.array_equal(history[0].input.values, u0.values)
+    assert np.array_equal(loop_rows[0][0], u0.values)
+    # only the last record keeps its state: the loop's last row
+    assert [r.input is None and r.error is None for r in history] == [True] * 7 + [False]
+    assert np.array_equal(history[-1].input.values, loop_rows[-1][0])
+    assert np.array_equal(history[-1].error.values, loop_rows[-1][1])
 
 
 def test_run_iterations_model_phase_decreases_monotonically(second_order_pair):
@@ -569,12 +637,13 @@ def test_run_iterations_model_phase_decreases_monotonically(second_order_pair):
     assert all(b < a for a, b in zip(rms, rms[1:]))
 
 
-def test_run_iterations_world_phase_measures_the_world(second_order_pair):
+def test_run_iterations_world_phase_measures_the_world(second_order_pair, loop_rows):
     world, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
     history = run_iterations(world, model, law, u0, None, 1, "world", desired)
     e0 = desired.values - world.p_matrix @ u0.values
-    assert np.allclose(history[0].error.values, e0)
+    assert np.allclose(loop_rows[0][1], e0)
+    assert history[0].rms == pytest.approx(_rms_of(e0))
     assert history[0].phase == "world"
 
 
@@ -588,7 +657,7 @@ def test_run_iterations_validates_phase_and_count(second_order_pair):
 
 
 @pytest.mark.parametrize("kind", LAW_KINDS)
-def test_world_phase_matches_the_dense_loop_with_an_eigenvalue_at_one(kind):
+def test_world_phase_matches_the_dense_loop_with_an_eigenvalue_at_one(kind, loop_rows):
     # without row deletion the third-order model has a singular value below
     # rounding: one eigenvalue of every law rounds to exactly 1.0, so the world
     # update must not divide by lambda - 1
@@ -602,10 +671,11 @@ def test_world_phase_matches_the_dense_loop_with_an_eigenvalue_at_one(kind):
     history = run_iterations(world, model, law, u0, None, count, "world", desired)
     gain = build_gain(law, model)
     ref = explicit_iterates(world, gain.l_matrix, u0.values, desired.values, count)
-    for record, (u_ref, e_ref) in zip(history, ref, strict=True):
+    for record, (u, e), (u_ref, e_ref) in zip(history, loop_rows, ref, strict=True):
         scale = max(1.0, float(np.max(np.abs(u_ref))), float(np.max(np.abs(e_ref))))
-        assert np.max(np.abs(record.input.values - u_ref)) < 1e-9 * scale
-        assert np.max(np.abs(record.error.values - e_ref)) < 1e-9 * scale
+        assert np.max(np.abs(u - u_ref)) < 1e-9 * scale
+        assert np.max(np.abs(e - e_ref)) < 1e-9 * scale
+        assert record.rms == engine._rms(e)
 
 
 def test_run_rejects_mismatched_world_and_model(second_order_pair, third_order_pair):
@@ -643,11 +713,10 @@ def test_run_hybrid_dense_switch_input_is_the_model_loop(second_order_pair):
     assert [r.phase for r in history] == ["model"] * 5 + ["world"] * 4
 
     # the first world input is the model-phase input at n = 5: bit for bit
-    # record 5 of a hybrid run with one more model iteration, and the
-    # fast-forwarded result to rounding
-    longer = run_hybrid(world, model, law, u0, None, 6, 0, desired)
-    assert longer[5].phase == "model"
-    assert np.array_equal(history[5].input.values, longer[5].input.values)
+    # the last input of a model run of 5 iterations, and the fast-forwarded
+    # result to rounding
+    run = run_iterations(world, model, law, u0, None, 5, "model", desired)
+    assert np.array_equal(history[5].input.values, run[5].input.values)
     e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
     u5, _ = fast_forward(model, law, u0, e0, 5)
     assert np.max(np.abs(history[5].input.values - u5.values)) <= (
@@ -659,18 +728,23 @@ def test_run_hybrid_dense_switch_input_is_the_model_loop(second_order_pair):
 
 @pytest.mark.parametrize("kind, bound", [("p_transpose", 25), ("norm_optimal", 12)])
 @pytest.mark.parametrize("preset", ["second_order_pair", "third_order_pair"])
-def test_dense_hybrid_model_phase_is_the_model_run(preset, kind, bound, request):
+def test_dense_hybrid_model_phase_is_the_model_run(
+    preset, kind, bound, request, loop_rows
+):
     # N = 100, model_count at the law's bound: the hybrid model phase is the
     # explicit loop of run_iterations, and its switch input that loop's
     # record model_count, bit for bit
     world, model, u0, desired = request.getfixturevalue(preset)
     law = LearningLaw(kind, 1.0)
-    hybrid = run_hybrid(world, model, law, u0, None, bound, 5, desired)
+    model_pass = engine._ModelPass(model, law, u0, None, desired)
+    hybrid = model_pass.hybrid(world, bound, 5)
+    loop_rows.clear()
     run = run_iterations(world, model, law, u0, None, bound, "model", desired)
+    [(states, _)] = model_pass._runs.values()
+    for (u, e), (u_run, e_run) in zip(states, loop_rows, strict=True):
+        assert np.array_equal(u, u_run) and np.array_equal(e, e_run)
     for got, want in zip(hybrid[:bound], run[:bound], strict=True):
         assert (got.iteration, got.phase, got.rms) == (want.iteration, want.phase, want.rms)
-        assert np.array_equal(got.input.values, want.input.values)
-        assert np.array_equal(got.error.values, want.error.values)
     assert hybrid[bound].phase == "world"
     assert np.array_equal(hybrid[bound].input.values, run[bound].input.values)
 
@@ -679,9 +753,10 @@ def test_dense_hybrid_model_phase_is_the_model_run(preset, kind, bound, request)
 @pytest.mark.parametrize("horizon", [100, 400])
 @pytest.mark.parametrize("preset", ["second_order", "third_order"])
 def test_a_model_pass_is_prefix_stable(preset, horizon, kind):
-    # the rows of a shorter pass are bit for bit the first rows of a longer
-    # one, on both sides of each block boundary. One closed-form product over
-    # all the rows is not: its rows' last bits move with the row count
+    # what a shorter pass computes is bit for bit the start of a longer one,
+    # on both sides of each block boundary: the explicit run's states, and
+    # the closed form's RMS curve. One closed-form product over all the
+    # counts is not: its values' last bits move with the count
     world, model, u0, desired = build_experiment(
         dataclasses.replace(load_preset(preset), horizon=horizon)
     )
@@ -691,16 +766,85 @@ def test_a_model_pass_is_prefix_stable(preset, horizon, kind):
     # closed form (one of N)
     for count in (1, horizon):
         op = engine._model_operator(model, law, count)
-        longest = engine._ModelPass(model, law, u0, None, desired).rows(
-            op, range(2 * block + 1), keep=True
-        )
+        longest = engine._ModelPass(model, law, u0, None, desired)
         for rows in (1, block - 1, block, block + 1, 2 * block):
             model_pass = engine._ModelPass(model, law, u0, None, desired)
-            for (u, e), (u_long, e_long) in zip(
-                model_pass.rows(op, range(rows), keep=True), longest[:rows],
-                strict=True,
-            ):
-                assert np.array_equal(u, u_long) and np.array_equal(e, e_long)
+            if isinstance(op, engine._DenseLaw):
+                for (u, e), (u_long, e_long) in zip(
+                    model_pass._run(op, rows - 1)[0],
+                    longest._run(op, 2 * block)[0][:rows], strict=True,
+                ):
+                    assert np.array_equal(u, u_long) and np.array_equal(e, e_long)
+            else:
+                assert model_pass._curve(op, rows) == (
+                    longest._curve(op, 2 * block + 1)[:rows])
+
+
+@functools.lru_cache(maxsize=None)
+def _curve_experiment(preset, horizon):
+    """A preset's experiment at one horizon, built once for the curve tests."""
+    return build_experiment(dataclasses.replace(load_preset(preset), horizon=horizon))
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("horizon", [100, 400])
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_the_rms_curve_is_prefix_stable(preset, horizon, kind):
+    # a curve read to k and one read to 10 k agree in their first k values
+    # bit for bit, k on both sides of the block boundaries at 64 and 128
+    _, model, u0, desired = _curve_experiment(preset, horizon)
+    law = LearningLaw(kind, 1.0)
+    op = engine._convergent_operator(model, law)
+    for k in (63, 64, 65, 127, 129):
+        short = engine._ModelPass(model, law, u0, None, desired)._curve(op, k)
+        long = engine._ModelPass(model, law, u0, None, desired)._curve(op, 10 * k)
+        assert short == long[:k]
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("horizon", [100, 400])
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_the_rms_curve_matches_the_explicit_loop(preset, horizon, kind):
+    # RMS_n = |lambda^n * U^T e0| / sqrt(N - d) against run_iterations' rows
+    # on the same operator wherever the RMS is at least 1e-3: within 1e-12
+    # over the 150 iterations of the longest bundled figure. Row 0 is the RMS
+    # of e0 itself. The gap grows with n, as lambda^n magnifies the error of
+    # the eigh-built lambda n-fold: third-order partial_isometry at N = 100
+    # reaches 2.1e-12 near n = 300, as the closed form's rows do (1.9e-12)
+    _, model, u0, desired = _curve_experiment(preset, horizon)
+    law = LearningLaw(kind, 1.0)
+    op = engine._convergent_operator(model, law)
+    count = 300  # above every dense bound, so the loop runs on op too
+    history = run_iterations(model, model, law, u0, None, count, "model", desired)
+    curve = engine._ModelPass(model, law, u0, None, desired)._curve(op, count + 1)
+    assert curve[0] == history[0].rms
+    compared = 0
+    for n, (record, value) in enumerate(zip(history, curve, strict=True)):
+        if record.rms >= 1e-3:
+            compared += 1
+            bound = 1e-12 if n <= 150 else 1e-11
+            assert value == pytest.approx(record.rms, rel=bound, abs=0)
+    assert compared > 50
+
+
+def test_a_long_closed_form_hybrid_keeps_no_rows():
+    # 10^5 model iterations at N = 400: the RMS curve, its 64-count blocks
+    # and the records take O(count + N^2) memory; rows of u and e would take
+    # count N 8 bytes for each of them
+    _, model, u0, desired = build_experiment(
+        dataclasses.replace(load_preset("second_order"), horizon=400))
+    world = model
+    law = LearningLaw("p_transpose", 1.0)
+    count = 10**5
+    tracemalloc.start()
+    try:
+        history = run_hybrid(world, model, law, u0, None, count, 1, desired)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.phase for r in history[count - 1 : count + 1]] == ["model", "world"]
+    assert len(history) == count + 2
+    assert peak < count * model.horizon * 8 / 4
 
 
 def test_world_only_p_transpose_run_builds_no_factorization(
@@ -715,30 +859,49 @@ def test_world_only_p_transpose_run_builds_no_factorization(
 def test_run_hybrid_model_records_match_explicit_loop(
     second_order_pair, third_order_pair
 ):
-    """Every batched model-phase record equals the explicit update loop."""
+    """The closed form's model phase equals the explicit update loop: every
+    record's RMS, the batched inputs the advisor forms, and the switch input."""
     for world, model, u0, desired in (second_order_pair, third_order_pair):
         for kind in LAW_KINDS:
             law = LearningLaw(kind, 1.0)
             history = run_hybrid(world, model, law, u0, None, 60, 0, desired)
             gain = build_gain(law, model)
-            ref = explicit_iterates(model, gain.l_matrix, u0.values, desired.values, 59)
-            for j, (u_ref, e_ref) in enumerate(ref):
+            ref = explicit_iterates(model, gain.l_matrix, u0.values, desired.values, 60)
+            op = engine._convergent_operator(model, law)
+            e0 = desired.values - model.p_matrix @ u0.values
+            inputs = engine._model_phase(op, u0.values, e0, range(1, 60))
+            for j, (u_ref, e_ref) in enumerate(ref[:60]):
                 record = history[j]
                 assert record.phase == "model"
-                assert np.max(np.abs(record.input.values - u_ref)) < 1e-9
-                assert np.max(np.abs(record.error.values - e_ref)) < 1e-9
+                assert abs(record.rms - _rms_of(e_ref)) < 1e-9
+                if j:
+                    assert np.max(np.abs(inputs[j - 1] - u_ref)) < 1e-9
+            assert np.max(np.abs(history[60].input.values - ref[60][0])) < 1e-9
+
+
+def _assert_rows_match(rows, reference):
+    assert len(rows) == len(reference)
+    for (u, e), (u_ref, e_ref) in zip(rows, reference):
+        for got, want in ((u, u_ref), (e, e_ref)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def _assert_records_match(records, reference):
+    """Each record's RMS, and the input and error a record keeps, against
+    the reference rows: RMS(e - e_ref) <= max|e - e_ref| bounds the RMS gap."""
     assert len(records) == len(reference)
     for record, (u_ref, e_ref) in zip(records, reference):
-        for got, want in ((record.input.values, u_ref), (record.error.values, e_ref)):
-            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        assert abs(record.rms - _rms_of(e_ref)) <= 1e-9 * np.max(np.abs(e_ref))
+        if record.input is not None:
+            _assert_rows_match([(record.input.values, record.error.values)],
+                               [(u_ref, e_ref)])
 
 
 @pytest.mark.parametrize("kind", LAW_KINDS)
 @pytest.mark.parametrize("preset", ["second_order_pair", "third_order_pair"])
-def test_a_nonzero_initial_state_enters_every_run_as_abar_x0(preset, kind, request):
+def test_a_nonzero_initial_state_enters_every_run_as_abar_x0(
+    preset, kind, request, loop_rows
+):
     world, model, u0, desired = request.getfixturevalue(preset)
     x0 = np.linspace(1.0, -1.0, model.abar_matrix.shape[1]) * 1e-3
     law = LearningLaw(kind, 1.0)
@@ -750,8 +913,11 @@ def test_a_nonzero_initial_state_enters_every_run_as_abar_x0(preset, kind, reque
         return explicit_iterates(plant, l_matrix, u, target, count)
 
     for phase, plant in (("model", model), ("world", world)):
+        loop_rows.clear()
         history = run_iterations(world, model, law, u0, x0, 10, phase, desired)
-        _assert_records_match(history, dense_loop(plant, u0.values, 10))
+        reference = dense_loop(plant, u0.values, 10)
+        _assert_records_match(history, reference)
+        _assert_rows_match(loop_rows, reference)
 
     model_ref = dense_loop(model, u0.values, 101)
     u30 = model_ref[30][0]
@@ -787,14 +953,19 @@ def test_eigenvalues_near_one_keep_full_accuracy(kind, smallest_sigma):
     assert 0.0 < 1.0 - np.max(op.lam) < 1e-9
     u0 = Trajectory(rng.standard_normal(6))
     desired = Trajectory(rng.standard_normal(6))
-    # records 0..39 come from the batched pass, record 40 (the first "world"
-    # record, on the same plant) from one fast_forward call
+    # records 0..39 are the closed form's RMS curve, record 40 (the first
+    # "world" record, on the same plant) keeps one fast_forward call's input;
+    # the advisor's batched inputs are checked too
     history = run_hybrid(model, model, law, u0, None, 40, 0, desired)
     gain = build_gain(law, model)
     ref = explicit_iterates(model, gain.l_matrix, u0.values, desired.values, 40)
-    for record, (u_ref, e_ref) in zip(history, ref, strict=True):
-        assert np.max(np.abs(record.input.values - u_ref)) < 1e-9
-        assert np.max(np.abs(record.error.values - e_ref)) < 1e-9
+    for record, (_, e_ref) in zip(history, ref, strict=True):
+        assert abs(record.rms - _rms_of(e_ref)) < 1e-9
+    inputs = engine._model_phase(op, u0.values, ref[0][1], range(1, 41))
+    for u, (u_ref, _) in zip(inputs, ref[1:], strict=True):
+        assert np.max(np.abs(u - u_ref)) < 1e-9
+    assert np.max(np.abs(history[40].input.values - ref[40][0])) < 1e-9
+    assert np.max(np.abs(history[40].error.values - ref[40][1])) < 1e-9
 
 
 def test_model_phase_divergence_is_caught_before_iterating(second_order_pair):

@@ -440,6 +440,49 @@ def test_a_dense_hybrid_run_and_its_advisor_share_one_model_run(
     assert applied == {"model": 102, "world": 51 + 2 * 3}
 
 
+@pytest.mark.parametrize("law", ["p_transpose", "norm_optimal"])
+def test_a_dense_model_run_and_its_advisor_share_one_model_run(
+    tmp_path, monkeypatch, law
+):
+    # as in hybrid mode: a model-mode run of 50 and the candidates 25, 50 and
+    # 100 read one explicit model run to 101, so the model is applied 102
+    # times, not 51 for the run and 102 more for the advisor
+    config = dataclasses.replace(
+        load_preset("second_order"), horizon=1000, law_kind=law, mode="model",
+        csv_path=str(tmp_path / "run.csv"), plot_path=None,
+    )
+    built = []
+    monkeypatch.setattr(experiments, "build_experiment",
+                        lambda c: built.append(build_experiment(c)) or built[0])
+    applied = _count_applied_rows(monkeypatch, lambda: built[0].model)
+    artifacts = run_experiment(config)
+    assert applied == {"model": 102, "world": 2 * 3}
+    assert len(read_rows(artifacts.csv_path)) == 51
+
+
+@pytest.mark.parametrize("law", LAW_KINDS)
+@pytest.mark.parametrize("figure_id, switch_n", [
+    ("fig2", None), ("fig3", None), ("fig4", None), ("fig5", None),
+    # A2 one count past the 64-count block of A1
+    ("fig2", 63), ("fig4", 127),
+])
+def test_a_figure_reads_one_rms_curve(tmp_path, figure_id, switch_n, law):
+    # every default figure's model phase is longer than N // 4 (N // 8 for
+    # norm_optimal), so its model curve, its hybrid's model records and its
+    # markers A1 and A2 all read the closed form's RMS curve
+    artifacts = reproduce_figure(figure_id, law, switch_n, str(tmp_path))
+    config, _ = bundled_experiment(_FIGURE_FAMILY[figure_id][0])
+    switch_n = config.model_count if switch_n is None else switch_n
+    model = read_rows(artifacts.curve_csv_paths["model"])
+    hybrid = read_rows(artifacts.curve_csv_paths["hybrid"])
+    assert hybrid[:switch_n] == model[:switch_n]
+    assert hybrid[switch_n]["phase"] == "world"
+    report = artifacts.summary["switch_report"]
+    if report is not None:
+        assert (report.r_model_n, report.r_model_n1) == (
+            float(model[switch_n]["rms"]), float(model[switch_n + 1]["rms"]))
+
+
 def test_reproduce_figure_rejects_unknown_id(tmp_path):
     with pytest.raises(ConfigError, match="fig"):
         reproduce_figure("fig9", "p_transpose", 50, str(tmp_path))
