@@ -222,8 +222,10 @@ class _Factorization:
     (U, sigma, V) for partial_isometry and norm_optimal: built from gram,
     under the certificate max|V^T V - I| <= _ISOMETRY_TOLERANCE, and from the
     thin SVD of P only when that certificate fails or sigma has a zero.
-    `laws` holds one _LawOperator per (law kind, gain), `dense` one _DenseLaw
-    per (law kind, gain), or None where its certificate failed.
+    `laws` holds a _LawOperator and `dense` a _DenseLaw (or None where its
+    certificate failed), each keyed by (law kind, gain) and kept for the most
+    recent gain of each law kind only: a bundled model lives for the whole
+    process, and a gain sweep must not keep one operator per gain.
     """
 
     def __init__(self, p_matrix):
@@ -303,8 +305,16 @@ def _operator(model, law):
     law_key = (law.kind, law.gain)
     op = entry.laws.get(law_key)
     if op is None:
-        op = entry.laws[law_key] = _build_operator(entry, law)
+        op = _keep_latest(entry.laws, law_key, _build_operator(entry, law))
     return op
+
+
+def _keep_latest(cache, law_key, value):
+    """Store value under law_key as the one entry of its law kind."""
+    for key in [key for key in cache if key[0] == law_key[0]]:
+        del cache[key]
+    cache[law_key] = value
+    return value
 
 
 def _convergent_operator(model, law):
@@ -377,7 +387,7 @@ def _dense_law(model, law):
     entry = model._factorization or _new_entry(model)
     law_key = (law.kind, law.gain)
     if law_key not in entry.dense:
-        entry.dense[law_key] = _build_dense_law(entry.p_matrix, law)
+        _keep_latest(entry.dense, law_key, _build_dense_law(entry.p_matrix, law))
     return entry.dense[law_key]
 
 

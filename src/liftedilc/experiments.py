@@ -75,14 +75,16 @@ class Experiment(NamedTuple):
 def build_experiment(config):
     """The one experiment setup of a configuration.
 
-    Each plant is sampled once per process: the sampled plants are memoized
-    by their parameters. The lifted pair is not: a user configuration is
-    lifted again by every command that reads it. The two bundled pairs are
-    built once per process, by bundled_experiment.
+    The lifted pair comes from build_lifted_pair, so a configuration on a
+    bundled plant pair shares that pair's lifting and factorization; u0 and
+    the desired output are sampled from the configuration itself.
     """
-    world, model = build_lifted_pair(config)
+    return _experiment(config, build_lifted_pair(config))
+
+
+def _experiment(config, pair):
     return Experiment(
-        world, model, build_initial_input(config), build_desired_trajectory(config)
+        *pair, build_initial_input(config), build_desired_trajectory(config)
     )
 
 
@@ -92,32 +94,60 @@ def bundled_experiment(kind):
 
     kind is 'second_order' or 'third_order'. The pair is lifted once per
     process and shared by every figure, self-check and script that reads it,
-    so the engine's factorization of its model (one eigh of P P^T, one
-    operator per law) is computed once too. Like the lifted matrices, the
-    shared u0 and desired samples are read-only.
+    and by every configuration whose plant pair equals it (see
+    build_lifted_pair), so the engine's factorization of its model (one eigh
+    of P P^T, one operator per law) is computed once too. Like the lifted
+    matrices, the shared u0 and desired samples are read-only.
 
     Returns
     -------
     (ExperimentConfig, Experiment)
     """
     config = load_preset(kind)
-    experiment = build_experiment(config)
+    # lifted here, not through build_lifted_pair, which calls back into this
+    experiment = _experiment(config, _lift_pair(config))
     for trajectory in (experiment.u0, experiment.desired):
         trajectory.values.flags.writeable = False
     return config, experiment
 
 
+def _pair_key(config):
+    """Everything a lifted pair depends on: plants, sampling, horizon, deletion."""
+    return (config.system_kind, config.model_params, config.world_params,
+            config.sample_period, config.horizon, config.deleted_rows)
+
+
+@lru_cache(maxsize=None)
+def _preset_pair_key(kind):
+    return _pair_key(load_preset(kind))
+
+
 def build_lifted_pair(config):
-    """Lift the sampled (world, model) plant pair of a configuration.
+    """The sampled (world, model) plant pair of a configuration, lifted.
 
     Both systems get the same leading-row deletion so their error
     trajectories stay aligned.
+
+    A pair value-equal to its kind's bundled pair (same system kind, both
+    plants, sample period, horizon and deleted rows; trajectory, law, counts
+    and outputs do not matter) is bundled_experiment's, lifted and
+    factorized once per process. Any other pair is lifted anew on every call
+    and freed with its last reference: keeping a few N = 1000 pairs would
+    about double a command's peak memory.
 
     Returns
     -------
     (LiftedSystem, LiftedSystem)
         (world, model), rows deleted per the configuration.
     """
+    if _pair_key(config) == _preset_pair_key(config.system_kind):
+        _, experiment = bundled_experiment(config.system_kind)
+        return experiment.world, experiment.model
+    return _lift_pair(config)
+
+
+def _lift_pair(config):
+    """Lift a configuration's (world, model) pair anew."""
     def lift(params):
         plant = _sampled_plant(config.system_kind, params, config.sample_period)
         full = build_lifted(plant.dss, config.horizon)

@@ -50,11 +50,13 @@ _CERTIFIED_CONDITION = 1e-2 / PINV_RTOL
 _INVERSE_BLOCK = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A sampled signal: its samples as a 1-D float vector.
 
     It carries no time stamps; see LiftedSystem for the steps it covers.
+    Two trajectories are equal when their samples are; a trajectory is not
+    hashable, since its samples are an array.
     """
 
     values: np.ndarray
@@ -67,6 +69,13 @@ class Trajectory:
 
     def __len__(self):
         return self.values.size
+
+    def __eq__(self, other):
+        if type(other) is not Trajectory:
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,8 +6,10 @@ package free of plotting dependencies and the output byte-deterministic.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
+
+import numpy as np
 
 WIDTH = 760
 HEIGHT = 520
@@ -71,8 +73,12 @@ class _SvgDoc:
             f'stroke="{color}" stroke-width="{width}"/>'
         )
 
-    def polyline(self, points, color, width=1.6):
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+    def polyline(self, xs, ys, color, width=1.6):
+        # one template over the interleaved coordinates formats each value
+        # as f"{value:.2f}" would
+        coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(
+            np.column_stack([xs, ys]).ravel().tolist()
+        )
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>'
@@ -119,6 +125,8 @@ def render_line_chart(path, series, title, markers=None):
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
+    # px and py map a number or an array, with the same operations in the
+    # same order either way
     def px(x):
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
@@ -140,7 +148,7 @@ def render_line_chart(path, series, title, markers=None):
              MARGIN_TOP + plot_h, color="#222222")
 
     for s in populated:
-        doc.polyline([(px(x), py(y)) for x, y in zip(s.xs, s.ys)], s.color)
+        doc.polyline(px(np.array(s.xs)), py(np.array(s.ys)), s.color)
     for m in markers or []:
         doc.circle(px(m.x), py(m.y), 4.0, m.color)
         doc.text(px(m.x) + 6, py(m.y) - 6, m.label, size=11, color=m.color)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from liftedilc import Trajectory, build_experiment, build_lifted, load_preset
+import liftedilc.experiments as experiments
+from liftedilc import Trajectory, build_lifted, load_preset
 
 # timing variance from BLAS warmup makes per-example deadlines meaningless
 settings.register_profile("suite", deadline=None, max_examples=40)
@@ -13,15 +14,21 @@ settings.load_profile("suite")
 SAMPLE_PERIOD = 0.01
 
 
+def _freshly_lifted_experiment(kind):
+    config = load_preset(kind)
+    return experiments._experiment(config, experiments._lift_pair(config))
+
+
 @pytest.fixture(scope="session")
 def second_order_pair():
     """(world, model, u0, desired) for the second-order preset.
 
-    Built here, not taken from bundled_experiment: a test that counts
-    factorization calls on this pair must not depend on which figures or
-    checks ran before it in the session.
+    Lifted here, not taken from bundled_experiment (which build_experiment
+    returns for a preset): a test that counts factorization calls on this
+    pair must not depend on which commands or checks ran before it in the
+    session.
     """
-    return build_experiment(load_preset("second_order"))
+    return _freshly_lifted_experiment("second_order")
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +38,7 @@ def third_order_pair():
     Its own instance, not bundled_experiment's, for the same reason as
     second_order_pair.
     """
-    return build_experiment(load_preset("third_order"))
+    return _freshly_lifted_experiment("third_order")
 
 
 @pytest.fixture

@@ -567,6 +567,56 @@ def test_a_model_run_on_a_preset_writes_the_start_of_its_figure_model_curve(
     assert Path(f"{kind}_results.csv").read_text().splitlines() == lines[: model_count + 2]
 
 
+def test_commands_on_preset_pairs_make_one_eigh_per_pair(
+    tmp_path, monkeypatch, factorization_calls
+):
+    # every configuration below keeps its preset's plant pair, whatever its
+    # target and law, so each command reads one of the two bundled pairs,
+    # lifted anew here; the first command on a pair factorizes it for all
+    monkeypatch.chdir(tmp_path)
+    experiments.bundled_experiment.cache_clear()
+    for kind, fig_id in (("second_order", "fig2"), ("third_order", "fig4")):
+        for law in LAW_KINDS:
+            path = write_preset(kind, tmp_path, [
+                ("law.kind = p_transpose", f"law.kind = {law}"),
+                ("trajectory.amplitude_coefficient = pi",
+                 "trajectory.amplitude_coefficient = 2.5"),
+            ])
+            for argv in (["run", path.name], ["advise-switch", path.name],
+                         ["figure", fig_id, "--law", law, "--output-dir", "out"]):
+                assert run_cli(argv)[0] == 0
+    spectral = [name for name in factorization_calls if name in ("eigh", "svd")]
+    assert spectral == ["eigh", "eigh"]
+
+
+@pytest.mark.parametrize("law", LAW_KINDS)
+@pytest.mark.parametrize("kind, fig_ids", [
+    ("second_order", ("fig2", "fig3")), ("third_order", ("fig4", "fig5")),
+])
+def test_a_run_writes_the_same_bytes_on_a_fresh_and_a_shared_pair(
+    kind, fig_ids, law, tmp_path, monkeypatch
+):
+    path = write_preset(kind, tmp_path, [("law.kind = p_transpose", f"law.kind = {law}")])
+    monkeypatch.chdir(tmp_path)
+    outputs = [Path(f"{kind}_results.csv"), Path(f"{kind}_results.svg")]
+
+    experiments.bundled_experiment.cache_clear()
+    assert run_cli(["run", path.name])[0] == 0
+    fresh = [output.read_bytes() for output in outputs]
+
+    # the shared pair: every figure and advice on it ran first, in every law
+    experiments.bundled_experiment.cache_clear()
+    for fig_id in fig_ids:
+        for earlier_law in LAW_KINDS:
+            argv = ["figure", fig_id, "--law", earlier_law, "--output-dir", "out"]
+            assert run_cli(argv)[0] == 0
+    assert run_cli(["advise-switch", path.name, "--candidates", "1,30,200"])[0] == 0
+    for output in outputs:
+        output.unlink()
+    assert run_cli(["run", path.name])[0] == 0
+    assert [output.read_bytes() for output in outputs] == fresh
+
+
 _COMMANDS_WITHOUT_SCIPY = """
 import io, json, sys
 import liftedilc, liftedilc.cli, liftedilc.selfcheck

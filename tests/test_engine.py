@@ -26,6 +26,7 @@ from liftedilc import (
     build_initial_input,
     build_lifted,
     build_lifted_pair,
+    bundled_experiment,
     continuous_plant,
     delete_rows,
     discretize_zoh,
@@ -190,6 +191,8 @@ def test_eigh_built_isometry_update_matches_the_dense_svd_gain(
 ):
     config = dataclasses.replace(load_preset(preset), horizon=horizon)
     _, model, u0, desired = build_experiment(config)
+    # at horizon 100 the pair is the bundled one, which may be factorized
+    model = _fresh(model)
     law = LearningLaw("partial_isometry", 0.7)
     l_matrix = build_gain(law, model).l_matrix
     factorization_calls.clear()
@@ -342,14 +345,18 @@ def test_short_calls_build_no_spectrum(second_order_pair, factorization_calls, k
 def test_check_10_loop_and_a_preset_run_take_the_closed_form(
     tmp_path, factorization_calls
 ):
+    # each count runs on a pair of its own: a preset's pair is the bundled
+    # one, shared with every command that ran before in the process
     config = load_preset("second_order")
     world, model, u0, desired = build_experiment(config)
+    model = _fresh(model)
     law = LearningLaw("p_transpose", 1.0)
     factorization_calls.clear()
     run_iterations(world, model, law, u0, None, 100, "model", desired)
     assert factorization_calls == ["eigh"]
     assert model._factorization.dense == {}
     for preset in ("second_order", "third_order"):
+        bundled_experiment.cache_clear()
         factorization_calls.clear()
         run_experiment(dataclasses.replace(
             load_preset(preset), csv_path=str(tmp_path / f"{preset}.csv"),
@@ -703,6 +710,31 @@ def test_run_hybrid_record_layout(second_order_pair):
     # and the world error there really comes from the world plant
     y30 = world.p_matrix @ history[30].input.values
     assert np.allclose(history[30].error.values, desired.values - y30)
+
+
+@pytest.mark.parametrize("model_count", [3, 30])
+def test_records_that_keep_a_state_compare_by_value(second_order_pair, model_count):
+    # 3 <= N // 4 model iterations run the explicit loop, 30 the closed form
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw("p_transpose", 1.0)
+    first = run_iterations(world, model, law, u0, None, model_count, "model", desired)
+    second = run_iterations(world, model, law, u0, None, model_count, "model", desired)
+    assert first[-1].input is not None and first[-1].input is not second[-1].input
+    assert first[-1] == second[-1]
+    assert first == second
+    hybrids = [run_hybrid(world, model, law, u0, None, model_count, 2, desired)
+               for _ in range(2)]
+    switch_records = [history[model_count] for history in hybrids]
+    assert switch_records[0].error is not None
+    assert switch_records[0] == switch_records[1]
+    assert hybrids[0] == hybrids[1]
+
+    shifted = Trajectory(first[-1].input.values + 1.0)
+    assert dataclasses.replace(first[-1], input=shifted) != first[-1]
+    assert Trajectory(u0.values[:-1]) != u0
+    for unhashable in (u0, first[-1]):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(unhashable)
 
 
 def test_run_hybrid_dense_switch_input_is_the_model_loop(second_order_pair):

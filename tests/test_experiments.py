@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from liftedilc import (
     LearningLaw,
     PlantParams,
     Trajectory,
+    TrajectoryShape,
     build_desired_trajectory,
     build_experiment,
     build_initial_input,
@@ -481,6 +484,86 @@ def test_a_figure_reads_one_rms_curve(tmp_path, figure_id, switch_n, law):
     if report is not None:
         assert (report.r_model_n, report.r_model_n1) == (
             float(model[switch_n]["rms"]), float(model[switch_n + 1]["rms"]))
+
+
+@pytest.mark.parametrize("kind", ["second_order", "third_order"])
+@pytest.mark.parametrize("changes", [
+    {"trajectory": TrajectoryShape(1.0, 3.0, 2.0)},
+    {"law_kind": "norm_optimal", "gain": 0.5},
+    {"initial_input": "zero", "mode": "model", "model_count": 7,
+     "world_count": 3, "switch_candidates": (1, 2), "slope_factor": 2.0},
+    {"csv_path": "elsewhere.csv", "plot_path": "elsewhere.svg"},
+], ids=["trajectory", "law", "counts", "outputs"])
+def test_a_config_on_a_bundled_pair_gets_that_pair(kind, changes):
+    _, bundled = bundled_experiment(kind)
+    config = dataclasses.replace(load_preset(kind), **changes)
+    experiment = build_experiment(config)
+    assert experiment.model is bundled.model
+    assert experiment.world is bundled.world
+    world, model = build_lifted_pair(config)
+    assert world is bundled.world and model is bundled.model
+    # the samples are the configuration's own, not the bundled ones
+    assert experiment.u0.values.flags.writeable
+    reference = build_desired_trajectory(config)
+    assert np.array_equal(experiment.desired.values, reference.values)
+
+
+@pytest.mark.parametrize("changes", [
+    {"horizon": 80},
+    {"model_params": PlantParams(0.45, 37.0, 8.8)},
+    {"world_params": PlantParams(0.5, 44.4, 9.0)},
+    {"sample_period": 0.011},
+    {"deleted_rows": 2},
+], ids=["horizon", "model_plant", "world_plant", "sample_period", "deleted_rows"])
+def test_any_other_pair_is_lifted_per_command_and_freed(
+    tmp_path, monkeypatch, changes
+):
+    _, bundled = bundled_experiment("third_order")
+    config = dataclasses.replace(
+        load_preset("third_order"), csv_path=str(tmp_path / "run.csv"),
+        plot_path=None, **changes,
+    )
+    world, model = build_lifted_pair(config)
+    assert world is not bundled.world and model is not bundled.model
+    assert build_lifted_pair(config)[1] is not model
+    del world, model
+
+    lifted = []
+    real = experiments._lift_pair
+
+    def recording(config):
+        pair = real(config)
+        lifted.extend(weakref.ref(system) for system in pair)
+        return pair
+
+    monkeypatch.setattr(experiments, "_lift_pair", recording)
+    run_experiment(config)
+    assert len(lifted) == 2
+    gc.collect()
+    assert [ref() for ref in lifted] == [None, None]
+
+
+def test_a_gain_sweep_keeps_one_operator_and_one_dense_law_per_kind(tmp_path):
+    # the preset's hybrid run takes the closed form (50 > N // 4), a
+    # 10-iteration model run the dense path of p_transpose and norm_optimal
+    bundled_experiment.cache_clear()
+    _, (_, model, _, _) = bundled_experiment("second_order")
+    preset = dataclasses.replace(
+        load_preset("second_order"), csv_path=str(tmp_path / "run.csv"),
+        plot_path=None,
+    )
+    gains = (0.5, 0.6, 0.7, 0.8, 0.9)
+    for law in LAW_KINDS:
+        for gain in gains:
+            config = dataclasses.replace(preset, law_kind=law, gain=gain)
+            run_experiment(config)
+            run_experiment(dataclasses.replace(
+                config, mode="model", model_count=10, switch_candidates=()))
+            assert build_lifted_pair(config)[1] is model
+    entry = model._factorization
+    assert set(entry.laws) == {(law, gains[-1]) for law in LAW_KINDS}
+    assert set(entry.dense) == {
+        ("p_transpose", gains[-1]), ("norm_optimal", gains[-1])}
 
 
 def test_reproduce_figure_rejects_unknown_id(tmp_path):
