@@ -55,9 +55,11 @@ the largest n read, or the closed form's RMS curve over aligned blocks of
 _BLOCK counts. Of the closed form's states, a pass forms only those a reader
 hands on: a run's last input and error, a hybrid's switch input
 (`fast_forward`), and the inputs of the advisor's world probes (one
-`_model_phase` product). `run_iterations` and `fast_forward` stay outside
-the pass: they are the explicit loop and the closed form that the
-self-checks compare and time.
+`_model_phase` product). A bundled figure's pass also holds its
+world-only run from u0, as RMS values and the last input and error, and
+outlives the command (see `experiments.reproduce_figure`).
+`run_iterations` and `fast_forward` stay outside the pass: they are the
+explicit loop and the closed form that the self-checks compare and time.
 
 `run_iterations` is the explicit counterpart of the fast-forward: it
 applies every input to the plant and measures every error. The engine
@@ -690,14 +692,18 @@ class _ModelPass:
     state formed (see the module docstring); a block is computed whole, so a
     count's value does not depend on how far the curve is read. The closed
     form's states come one at a time from fast_forward, the advisor's inputs
-    from one _model_phase product.
+    from one _model_phase product. A figure also reads the world-only run
+    from u0 (world_run), which the pass keeps as RMS values and one state.
     """
 
     def __init__(self, model, law, u0, x0, desired):
         self.model, self.law, self.u0 = model, law, u0
         self.x0, self.desired = x0, desired
         self._runs = {}    # _DenseLaw: (states, RMS values) of the explicit run
+        # one curve, of the operator last read: a pass kept past its command
+        # may see its law's operator rebuilt after a gain eviction
         self._curves = {}  # _LawOperator: (weights, {block: RMS values})
+        self._world = None  # (op, RMS values, last (u, e)) of world_run
 
     @cached_property
     def e0(self):
@@ -729,7 +735,7 @@ class _ModelPass:
         if op not in self._curves:
             with np.errstate(over="ignore", invalid="ignore"):
                 weights = np.square(op.ut.dot(self.e0)) / self.e0.size
-            self._curves[op] = weights, {}
+            self._curves = {op: (weights, {})}
         weights, blocks = self._curves[op]
         if block not in blocks:
             # RMS_n for n >= 1 as in the module docstring, with lambda^(2n) as
@@ -798,6 +804,38 @@ class _ModelPass:
         return (_records(0, "model", rms_values[:-1], {})
                 + _records(model_count, "world", world_rms,
                            {0: switch, world_count: last}))
+
+    def world_run(self, world, count):
+        """run_iterations' world-only records from u0; none keeps a state.
+
+        The update is the operator run_iterations takes for a world phase.
+        The pass keeps the run's RMS values and its last (input, error) only,
+        and a longer read extends the run from that state as _run extends a
+        model run, so every read has the bits of a fresh run_iterations. A
+        pass serves one world.
+        """
+        if self._world is None:
+            if self.law.kind == "p_transpose":
+                op = _DenseLaw(self.model.p_matrix, self.law.gain)
+            else:
+                op = _operator(self.model, self.law)
+            self._world = op, [], None
+        op, rms_values, last = self._world
+        done = len(rms_values)
+        if count >= done:
+            u = self.u0.values
+            if last is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    u = last[0] + _learn(op, last[1])
+            more, _, last = _run_loop(world, op, u, self.x0, self.desired,
+                                      count - done, "world", done)
+            rms_values = rms_values + more
+            self._world = op, rms_values, last
+        return _records(0, "world", rms_values[: count + 1], {})
+
+    def drop_rows(self):
+        """Forget the explicit model run's rows, as a pass kept past its command does."""
+        self._runs = {}
 
 
 def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):

@@ -111,6 +111,35 @@ def bundled_experiment(kind):
     return config, experiment
 
 
+# kind -> (the bundled Experiment, {law kind: _ModelPass at the preset's gain})
+_BUNDLED_PASSES = {}
+
+
+def _bundled_pass(kind, law_kind):
+    """A bundled experiment and its learning pass under law_kind.
+
+    The pass runs the law at the preset's gain and is kept for the process,
+    one per pair and law kind, until bundled_experiment's cache is cleared.
+    Between commands it holds RMS values and one state: the model curve, and
+    the world-only run's RMS values and last (input, error); a command drops
+    the explicit model run's rows (_ModelPass.drop_rows).
+
+    Returns
+    -------
+    (ExperimentConfig, Experiment, _ModelPass)
+    """
+    config, experiment = bundled_experiment(kind)
+    held, passes = _BUNDLED_PASSES.get(kind, (None, None))
+    if held is not experiment:
+        passes = {}
+        _BUNDLED_PASSES[kind] = experiment, passes
+    if law_kind not in passes:
+        world, model, u0, desired = experiment
+        law = LearningLaw(law_kind, config.gain)
+        passes[law_kind] = _ModelPass(model, law, u0, None, desired)
+    return config, experiment, passes[law_kind]
+
+
 def _pair_key(config):
     """Everything a lifted pair depends on: plants, sampling, horizon, deletion."""
     return (config.system_kind, config.model_params, config.world_params,
@@ -315,9 +344,13 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     run_iterations to rounding where it is long enough for the closed form.
     The world curve and the hybrid's world segment are explicit runs.
 
-    The pair comes from bundled_experiment: the first figure of a pair in a
+    The pair comes from bundled_experiment, and the pass is kept with it:
+    one per pair and law kind, holding RMS values and one state, the last
+    input and error of the world-only run. The first figure of a pair in a
     process lifts and factorizes it, and every later figure of that pair, in
-    any law, reuses both. The output does not depend on which came first.
+    any law, reuses both; one in the same law reads its world curve from
+    the kept run, extended from that state where it is longer. The output
+    does not depend on which came first.
 
     Parameters
     ----------
@@ -339,20 +372,18 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
             f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}"
         )
     family, with_markers = _FIGURE_FAMILY[figure_id]
-    config, (world, model, u0, desired) = bundled_experiment(family)
-    if switch_n is None:
-        switch_n = config.model_count
-    else:
+    if switch_n is not None:
         # checked here, so a bad value is named, not the curves' total count
         # or the advisor's candidate
         switch_n = _integer("switch_n", switch_n, 1 if with_markers else 0)
-    law = LearningLaw(law_kind, config.gain)
+    config, (world, _, _, _), model_pass = _bundled_pass(family, law_kind)
+    if switch_n is None:
+        switch_n = config.model_count
     total = switch_n + config.world_count
 
-    model_pass = _ModelPass(model, law, u0, None, desired)
     histories = {
         "model": model_pass.model_run(total),
-        "world": run_iterations(world, model, law, u0, None, total, "world", desired),
+        "world": model_pass.world_run(world, total),
         "hybrid": model_pass.hybrid(world, switch_n, config.world_count),
     }
 
@@ -368,6 +399,7 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
             Marker("B1", switch_n, to_db(report.r_world_n), "#c62828"),
             Marker("B2", switch_n + 1, to_db(report.r_world_n1), "#c62828"),
         ]
+    model_pass.drop_rows()
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)

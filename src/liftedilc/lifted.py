@@ -56,7 +56,8 @@ class Trajectory:
 
     It carries no time stamps; see LiftedSystem for the steps it covers.
     Two trajectories are equal when their samples are; a trajectory is not
-    hashable, since its samples are an array.
+    hashable, since its samples are an array. An ndarray operand defers to
+    it, so a trajectory and an array compare unequal instead of raising.
     """
 
     values: np.ndarray
@@ -76,6 +77,7 @@ class Trajectory:
         return np.array_equal(self.values, other.values)
 
     __hash__ = None
+    __array_ufunc__ = None
 
 
 @dataclass(frozen=True, eq=False)

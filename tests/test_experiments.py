@@ -11,6 +11,7 @@ import pytest
 import liftedilc.engine as engine
 import liftedilc.experiments as experiments
 import liftedilc.switching as switching
+from liftedilc import selfcheck
 from liftedilc import (
     CSV_HEADER,
     ConfigError,
@@ -413,14 +414,21 @@ def test_a_closed_form_figure_applies_the_model_only_for_e0(
     tmp_path, monkeypatch, figure_id, switch_n, law
 ):
     # the model curve, the hybrid's model phase and the markers' model points
-    # are rows of one closed-form pass from the initial error
+    # are rows of one closed-form pass from the initial error. A fresh pair
+    # and pass: the process keeps each bundled pair's pass between figures
+    bundled_experiment.cache_clear()
     config, (_, model, _, _) = bundled_experiment(_FIGURE_FAMILY[figure_id][0])
     applied = _count_applied_rows(monkeypatch, lambda: model)
     reproduce_figure(figure_id, law, switch_n, str(tmp_path))
     # the world curve's records, the hybrid's world segment, the markers' B1, B2
     world_count = config.world_count
+    segment_and_markers = (world_count + 1) + 2
     assert applied == {"model": 1,
-                       "world": (switch_n + world_count + 1) + (world_count + 1) + 2}
+                       "world": (switch_n + world_count + 1) + segment_and_markers}
+    # drawn again, the figure reads e0 and its world curve from the kept pass
+    applied.update(model=0, world=0)
+    reproduce_figure(figure_id, law, switch_n, str(tmp_path))
+    assert applied == {"model": 0, "world": segment_and_markers}
 
 
 @pytest.mark.parametrize("law", ["p_transpose", "norm_optimal"])
@@ -564,6 +572,84 @@ def test_a_gain_sweep_keeps_one_operator_and_one_dense_law_per_kind(tmp_path):
     assert set(entry.laws) == {(law, gains[-1]) for law in LAW_KINDS}
     assert set(entry.dense) == {
         ("p_transpose", gains[-1]), ("norm_optimal", gains[-1])}
+
+
+def _recording_run_loop(monkeypatch):
+    """(phase, first, count) of every engine._run_loop call."""
+    runs = []
+    real = engine._run_loop
+
+    def recording(applied, op, u, x0, desired, count, phase, *args, **kwargs):
+        runs.append((phase, args[0] if args else kwargs.get("first", 0), count))
+        return real(applied, op, u, x0, desired, count, phase, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_run_loop", recording)
+    return runs
+
+
+def test_check_9_computes_every_curve_in_both_draws(
+    tmp_path, monkeypatch, factorization_calls
+):
+    # the pass of fig3 in p_transpose is kept before the check runs, yet each
+    # of its two draws lifts the pair, makes the model's eigh and runs the
+    # 100-update world-only curve from u0 itself
+    reproduce_figure("fig3", "p_transpose", 50, str(tmp_path))
+    factorization_calls.clear()
+    runs = _recording_run_loop(monkeypatch)
+    assert selfcheck.check_figure_determinism().passed
+    assert [run for run in runs if run[:2] == ("world", 0)] == [("world", 0, 100)] * 2
+    assert factorization_calls == ["eigh", "eigh"]
+
+
+@pytest.mark.parametrize("pair", _PAIR_FIGURES)
+def test_a_world_curve_is_a_prefix_or_an_extension_of_the_kept_run(tmp_path, pair):
+    # fig2 and fig3 (fig4 and fig5) share the world-only run of their pair
+    # and law: a shorter curve reads its prefix, a longer one extends it from
+    # its last state, both with the bytes of a fresh draw
+    marker, plain = pair
+    config, _ = bundled_experiment(_FIGURE_FAMILY[marker][0])
+    short, long = config.model_count - 10, config.model_count + 10
+    for law in LAW_KINDS:
+        fresh = {}
+        for figure_id, switch_n in ((marker, short), (plain, long)):
+            bundled_experiment.cache_clear()
+            fresh[figure_id] = reproduce_figure(
+                figure_id, law, switch_n, str(tmp_path / "fresh"))
+        for order in ([(marker, short), (plain, long)],
+                      [(plain, long), (marker, short)]):
+            bundled_experiment.cache_clear()
+            for figure_id, switch_n in order:
+                artifacts = reproduce_figure(
+                    figure_id, law, switch_n, str(tmp_path / "shared"))
+                for name, path in artifacts.curve_csv_paths.items():
+                    expected = fresh[figure_id].curve_csv_paths[name]
+                    assert Path(path).read_bytes() == Path(expected).read_bytes()
+
+
+def test_a_gain_sweep_and_figures_keep_one_pass_per_pair_and_law(tmp_path):
+    # each pass holds its model curve, and of the world-only run its RMS
+    # values and last (input, error); no explicit model run's rows survive
+    # a figure, not even one whose short model phase took the dense path
+    bundled_experiment.cache_clear()
+    for kind, figure_id in (("second_order", "fig2"), ("third_order", "fig4")):
+        preset = dataclasses.replace(
+            load_preset(kind), csv_path=str(tmp_path / "run.csv"), plot_path=None)
+        for law in LAW_KINDS:
+            for gain in (0.5, 0.6, 0.7, 0.8, 0.9):
+                run_experiment(dataclasses.replace(preset, law_kind=law, gain=gain))
+                for switch_n in (5, preset.model_count):
+                    reproduce_figure(figure_id, law, switch_n, str(tmp_path))
+        experiment, passes = experiments._BUNDLED_PASSES[kind]
+        assert experiment is bundled_experiment(kind)[1]
+        assert sorted(passes) == sorted(LAW_KINDS)
+        for law, model_pass in passes.items():
+            assert model_pass.law == LearningLaw(law, preset.gain)
+            assert model_pass._runs == {}
+            assert len(model_pass._curves) <= 1
+            _, rms_values, (u, e) = model_pass._world
+            assert len(rms_values) == preset.model_count + preset.world_count + 1
+            assert u.shape == (preset.horizon,)
+            assert e.shape == (experiment.world.row_count,)
 
 
 def test_reproduce_figure_rejects_unknown_id(tmp_path):
