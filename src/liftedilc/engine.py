@@ -53,11 +53,10 @@ points, or a run's model phase and its advisor, read it. Readers whose
 lengths pick the same operator share it: one explicit model run, extended to
 the largest n read, or the closed form's RMS curve over aligned blocks of
 _BLOCK counts. Of the closed form's states, a pass forms only those a reader
-hands on: a run's last input and error, a hybrid's switch input
-(`fast_forward`), and the inputs of the advisor's world probes (one
-`_model_phase` product). A bundled figure's pass also holds its
-world-only run from u0, as RMS values and the last input and error, and
-outlives the command (see `experiments.reproduce_figure`).
+hands on: a hybrid's switch input (`fast_forward`) and the inputs of the
+advisor's world probes (one `_model_phase` product). A bundled figure's pass
+also holds its world-only run from u0, as RMS values and the last input and
+error, and outlives the command (see `experiments.reproduce_figure`).
 `run_iterations` and `fast_forward` stay outside the pass: they are the
 explicit loop and the closed form that the self-checks compare and time.
 
@@ -70,10 +69,10 @@ candidates as rows. `_learn` goes through the operator the call chose, the
 cached factorization (two matrix-vector products) or the direct law. A
 world phase on its own needs no pre-flight, so p_transpose applies
 phi P^T e there without any factorization. The dense gain built in `laws`
-is only the independent reference. A run is its RMS curve: its records
-carry the iteration, phase and RMS, and only the records that hand a state
-on keep their input and error, a run's last record and a hybrid's switch
-record, where the phase turns to "world".
+is only the independent reference. A run is its RMS curve: the records of
+`run_iterations` and `run_hybrid` carry the iteration, phase and RMS, and
+only the records that hand a state on keep their input and error, a run's
+last record and a hybrid's switch record, where the phase turns to "world".
 """
 
 import math
@@ -694,6 +693,8 @@ class _ModelPass:
     form's states come one at a time from fast_forward, the advisor's inputs
     from one _model_phase product. A figure also reads the world-only run
     from u0 (world_run), which the pass keeps as RMS values and one state.
+    Its readers get RMS values, not records (run_hybrid alone wraps them);
+    a model run hands on no state, so its closed form calls no fast_forward.
     """
 
     def __init__(self, model, law, u0, x0, desired):
@@ -760,21 +761,11 @@ class _ModelPass:
             raise _diverged("model", values[n], n)
         return values
 
-    def _phase(self, op, count):
-        """RMS_0 .. RMS_count under op, and (u_count, e_count).
-
-        On the closed form the state is fast_forward's, formed after the
-        curve has checked e0.
-        """
+    def _model_rms(self, op, count):
+        """RMS_0 .. RMS_count under op."""
         if isinstance(op, _DenseLaw):
-            states, rms_values = self._run(op, count)
-            return rms_values[: count + 1], states[count]
-        rms_values = self._curve(op, count + 1)
-        # a huge u0 can still overflow u_count
-        with np.errstate(over="ignore", invalid="ignore"):
-            u_n, e_n = fast_forward(self.model, self.law, self.u0,
-                                    Trajectory(self.e0), count)
-        return rms_values, (u_n.values, e_n.values)
+            return self._run(op, count)[1][: count + 1]
+        return self._curve(op, count + 1)
 
     def points(self, op, counts):
         """The inputs u_n, one row per n >= 1 in counts, and the RMS at n and n + 1."""
@@ -790,23 +781,32 @@ class _ModelPass:
         ]
 
     def model_run(self, count):
-        """run_iterations' model-phase records: on the closed form, its RMS curve."""
-        op = _model_operator(self.model, self.law, count)
-        rms_values, last = self._phase(op, count)
-        return _records(0, "model", rms_values, {count: last})
+        """RMS_0 .. RMS_count of run_iterations' model phase, or the closed form's."""
+        return self._model_rms(_model_operator(self.model, self.law, count), count)
 
     def hybrid(self, world, model_count, world_count):
-        """run_hybrid's records: the model phase's, then the world's from u_model_count."""
+        """run_hybrid's RMS values and the two states it keeps.
+
+        Returns RMS_0 .. RMS_(model_count - 1) of the model phase, the world
+        phase's world_count + 1 RMS values, and the (input, error) of its first
+        iteration (the switch) and of its last. On the closed form the switch
+        input is fast_forward's, formed after the curve has checked e0.
+        """
         op = _model_operator(self.model, self.law, model_count)
-        rms_values, (u, _) = self._phase(op, model_count)
+        model_rms = self._model_rms(op, model_count)
+        if isinstance(op, _DenseLaw):
+            u = self._runs[op][0][model_count][0]
+        else:
+            # a huge u0 can still overflow u_model_count
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = fast_forward(self.model, self.law, self.u0,
+                                 Trajectory(self.e0), model_count)[0].values
         world_rms, switch, last = _run_loop(world, op, u, self.x0, self.desired,
                                             world_count, "world", model_count)
-        return (_records(0, "model", rms_values[:-1], {})
-                + _records(model_count, "world", world_rms,
-                           {0: switch, world_count: last}))
+        return model_rms[:-1], world_rms, switch, last
 
     def world_run(self, world, count):
-        """run_iterations' world-only records from u0; none keeps a state.
+        """The count + 1 RMS values of run_iterations' world-only run from u0.
 
         The update is the operator run_iterations takes for a world phase.
         The pass keeps the run's RMS values and its last (input, error) only,
@@ -831,7 +831,7 @@ class _ModelPass:
                                       count - done, "world", done)
             rms_values = rms_values + more
             self._world = op, rms_values, last
-        return _records(0, "world", rms_values[: count + 1], {})
+        return rms_values[: count + 1]
 
     def drop_rows(self):
         """Forget the explicit model run's rows, as a pass kept past its command does."""
@@ -866,4 +866,8 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     world_count = _integer("world_count", world_count, 0)
     _check_run_inputs(world, model, u0, desired)
     model_pass = _ModelPass(model, law, u0, x0, desired)
-    return model_pass.hybrid(world, model_count, world_count)
+    model_rms, world_rms, switch, last = model_pass.hybrid(world, model_count,
+                                                           world_count)
+    return (_records(0, "model", model_rms, {})
+            + _records(model_count, "world", world_rms,
+                       {0: switch, world_count: last}))

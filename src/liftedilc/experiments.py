@@ -7,6 +7,7 @@ as CSV (one row per iteration) plus an optional SVG chart. The CSV column
 is the quantity the fast-forward scheme is designed to save.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -15,7 +16,7 @@ from typing import Dict, List, NamedTuple, Optional
 import numpy as np
 
 from .config import _sampled_plant, load_preset
-from .engine import _ModelPass, run_iterations, to_db
+from .engine import _ModelPass, to_db
 from .errors import ConfigError, _integer
 from .laws import LearningLaw
 from .lifted import LiftedSystem, Trajectory, build_lifted, delete_rows
@@ -247,28 +248,40 @@ def build_initial_input(config):
     return Trajectory(values)
 
 
-def write_history_csv(records, path):
-    """One CSV row per record; floats via repr so output is byte-stable."""
-    consumed = 0
+def write_history_csv(model_rms, world_rms, path):
+    """One CSV row per RMS value: the model phase's, then the world phase's.
+
+    model_rms and world_rms are lists of float. Rows are numbered from 0
+    across both lists; a world row's hardware_iterations_consumed is its
+    1-based position in world_rms, a model row's 0. Floats are written via
+    repr, so output is byte-stable. Returns the rows' rms_db values,
+    20 log10(rms), with None for a blank cell (rms <= 0).
+    """
+    log10 = math.log10
+    db = [20.0 * log10(r) if r > 0 else None for r in model_rms + world_rms]
+    split = len(model_rms)
     lines = [CSV_HEADER]
-    for record in records:
-        if record.phase == "world":
-            consumed += 1
-        db = "" if record.rms_db is None else repr(record.rms_db)
-        lines.append(
-            f"{record.iteration},{record.phase},{record.rms!r},{db},{consumed}"
-        )
+    lines += [f"{i},model,{r!r},{'' if d is None else repr(d)},0"
+              for i, (r, d) in enumerate(zip(model_rms, db))]
+    lines += [f"{split + j - 1},world,{r!r},{'' if d is None else repr(d)},{j}"
+              for j, (r, d) in enumerate(zip(world_rms, db[split:]), 1)]
     Path(path).write_text("\n".join(lines) + "\n")
+    return db
 
 
-def _series(records, name, color):
-    kept = [r for r in records if r.rms_db is not None]
-    xs = [float(r.iteration) for r in kept]
-    return Series(name, xs, [r.rms_db for r in kept], color)
+def _db_series(name, db, color, first=0):
+    """A chart series of a curve's dB values, the first at iteration `first`."""
+    xs = [float(first + i) for i, d in enumerate(db) if d is not None]
+    return Series(name, xs, [d for d in db if d is not None], color)
 
 
 def run_experiment(config):
     """Run the configured learning mode and write its artifacts.
+
+    The run's RMS values come from one model pass (see engine), with no
+    IterationRecord, and go to the CSV and the plot as they are. Before any
+    numerical work, each output path must name a file in an existing
+    directory, and the plot must not name the CSV's file.
 
     Returns
     -------
@@ -288,41 +301,45 @@ def run_experiment(config):
             )
         if target.is_dir():
             raise ConfigError(f"key {key!r}: {path!r} is a directory, not a file")
+    # the plot is written after the CSV and would silently replace it
+    if (config.plot_path is not None
+            and Path(config.plot_path).resolve() == Path(config.csv_path).resolve()):
+        raise ConfigError(
+            f"key 'output.plot': {config.plot_path!r} names the file of 'output.csv'"
+        )
     world, model, u0, desired = build_experiment(config)
     law = LearningLaw(config.law_kind, config.gain)
 
     # a run's model phase and the advisor's model points read one pass
     model_pass = _ModelPass(model, law, u0, None, desired)
+    model_rms, world_rms = [], []
     if config.mode == "hybrid":
-        records = model_pass.hybrid(world, config.model_count, config.world_count)
+        model_rms, world_rms, _, _ = model_pass.hybrid(
+            world, config.model_count, config.world_count)
     elif config.mode == "model":
-        records = model_pass.model_run(config.model_count)
+        model_rms = model_pass.model_run(config.model_count)
     else:
-        records = run_iterations(
-            world, model, law, u0, None, config.world_count, "world", desired
-        )
+        world_rms = model_pass.world_run(world, config.world_count)
     # every numerical step runs before the first file is written, so a
     # failure leaves no output behind
     reports = _reports(world, model_pass, list(config.switch_candidates),
                        config.slope_factor)
     warning = unhandled_zero_warning(config)
     summary = {
-        "final_rms": {r.phase: r.rms for r in records},
+        "final_rms": {phase: values[-1] for phase, values
+                      in (("model", model_rms), ("world", world_rms)) if values},
         "switch_reports": reports,
         "warnings": [warning] if warning else [],
     }
 
-    write_history_csv(records, config.csv_path)
+    db = write_history_csv(model_rms, world_rms, config.csv_path)
     plot_paths = []
     if config.plot_path:
-        series = []
-        for phase, color in (("model", "#000000"), ("world", "#c62828")):
-            sub = [r for r in records if r.phase == phase]
-            if sub:
-                series.append(_series(sub, phase, color))
+        split = len(model_rms)
         render_line_chart(
             config.plot_path,
-            series,
+            [_db_series("model", db[:split], "#000000"),
+             _db_series("world", db[split:], "#c62828", split)],
             f"{config.system_kind} {config.mode} run, {config.law_kind}",
         )
         plot_paths.append(config.plot_path)
@@ -342,7 +359,9 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     The model curve, the hybrid's model phase and the markers' model points
     are rows of one model pass (see engine), so the model curve matches
     run_iterations to rounding where it is long enough for the closed form.
-    The world curve and the hybrid's world segment are explicit runs.
+    The world curve and the hybrid's world segment are explicit runs. Each
+    curve is a list of RMS values, written to its CSV by write_history_csv,
+    whose dB values the chart plots; no IterationRecord is built.
 
     The pair comes from bundled_experiment, and the pass is kept with it:
     one per pair and law kind, holding RMS values and one state, the last
@@ -381,10 +400,11 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
         switch_n = config.model_count
     total = switch_n + config.world_count
 
-    histories = {
-        "model": model_pass.model_run(total),
-        "world": model_pass.world_run(world, total),
-        "hybrid": model_pass.hybrid(world, switch_n, config.world_count),
+    # each curve as (model-phase RMS values, world-phase RMS values)
+    curves = {
+        "model": (model_pass.model_run(total), []),
+        "world": ([], model_pass.world_run(world, total)),
+        "hybrid": model_pass.hybrid(world, switch_n, config.world_count)[:2],
     }
 
     # every numerical step runs before the first file is written, so a
@@ -405,25 +425,25 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{figure_id}_{law_kind}_switch{switch_n}"
     curve_paths = {}
-    for name, records in histories.items():
+    series = []
+    for (name, (model_rms, world_rms)), label in zip(
+            curves.items(), ("model only", "world only", "hybrid")):
         path = out / f"{stem}_{name}.csv"
-        write_history_csv(records, path)
+        db = write_history_csv(model_rms, world_rms, path)
         curve_paths[name] = str(path)
+        series.append(_db_series(label, db, CURVE_COLORS[name]))
 
     plot_path = out / f"{stem}.svg"
     render_line_chart(
         plot_path,
-        [
-            _series(histories["model"], "model only", CURVE_COLORS["model"]),
-            _series(histories["world"], "world only", CURVE_COLORS["world"]),
-            _series(histories["hybrid"], "hybrid", CURVE_COLORS["hybrid"]),
-        ],
+        series,
         f"{figure_id}: {law_kind}, switch at {switch_n}",
         markers=markers,
     )
 
     summary = {
-        "final_rms": {name: h[-1].rms for name, h in histories.items()},
+        "final_rms": {name: (world_rms or model_rms)[-1]
+                      for name, (model_rms, world_rms) in curves.items()},
         "switch_report": report,
     }
     return RunArtifacts(

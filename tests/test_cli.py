@@ -433,6 +433,24 @@ def test_run_into_an_output_path_that_is_a_directory_fails_before_writing(
     assert factorization_calls == []
 
 
+@pytest.mark.parametrize("plot", ["a.csv", "./a.csv", "sub/../a.csv"])
+def test_a_plot_naming_the_csv_file_fails_before_writing(
+    plot, write_cfg, tmp_path, monkeypatch, capsys, factorization_calls
+):
+    # the SVG would silently overwrite the CSV it was written after
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    path = write_cfg({"output.csv": "a.csv", "output.plot": plot})
+    code, text = run_cli(["run", str(path)])
+    assert code == 1
+    assert text == ""
+    _assert_one_line_error(
+        capsys, f"config error: key 'output.plot': {plot!r} names the file of 'output.csv'"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "test.cfg"]
+    assert factorization_calls == []
+
+
 def test_partial_isometry_fallback_run_is_the_thin_svd_run(tmp_path, monkeypatch):
     # without its deleted row the third-order pair has a zero singular value,
     # so V cannot come from the eigh; its CSV must match, byte for byte, a run

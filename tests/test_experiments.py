@@ -93,6 +93,12 @@ def test_initial_input_variants(write_cfg, tmp_path):
         build_initial_input(short_cfg)
 
 
+def _split_by_phase(records):
+    """(model RMS values, world RMS values) of a run's records."""
+    return ([r.rms for r in records if r.phase == "model"],
+            [r.rms for r in records if r.phase == "world"])
+
+
 def test_csv_layout_counts_hardware_rows(write_cfg, tmp_path):
     config = load_config(write_cfg())
     world, model = build_lifted_pair(config)
@@ -102,15 +108,18 @@ def test_csv_layout_counts_hardware_rows(write_cfg, tmp_path):
         world, model, LearningLaw("p_transpose", 1.0), u0, None, 3, 2, desired
     )
     path = tmp_path / "out.csv"
-    write_history_csv(history, path)
+    db = write_history_csv(*_split_by_phase(history), path)
 
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 7
     rows = read_rows(path)
+    assert [r["iteration"] for r in rows] == list("012345")
     assert [r["phase"] for r in rows] == ["model"] * 3 + ["world"] * 3
     assert [r["hardware_iterations_consumed"] for r in rows] == list("000123")
-    # repr-written floats parse back to the exact record values
+    # repr-written floats parse back to the exact record values, and the
+    # returned dB values are the column's
+    assert db == [record.rms_db for record in history]
     for row, record in zip(rows, history):
         assert float(row["rms"]) == record.rms
         assert float(row["rms_db"]) == record.rms_db
@@ -123,10 +132,54 @@ def test_csv_leaves_db_blank_when_error_is_zero(second_order_pair, tmp_path):
         model, model, LearningLaw("p_transpose", 1.0), u0, None, 0, "model", desired
     )
     path = tmp_path / "zero.csv"
-    write_history_csv(history, path)
+    assert write_history_csv(*_split_by_phase(history), path) == [None]
     rows = read_rows(path)
     assert rows[0]["rms"] == "0.0"
     assert rows[0]["rms_db"] == ""
+
+
+@pytest.mark.parametrize("mode", ["hybrid", "world"])
+@pytest.mark.parametrize("law", LAW_KINDS)
+@pytest.mark.parametrize("kind", ["second_order", "third_order"])
+def test_a_run_writes_the_csv_of_the_public_runs_records(kind, law, mode, tmp_path):
+    # run_experiment writes RMS values from its model pass, with no records;
+    # its CSV is the one write_history_csv makes of run_hybrid's or
+    # run_iterations' records
+    config = dataclasses.replace(
+        load_preset(kind), law_kind=law, mode=mode,
+        csv_path=str(tmp_path / "run.csv"), plot_path=None,
+    )
+    run_experiment(config)
+    world, model, u0, desired = build_experiment(config)
+    law = LearningLaw(law, config.gain)
+    if mode == "hybrid":
+        records = run_hybrid(world, model, law, u0, None, config.model_count,
+                             config.world_count, desired)
+    else:
+        records = run_iterations(world, model, law, u0, None, config.world_count,
+                                 "world", desired)
+    write_history_csv(*_split_by_phase(records), tmp_path / "records.csv")
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+
+def test_commands_build_no_iteration_record(tmp_path, monkeypatch):
+    # a command hands RMS values from the engine to its files; only the
+    # public runs wrap them in records
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command built an IterationRecord")
+
+    monkeypatch.setattr(engine, "IterationRecord", refuse)
+    for kind in ("second_order", "third_order"):
+        for mode in ("model", "world", "hybrid"):
+            config = dataclasses.replace(
+                load_preset(kind), mode=mode,
+                csv_path=str(tmp_path / f"{kind}_{mode}.csv"),
+                plot_path=str(tmp_path / f"{kind}_{mode}.svg"),
+            )
+            run_experiment(config)
+    for figure_id in ("fig2", "fig4"):
+        for law in LAW_KINDS:
+            reproduce_figure(figure_id, law, output_dir=str(tmp_path))
 
 
 def _tmp_config(write_cfg, tmp_path, name, base=None, **overrides):
