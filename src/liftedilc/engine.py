@@ -49,14 +49,14 @@ RMS after n model iterations needs no row at all:
 
 A command computes its model phase once, as one model pass (`_ModelPass`):
 a figure's model curve, its hybrid's model phase and its markers' model
-points, or a run's model phase and its advisor, read it. Readers whose
-lengths pick the same operator share it: one explicit model run, extended to
-the largest n read, or the closed form's RMS curve over aligned blocks of
-_BLOCK counts. Of the closed form's states, a pass forms only those a reader
-hands on: a hybrid's switch input (`fast_forward`) and the inputs of the
-advisor's world probes (one `_model_phase` product). A bundled figure's pass
-also holds its world-only run from u0, as RMS values and the last input and
-error, and outlives the command (see `experiments.reproduce_figure`).
+points, or a run's model phase and its advisor, read it. The pass keeps one
+source per operator, which readers whose lengths pick that operator share:
+a `_Run`, one explicit model run extended to the largest n read, or a
+`_Curve`, the closed form's RMS curve over aligned blocks of _BLOCK counts,
+which forms only the states a reader hands on (a hybrid's switch input, the
+advisor's probe inputs) in one `_model_phase` product. A bundled figure's
+pass also holds its world-only run from u0, a `_Run` of RMS values and one
+state, and outlives the command (see `experiments.reproduce_figure`).
 `run_iterations` and `fast_forward` stay outside the pass: they are the
 explicit loop and the closed form that the self-checks compare and time.
 
@@ -85,7 +85,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     DivergenceError,
-    EmptyInputError,
     InvalidParameterError,
     UndefinedDbError,
     _integer,
@@ -94,7 +93,6 @@ from .lifted import Trajectory, _free_response
 
 __all__ = [
     "IterationRecord",
-    "rms",
     "to_db",
     "run_iterations",
     "run_hybrid",
@@ -123,14 +121,6 @@ class IterationRecord:
 def _rms(v):
     """sqrt(v'v / len) of a non-empty 1-D array: the one RMS definition."""
     return math.sqrt(float(np.dot(v, v)) / v.size)
-
-
-def rms(error):
-    """Root mean square of a trajectory, sqrt(e'e / len)."""
-    v = error.values
-    if v.size == 0:
-        raise EmptyInputError("cannot take the RMS of an empty trajectory")
-    return _rms(v)
 
 
 def to_db(rms_value):
@@ -290,32 +280,25 @@ class _LawOperator:
     input_witness: np.ndarray
 
 
-def _new_entry(model):
-    """An empty _Factorization, stored on the model."""
-    entry = _Factorization(model.p_matrix)
-    object.__setattr__(model, "_factorization", entry)
-    return entry
+def _cached(model, table, law, build):
+    """The (law kind, gain) entry of _Factorization.<table>, built on first use."""
+    entry = model._factorization
+    if entry is None:
+        entry = _Factorization(model.p_matrix)
+        object.__setattr__(model, "_factorization", entry)
+    cache = getattr(entry, table)
+    # keyed by value: hashing the tuple is cheaper than the dataclass hash
+    law_key = (law.kind, law.gain)
+    if law_key not in cache:
+        for key in [key for key in cache if key[0] == law.kind]:
+            del cache[key]
+        cache[law_key] = build(entry, law)
+    return cache[law_key]
 
 
 def _operator(model, law):
     """The cached _LawOperator of (model, law), built on first use."""
-    entry = model._factorization
-    if entry is None:
-        entry = _new_entry(model)
-    # keyed by value: hashing the tuple is cheaper than the dataclass hash
-    law_key = (law.kind, law.gain)
-    op = entry.laws.get(law_key)
-    if op is None:
-        op = _keep_latest(entry.laws, law_key, _build_operator(entry, law))
-    return op
-
-
-def _keep_latest(cache, law_key, value):
-    """Store value under law_key as the one entry of its law kind."""
-    for key in [key for key in cache if key[0] == law_key[0]]:
-        del cache[key]
-    cache[law_key] = value
-    return value
+    return _cached(model, "laws", law, _build_operator)
 
 
 def _convergent_operator(model, law):
@@ -383,15 +366,6 @@ class _DenseLaw:
     scale: float
 
 
-def _dense_law(model, law):
-    """The cached _DenseLaw of (model, law), or None if it is not certified."""
-    entry = model._factorization or _new_entry(model)
-    law_key = (law.kind, law.gain)
-    if law_key not in entry.dense:
-        _keep_latest(entry.dense, law_key, _build_dense_law(entry.p_matrix, law))
-    return entry.dense[law_key]
-
-
 def _build_dense_law(p, law):
     """The _DenseLaw of p_transpose or norm_optimal on P, or None.
 
@@ -434,14 +408,26 @@ def _model_operator(model, law, largest):
     """
     divisor = _DENSE_DIVISOR.get(law.kind)
     if divisor and largest <= model.horizon // divisor:
-        dense = _dense_law(model, law)
+        dense = _cached(model, "dense", law,
+                        lambda entry, law: _build_dense_law(entry.p_matrix, law))
         if dense is not None:
             return dense
     return _convergent_operator(model, law)
 
 
-def _check_lengths(model, u0v, e0v):
-    """Raise DimensionError if u0 or e0 does not fit the model."""
+def _world_operator(model, law):
+    """The law's operator for a world phase, which needs no pre-flight.
+
+    p_transpose applies phi P^T e with no factorization; the other laws take
+    the cached _LawOperator without its convergence check.
+    """
+    if law.kind == "p_transpose":
+        return _DenseLaw(model.p_matrix, law.gain)
+    return _operator(model, law)
+
+
+def _check_lengths(model, u0v, e0v, e0_name="e0"):
+    """Raise DimensionError if u0, or e0 (named e0_name), does not fit the model."""
     row_count, horizon = model.p_matrix.shape
     if u0v.size != horizon:
         raise DimensionError(
@@ -449,7 +435,7 @@ def _check_lengths(model, u0v, e0v):
         )
     if e0v.size != row_count:
         raise DimensionError(
-            f"e0 length {e0v.size} does not match row count {row_count}"
+            f"{e0_name} length {e0v.size} does not match row count {row_count}"
         )
 
 
@@ -575,15 +561,7 @@ def _check_run_inputs(applied, model, u0, desired):
             f"({applied.horizon}, {applied.deleted_rows}) vs "
             f"({model.horizon}, {model.deleted_rows})"
         )
-    if len(u0) != model.horizon:
-        raise DimensionError(
-            f"u0 length {len(u0)} does not match horizon {model.horizon}"
-        )
-    if len(desired) != model.row_count:
-        raise DimensionError(
-            f"desired length {len(desired)} does not match row count "
-            f"{model.row_count}"
-        )
+    _check_lengths(model, u0.values, desired.values, "desired")
     # a non-finite input or target is invalid, not a divergence
     for name, trajectory in (("u0", u0), ("desired", desired)):
         if not np.all(np.isfinite(trajectory.values)):
@@ -668,43 +646,137 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
     count = _integer("count", count, 0)
     applied = model if phase == "model" else world
     _check_run_inputs(applied, model, u0, desired)
-    if phase == "model":
-        op = _model_operator(model, law, count)
-    elif law.kind == "p_transpose":
-        # phi P^T e needs no factorization, and a world phase no pre-flight
-        op = _DenseLaw(model.p_matrix, law.gain)
-    else:
-        op = _operator(model, law)
+    op = (_model_operator(model, law, count) if phase == "model"
+          else _world_operator(model, law))
     rms_values, _, last = _run_loop(applied, op, u0.values, x0, desired, count, phase)
     return _records(0, phase, rms_values, {count: last})
+
+
+class _Run:
+    """An explicit run under one operator, extended from its last state on read.
+
+    It keeps the run's RMS values and its last (input, error); a list passed
+    as `rows` takes every (input, error) as well. A run given the error e0
+    of u0 starts from (u0, e0) and applies u0 no second time; else its first
+    read applies u0. A longer read runs _run_loop on from the last state, so
+    every read has the bits of one fresh loop.
+    """
+
+    def __init__(self, applied, op, phase, x0, desired, u0, e0=None, rows=None):
+        self.applied, self.op, self.phase = applied, op, phase
+        self.x0, self.desired, self.u0, self.rows = x0, desired, u0, rows
+        self.rms_values, self.last = [], None
+        if e0 is not None:
+            # a huge u0 can overflow e0 (invalid) or its RMS (a divergence)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.rms_values.append(_checked_rms(e0, phase, 0))
+            self.last = u0, e0
+            if rows is not None:
+                rows.append(self.last)
+
+    def _extend(self, n):
+        """Run on to RMS_n."""
+        done = len(self.rms_values)
+        if n < done:
+            return
+        u = self.u0
+        if self.last is not None:
+            # a huge u0 overflows the run; its RMS raises DivergenceError
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = self.last[0] + _learn(self.op, self.last[1])
+        more, _, self.last = _run_loop(self.applied, self.op, u, self.x0,
+                                       self.desired, n - done, self.phase, done,
+                                       self.rows)
+        self.rms_values += more
+
+    def read(self, count):
+        """RMS_0 .. RMS_count."""
+        self._extend(count)
+        return self.rms_values[: count + 1]
+
+    def value(self, n):
+        """RMS_n."""
+        self._extend(n)
+        return self.rms_values[n]
+
+    def inputs(self, counts):
+        """The inputs u_n, one row per n in counts, from a run that keeps rows."""
+        self._extend(max(counts))
+        return np.array([self.rows[n][0] for n in counts])
+
+
+class _Curve:
+    """The closed form of a model phase under a _LawOperator, from u0 and e0.
+
+    Its RMS curve is computed over aligned blocks of _BLOCK counts with no
+    state formed (see the module docstring); a block is computed whole, so a
+    count's value does not depend on how far the curve is read. Inputs are
+    formed only where a reader asks, in one _model_phase product.
+    """
+
+    def __init__(self, op, u0, e0):
+        self.op, self.u0, self.e0 = op, u0, e0
+        # a huge e0 overflows the weights; a read raises on the RMS that shows it
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.weights = np.square(op.ut.dot(e0)) / e0.size
+        self.blocks = {}
+
+    def _rms_block(self, block):
+        """The RMS values of the counts of one aligned block."""
+        if block not in self.blocks:
+            # RMS_n for n >= 1 as in the module docstring, with lambda^(2n) as
+            # exp(2 n log|lambda|), and e0's own RMS for n = 0
+            start = block * _BLOCK
+            n = np.array([float(c) for c in range(max(start, 1), start + _BLOCK)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers = np.exp(np.multiply.outer(n, 2.0 * self.op.log_abs_lam))
+                self.blocks[block] = ([_rms(self.e0)] if start == 0 else []) + (
+                    np.sqrt(powers @ self.weights).tolist())
+        return self.blocks[block]
+
+    def read(self, count):
+        """RMS_0 .. RMS_count; raises DivergenceError where one is not finite."""
+        values = []
+        for block in range(count // _BLOCK + 1):
+            values += self._rms_block(block)
+        del values[count + 1:]
+        if not all(map(math.isfinite, values)):
+            n = next(n for n, r in enumerate(values) if not math.isfinite(r))
+            raise _diverged("model", values[n], n)
+        return values
+
+    def value(self, n):
+        """RMS_n, finite or not."""
+        return self._rms_block(n // _BLOCK)[n % _BLOCK]
+
+    def inputs(self, counts):
+        """The inputs u_n, one row per n >= 1 in counts."""
+        # a huge u0 can overflow u_n
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _model_phase(self.op, self.u0, self.e0, counts)
 
 
 class _ModelPass:
     """The model phase of one command, each part computed once.
 
-    Its readers (a model run, a hybrid's model phase, the advisor's points)
-    each take the operator their own model-phase length picks
-    (_model_operator), and readers on one operator share what it computed.
-    With a _DenseLaw that is one explicit model run from u0 and e0, its
-    states and RMS values, extended as a read needs. With a _LawOperator it
-    is the RMS curve, computed over aligned blocks of _BLOCK counts with no
-    state formed (see the module docstring); a block is computed whole, so a
-    count's value does not depend on how far the curve is read. The closed
-    form's states come one at a time from fast_forward, the advisor's inputs
-    from one _model_phase product. A figure also reads the world-only run
-    from u0 (world_run), which the pass keeps as RMS values and one state.
-    Its readers get RMS values, not records (run_hybrid alone wraps them);
-    a model run hands on no state, so its closed form calls no fast_forward.
+    Each reader (a model run, a hybrid's model phase, the advisor) takes the
+    operator its own model-phase length picks (_model_operator) and reads
+    that operator's source: under a _DenseLaw a _Run, the explicit model run
+    from u0 and the measured e0 with its states kept as rows; under a
+    _LawOperator a _Curve, the closed form. Both serve read(count), value(n)
+    and inputs(counts), so no reader asks which one it holds. A figure also
+    reads the world-only run from u0 (world_run), a _Run without rows. No
+    source refers back to its pass, so reference counting alone frees a
+    pass. Readers get RMS values, not records (run_hybrid wraps them).
     """
 
     def __init__(self, model, law, u0, x0, desired):
         self.model, self.law, self.u0 = model, law, u0
         self.x0, self.desired = x0, desired
-        self._runs = {}    # _DenseLaw: (states, RMS values) of the explicit run
-        # one curve, of the operator last read: a pass kept past its command
+        # one source per operator type, of the operator last read: a kept pass
         # may see its law's operator rebuilt after a gain eviction
-        self._curves = {}  # _LawOperator: (weights, {block: RMS values})
-        self._world = None  # (op, RMS values, last (u, e)) of world_run
+        self._sources = {}
+        self._world = None
 
     @cached_property
     def e0(self):
@@ -713,129 +785,54 @@ class _ModelPass:
         with np.errstate(over="ignore", invalid="ignore"):
             return _measure(self.model, self.u0.values, self.x0, self.desired)
 
-    def _run(self, op, largest):
-        """The explicit model run under the _DenseLaw op, to at least `largest`."""
-        if op not in self._runs:
-            with np.errstate(over="ignore", invalid="ignore"):
-                r0 = _checked_rms(self.e0, "model", 0)
-            self._runs[op] = [(self.u0.values, self.e0)], [r0]
-        states, rms_values = self._runs[op]
-        last = len(states) - 1
-        if largest > last:
-            u, e = states[last]
-            # a huge u0 overflows the model phase; its RMS raises DivergenceError
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = u + _learn(op, e)
-            more, _, _ = _run_loop(self.model, op, u, self.x0, self.desired,
-                                   largest - last - 1, "model", last + 1, states)
-            rms_values += more
-        return states, rms_values
-
-    def _block(self, op, block):
-        """The RMS curve's values for the counts of one aligned block."""
-        if op not in self._curves:
-            with np.errstate(over="ignore", invalid="ignore"):
-                weights = np.square(op.ut.dot(self.e0)) / self.e0.size
-            self._curves = {op: (weights, {})}
-        weights, blocks = self._curves[op]
-        if block not in blocks:
-            # RMS_n for n >= 1 as in the module docstring, with lambda^(2n) as
-            # exp(2 n log|lambda|), and e0's own RMS for n = 0. A huge e0
-            # overflows the weights; a run raises on the RMS that shows it
-            start = block * _BLOCK
-            n = np.array([float(c) for c in range(max(start, 1), start + _BLOCK)])
-            with np.errstate(over="ignore", invalid="ignore"):
-                powers = np.exp(np.multiply.outer(n, 2.0 * op.log_abs_lam))
-                blocks[block] = ([_rms(self.e0)] if start == 0 else []) + (
-                    np.sqrt(powers @ weights).tolist())
-        return blocks[block]
-
-    def _curve(self, op, count):
-        """RMS_0 .. RMS_(count - 1) of the closed form; raises where one is not finite."""
-        values = []
-        for block in range(-(-count // _BLOCK)):
-            values += self._block(op, block)
-        del values[count:]
-        if not all(map(math.isfinite, values)):
-            n = next(n for n, r in enumerate(values) if not math.isfinite(r))
-            raise _diverged("model", values[n], n)
-        return values
-
-    def _model_rms(self, op, count):
-        """RMS_0 .. RMS_count under op."""
-        if isinstance(op, _DenseLaw):
-            return self._run(op, count)[1][: count + 1]
-        return self._curve(op, count + 1)
-
-    def points(self, op, counts):
-        """The inputs u_n, one row per n >= 1 in counts, and the RMS at n and n + 1."""
-        if isinstance(op, _DenseLaw):
-            states, rms_values = self._run(op, max(counts) + 1)
-            return (np.array([states[n][0] for n in counts]),
-                    [(rms_values[n], rms_values[n + 1]) for n in counts])
-        with np.errstate(over="ignore", invalid="ignore"):
-            inputs = _model_phase(op, self.u0.values, self.e0, counts)
-        return inputs, [
-            tuple(self._block(op, m // _BLOCK)[m % _BLOCK] for m in (n, n + 1))
-            for n in counts
-        ]
+    def source(self, op):
+        """The source of the model phase under op, made on first use."""
+        source = self._sources.get(type(op))
+        if source is None or source.op is not op:
+            if isinstance(op, _DenseLaw):
+                source = _Run(self.model, op, "model", self.x0, self.desired,
+                              self.u0.values, self.e0, [])
+            else:
+                source = _Curve(op, self.u0.values, self.e0)
+            self._sources[type(op)] = source
+        return source
 
     def model_run(self, count):
         """RMS_0 .. RMS_count of run_iterations' model phase, or the closed form's."""
-        return self._model_rms(_model_operator(self.model, self.law, count), count)
+        return self.source(_model_operator(self.model, self.law, count)).read(count)
 
     def hybrid(self, world, model_count, world_count):
         """run_hybrid's RMS values and the two states it keeps.
 
         Returns RMS_0 .. RMS_(model_count - 1) of the model phase, the world
         phase's world_count + 1 RMS values, and the (input, error) of its first
-        iteration (the switch) and of its last. On the closed form the switch
-        input is fast_forward's, formed after the curve has checked e0.
+        iteration (the switch) and of its last. The switch input is the
+        source's, formed after RMS_model_count has checked e0.
         """
-        op = _model_operator(self.model, self.law, model_count)
-        model_rms = self._model_rms(op, model_count)
-        if isinstance(op, _DenseLaw):
-            u = self._runs[op][0][model_count][0]
-        else:
-            # a huge u0 can still overflow u_model_count
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = fast_forward(self.model, self.law, self.u0,
-                                 Trajectory(self.e0), model_count)[0].values
-        world_rms, switch, last = _run_loop(world, op, u, self.x0, self.desired,
-                                            world_count, "world", model_count)
+        source = self.source(_model_operator(self.model, self.law, model_count))
+        model_rms = source.read(model_count)
+        # u_0 is u0 itself; the closed form's product takes counts n >= 1
+        u = source.inputs([model_count])[0] if model_count else self.u0.values
+        world_rms, switch, last = _run_loop(world, source.op, u, self.x0,
+                                            self.desired, world_count, "world",
+                                            model_count)
         return model_rms[:-1], world_rms, switch, last
 
     def world_run(self, world, count):
         """The count + 1 RMS values of run_iterations' world-only run from u0.
 
-        The update is the operator run_iterations takes for a world phase.
-        The pass keeps the run's RMS values and its last (input, error) only,
-        and a longer read extends the run from that state as _run extends a
-        model run, so every read has the bits of a fresh run_iterations. A
-        pass serves one world.
+        A _Run under the operator run_iterations takes for a world phase, so
+        every read has the bits of a fresh run_iterations. A pass serves one
+        world.
         """
         if self._world is None:
-            if self.law.kind == "p_transpose":
-                op = _DenseLaw(self.model.p_matrix, self.law.gain)
-            else:
-                op = _operator(self.model, self.law)
-            self._world = op, [], None
-        op, rms_values, last = self._world
-        done = len(rms_values)
-        if count >= done:
-            u = self.u0.values
-            if last is not None:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    u = last[0] + _learn(op, last[1])
-            more, _, last = _run_loop(world, op, u, self.x0, self.desired,
-                                      count - done, "world", done)
-            rms_values = rms_values + more
-            self._world = op, rms_values, last
-        return rms_values[: count + 1]
+            self._world = _Run(world, _world_operator(self.model, self.law),
+                               "world", self.x0, self.desired, self.u0.values)
+        return self._world.read(count)
 
     def drop_rows(self):
-        """Forget the explicit model run's rows, as a pass kept past its command does."""
-        self._runs = {}
+        """Forget the explicit model run, as a pass kept past its command does."""
+        self._sources.pop(_DenseLaw, None)
 
 
 def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
@@ -846,8 +843,8 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
     first world record, then runs world_count learning iterations against
     the world: the switch is record model_count, where the phase turns to
     "world". A short model phase (see the module docstring) is the loop of
-    run_iterations and switches with that loop's input model_count; else
-    the closed form's RMS curve and fast_forward(model_count). The switch
+    run_iterations and switches with that loop's input model_count; else it
+    is the closed form's RMS curve and input after model_count. The switch
     record and the last record keep their input and error.
 
     Returns

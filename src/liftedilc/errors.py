@@ -11,7 +11,6 @@ __all__ = [
     "DimensionError",
     "EmptyHorizonError",
     "DegenerateDeletionError",
-    "EmptyInputError",
     "UndefinedDbError",
     "SingularSystemError",
     "RankDeficiencyError",
@@ -38,10 +37,6 @@ class EmptyHorizonError(InvalidParameterError):
 
 class DegenerateDeletionError(InvalidParameterError):
     """Row deletion would remove every row of the lifted system."""
-
-
-class EmptyInputError(InvalidParameterError):
-    """An operation received an empty trajectory."""
 
 
 class UndefinedDbError(InvalidParameterError):

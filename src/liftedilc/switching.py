@@ -108,16 +108,17 @@ def _reports(world, model_pass, counts, slope_factor):
     op = _model_operator(model_pass.model, model_pass.law, max(counts))
     if not np.isfinite(model_pass.e0).all():
         raise InvalidParameterError("e0 holds non-finite values")
+    source = model_pass.source(op)
     x0, desired = model_pass.x0, model_pass.desired
     reports = []
     for start in range(0, len(counts), _BLOCK):
         block = counts[start : start + _BLOCK]
-        u_n, model_rms = model_pass.points(op, block)
+        u_n = source.inputs(block)
         with np.errstate(over="ignore", invalid="ignore"):
             e_world_n = _measure(world, u_n, x0, desired)
             e_world_n1 = _measure(world, u_n + _learn(op, e_world_n), x0, desired)
-            rms_rows = [(*model_rms[j], _rms(e_world_n[j]), _rms(e_world_n1[j]))
-                        for j in range(len(block))]
+            rms_rows = [(source.value(n), source.value(n + 1), _rms(e_world_n[j]),
+                         _rms(e_world_n1[j])) for j, n in enumerate(block)]
         for candidate_n, rms_values in zip(block, rms_rows):
             r_model_n, r_model_n1, r_world_n, r_world_n1 = rms_values
             if not all(map(math.isfinite, rms_values)):

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, strategies as st
 
 import liftedilc.engine as engine
 import liftedilc.laws as laws
+import liftedilc.switching as switching
 from liftedilc import (
     DimensionError,
     DivergenceError,
@@ -772,7 +773,7 @@ def test_dense_hybrid_model_phase_is_the_model_run(
     model_rms, world_rms, (u_switch, _), _ = model_pass.hybrid(world, bound, 5)
     loop_rows.clear()
     run = run_iterations(world, model, law, u0, None, bound, "model", desired)
-    [(states, _)] = model_pass._runs.values()
+    states = model_pass.source(engine._model_operator(model, law, bound)).rows
     for (u, e), (u_run, e_run) in zip(states, loop_rows, strict=True):
         assert np.array_equal(u, u_run) and np.array_equal(e, e_run)
     assert model_rms == [r.rms for r in run[:bound]]
@@ -781,12 +782,66 @@ def test_dense_hybrid_model_phase_is_the_model_run(
 
 
 @pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("preset", ["second_order_pair", "third_order_pair"])
+def test_a_closed_form_switch_input_has_the_bits_of_fast_forward(
+    preset, kind, request
+):
+    # the world segment of every figure starts from the switch input; on
+    # the closed form (M above the law's dense bound, and M = 0 with
+    # partial_isometry) it comes from the pass's one closed-form product
+    world, model, u0, desired = request.getfixturevalue(preset)
+    law = LearningLaw(kind, 1.0)
+    e0 = Trajectory(engine._measure(model, u0.values, None, desired))
+    for model_count in (0, 26, 63, 64, 127, 1000):
+        history = run_hybrid(world, model, law, u0, None, model_count, 1, desired)
+        u_m, _ = fast_forward(model, law, u0, e0, model_count)
+        assert np.array_equal(history[model_count].input.values, u_m.values)
+
+
+def test_a_closed_form_hybrid_of_no_model_iterations_switches_with_u0():
+    # partial_isometry at gain 1 on P = I has every eigenvalue exactly 0, so
+    # log|lambda| is -inf, and the closed-form product at n = 0 would form
+    # 0 * -inf = NaN: a switch after 0 model iterations applies u0 itself
+    model = LiftedSystem(np.eye(4), np.zeros((4, 1)))
+    law = LearningLaw("partial_isometry", 1.0)
+    u0, desired = Trajectory(np.arange(4.0)), Trajectory(np.ones(4))
+    history = run_hybrid(model, model, law, u0, None, 0, 2, desired)
+    assert np.array_equal(history[0].input.values, u0.values)
+    assert [r.rms for r in history[1:]] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_a_model_pass_is_freed_by_reference_counting_alone(second_order_pair, kind):
+    # no source refers back to its pass: a cycle would keep every pass, with
+    # its e0 and its explicit run's rows, alive until the cyclic collector
+    # ran. The reads cover the explicit run, the closed form and the world run
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw(kind, 1.0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model_pass = engine._ModelPass(model, law, u0, None, desired)
+        model_pass.model_run(10)
+        model_pass.model_run(300)
+        model_pass.hybrid(world, 20, 5)
+        model_pass.hybrid(world, 90, 5)
+        model_pass.world_run(world, 30)
+        switching._reports(world, model_pass, [5, 20, 70], 1.0)
+        freed = weakref.ref(model_pass)
+        del model_pass
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
 @pytest.mark.parametrize("horizon", [100, 400])
 @pytest.mark.parametrize("preset", ["second_order", "third_order"])
 def test_a_model_pass_is_prefix_stable(preset, horizon, kind):
     # what a shorter pass computes is bit for bit the start of a longer one,
-    # on both sides of each block boundary: the explicit run's states, and
-    # the closed form's RMS curve. One closed-form product over all the
+    # on both sides of each block boundary: either source's RMS values, and
+    # the explicit run's states. One closed-form product over all the
     # counts is not: its values' last bits move with the count
     world, model, u0, desired = build_experiment(
         dataclasses.replace(load_preset(preset), horizon=horizon)
@@ -799,16 +854,13 @@ def test_a_model_pass_is_prefix_stable(preset, horizon, kind):
         op = engine._model_operator(model, law, count)
         longest = engine._ModelPass(model, law, u0, None, desired)
         for rows in (1, block - 1, block, block + 1, 2 * block):
-            model_pass = engine._ModelPass(model, law, u0, None, desired)
+            short = engine._ModelPass(model, law, u0, None, desired).source(op)
+            assert short.read(rows - 1) == longest.source(op).read(2 * block)[:rows]
             if isinstance(op, engine._DenseLaw):
                 for (u, e), (u_long, e_long) in zip(
-                    model_pass._run(op, rows - 1)[0],
-                    longest._run(op, 2 * block)[0][:rows], strict=True,
+                    short.rows, longest.source(op).rows[:rows], strict=True,
                 ):
                     assert np.array_equal(u, u_long) and np.array_equal(e, e_long)
-            else:
-                assert model_pass._curve(op, rows) == (
-                    longest._curve(op, 2 * block + 1)[:rows])
 
 
 @functools.lru_cache(maxsize=None)
@@ -827,8 +879,8 @@ def test_the_rms_curve_is_prefix_stable(preset, horizon, kind):
     law = LearningLaw(kind, 1.0)
     op = engine._convergent_operator(model, law)
     for k in (63, 64, 65, 127, 129):
-        short = engine._ModelPass(model, law, u0, None, desired)._curve(op, k)
-        long = engine._ModelPass(model, law, u0, None, desired)._curve(op, 10 * k)
+        short = engine._ModelPass(model, law, u0, None, desired).source(op).read(k - 1)
+        long = engine._ModelPass(model, law, u0, None, desired).source(op).read(10 * k)
         assert short == long[:k]
 
 
@@ -847,7 +899,7 @@ def test_the_rms_curve_matches_the_explicit_loop(preset, horizon, kind):
     op = engine._convergent_operator(model, law)
     count = 300  # above every dense bound, so the loop runs on op too
     history = run_iterations(model, model, law, u0, None, count, "model", desired)
-    curve = engine._ModelPass(model, law, u0, None, desired)._curve(op, count + 1)
+    curve = engine._ModelPass(model, law, u0, None, desired).source(op).read(count)
     assert curve[0] == history[0].rms
     compared = 0
     for n, (record, value) in enumerate(zip(history, curve, strict=True)):

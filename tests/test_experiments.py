@@ -697,9 +697,10 @@ def test_a_gain_sweep_and_figures_keep_one_pass_per_pair_and_law(tmp_path):
         assert sorted(passes) == sorted(LAW_KINDS)
         for law, model_pass in passes.items():
             assert model_pass.law == LearningLaw(law, preset.gain)
-            assert model_pass._runs == {}
-            assert len(model_pass._curves) <= 1
-            _, rms_values, (u, e) = model_pass._world
+            assert list(model_pass._sources) in ([], [engine._LawOperator])
+            world_run = model_pass._world
+            assert world_run.rows is None
+            rms_values, (u, e) = world_run.rms_values, world_run.last
             assert len(rms_values) == preset.model_count + preset.world_count + 1
             assert u.shape == (preset.horizon,)
             assert e.shape == (experiment.world.row_count,)

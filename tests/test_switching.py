@@ -6,14 +6,12 @@ import pytest
 import liftedilc.engine as engine
 import liftedilc.switching as switching
 from liftedilc import (
-    EmptyInputError,
     InvalidParameterError,
     LearningLaw,
     Trajectory,
     UndefinedDbError,
     evaluate_switch,
     fast_forward,
-    rms,
     run_hybrid,
     run_iterations,
     to_db,
@@ -23,10 +21,8 @@ from conftest import poisoned
 
 
 def test_rms_definition():
-    tr = Trajectory([3.0, -4.0])
-    assert rms(tr) == pytest.approx(math.sqrt(12.5), abs=1e-15)
-    with pytest.raises(EmptyInputError):
-        rms(Trajectory(np.empty(0)))
+    assert engine._rms(np.array([3.0, -4.0])) == pytest.approx(
+        math.sqrt(12.5), abs=1e-15)
 
 
 def test_to_db_definition():
@@ -199,8 +195,8 @@ def test_candidates_beyond_int64_match_fast_forward(second_order_pair, kind):
         u_n, e_n = fast_forward(model, law, u0, e0, n)
         _, e_n1 = fast_forward(model, law, u0, e0, n + 1)
         e_world = Trajectory(desired.values - world.p_matrix @ u_n.values)
-        for got, want in ((report.r_model_n, rms(e_n)),
-                          (report.r_model_n1, rms(e_n1)),
-                          (report.r_world_n, rms(e_world))):
+        for got, want in ((report.r_model_n, engine._rms(e_n.values)),
+                          (report.r_model_n1, engine._rms(e_n1.values)),
+                          (report.r_world_n, engine._rms(e_world.values))):
             assert math.isfinite(got)
             assert got == pytest.approx(want, rel=1e-12)
