@@ -47,32 +47,36 @@ RMS after n model iterations needs no row at all:
 
     RMS_n = ||e_n|| / sqrt(N - d) = sqrt(sum lambda^(2n) (U^T e_0)^2 / (N - d))
 
-A command computes its model phase once, as one model pass (`_ModelPass`):
-a figure's model curve, its hybrid's model phase and its markers' model
-points, or a run's model phase and its advisor, read it. The pass keeps one
-source per operator, which readers whose lengths pick that operator share:
-a `_Run`, one explicit model run extended to the largest n read, or a
-`_Curve`, the closed form's RMS curve over aligned blocks of _BLOCK counts,
-which forms only the states a reader hands on (a hybrid's switch input, the
-advisor's probe inputs) in one `_model_phase` product. A bundled figure's
-pass also holds its world-only run from u0, a `_Run` of RMS values and one
-state, and outlives the command (see `experiments.reproduce_figure`).
+A command computes its model phase once, as one model pass (`_ModelPass`)
+on one world. The pass checks its inputs once (`_targets`) and keeps one
+target per plant, y* - Abar x0, so its four readers take counts only:
+`model_run` (a run's model phase, a figure's model curve), `hybrid` (a
+hybrid's model and world phases), `world_run` (a world-only run from u0)
+and `probe` (the switch advisor's four RMS values per candidate). The pass
+keeps one source per operator, which readers whose lengths pick that
+operator share: a `_Run`, one explicit model run extended to the largest n
+read, or a `_Curve`, the closed form's RMS curve over aligned blocks of
+_BLOCK counts, which forms only the states a reader hands on (a hybrid's
+switch input, the probe's inputs) in one `_model_phase` product. A bundled
+figure's pass also holds its world-only run from u0, a `_Run` of RMS values
+and one state, and outlives the command (see `experiments.reproduce_figure`).
 `run_iterations` and `fast_forward` stay outside the pass: they are the
 explicit loop and the closed form that the self-checks compare and time.
 
 `run_iterations` is the explicit counterpart of the fast-forward: it
 applies every input to the plant and measures every error. The engine
-has one plant apply, `_measure` (e = y* - P u - Abar x0), and one learning
-step, `_learn` (L e), each taking one vector or a block with one row per
-input or error: the explicit loop passes vectors, the switch advisor its
-candidates as rows. `_learn` goes through the operator the call chose, the
-cached factorization (two matrix-vector products) or the direct law. A
-world phase on its own needs no pre-flight, so p_transpose applies
-phi P^T e there without any factorization. The dense gain built in `laws`
-is only the independent reference. A run is its RMS curve: the records of
-`run_iterations` and `run_hybrid` carry the iteration, phase and RMS, and
-only the records that hand a state on keep their input and error, a run's
-last record and a hybrid's switch record, where the phase turns to "world".
+has one plant apply, `_measure` (e = target - P u, the target y* - Abar x0
+resolved once per plant and call), and one learning step, `_learn` (L e),
+each taking one vector or a block with one row per input or error: the
+explicit loop passes vectors, the probe its candidates as rows. `_learn`
+goes through the operator the call chose, the cached factorization (two
+matrix-vector products) or the direct law. A world phase on its own needs
+no pre-flight, so p_transpose applies phi P^T e there without any
+factorization. The dense gain built in `laws` is only the independent
+reference. A run is its RMS curve: the records of `run_iterations` and
+`run_hybrid` carry the iteration, phase and RMS, and only the records that
+hand a state on keep their input and error, a run's last record and a
+hybrid's switch record, where the phase turns to "world".
 """
 
 import math
@@ -554,47 +558,56 @@ def _learn(op, errors):
     return ((errors @ op.ut.T) * op.lam_minus_one) @ op.lu_neg.T
 
 
-def _check_run_inputs(applied, model, u0, desired):
-    if applied.p_matrix.shape != model.p_matrix.shape:
-        raise DimensionError(
-            "applied plant and model must share horizon and deleted rows: "
-            f"({applied.horizon}, {applied.deleted_rows}) vs "
-            f"({model.horizon}, {model.deleted_rows})"
-        )
+def _targets(model, plants, u0, x0, desired):
+    """The target y* - Abar x0 over each plant's rows, its inputs checked once.
+
+    Every plant must share the model's shape, u0 and desired must fit the
+    model and be finite, and x0 must fit each plant (_free_response): a
+    DimensionError or InvalidParameterError is raised before any numerical
+    work. Where x0 is None or zero a target is the desired samples
+    themselves, so a run from the origin measures y* - P u bit for bit.
+    """
+    for plant in plants:
+        if plant.p_matrix.shape != model.p_matrix.shape:
+            raise DimensionError(
+                "applied plant and model must share horizon and deleted rows: "
+                f"({plant.horizon}, {plant.deleted_rows}) vs "
+                f"({model.horizon}, {model.deleted_rows})"
+            )
     _check_lengths(model, u0.values, desired.values, "desired")
     # a non-finite input or target is invalid, not a divergence
     for name, trajectory in (("u0", u0), ("desired", desired)):
         if not np.all(np.isfinite(trajectory.values)):
             raise InvalidParameterError(f"{name} holds non-finite values")
+    frees = [_free_response(plant, x0) for plant in plants]
+    return [desired.values if free is None else desired.values - free
+            for free in frees]
 
 
-def _measure(applied, inputs, x0, desired):
-    """The error y* - (P u + Abar x0) of one input, or of each row of a block.
+def _measure(applied, inputs, target):
+    """The error target - P u of one input, or of each row of a block.
 
-    Applies each input to the plant `applied` over the full horizon; x0 is
-    validated by _free_response, the input lengths by the public callers.
+    Applies each input to the plant `applied` over the full horizon; target
+    is that plant's y* - Abar x0 (_targets), which checked the lengths.
     """
-    y = inputs @ applied.p_matrix.T
-    free = _free_response(applied, x0)
-    if free is not None:
-        y += free
-    return desired.values - y
+    return target - inputs @ applied.p_matrix.T
 
 
-def _run_loop(applied, op, u, x0, desired, count, phase, first=0, rows=None):
+def _run_loop(applied, op, u, target, count, phase, first=0, rows=None):
     """Apply, measure and update `count` times from the input vector u.
 
-    Each input goes to `applied` and each update is the model law's
-    operator `op`. Returns the count + 1 RMS values and the (input, error)
-    of the first and of the last iteration; a list passed as `rows` takes
-    every (input, error) as well. Raises DivergenceError at the first
-    non-finite RMS, naming its iteration counted from `first`.
+    Each input goes to `applied`, measured against its target, and each
+    update is the model law's operator `op`. Returns the count + 1 RMS
+    values and the (input, error) of the first and of the last iteration; a
+    list passed as `rows` takes every (input, error) as well. Raises
+    DivergenceError at the first non-finite RMS, naming its iteration
+    counted from `first`.
     """
     rms_values = []
     # a diverging run overflows; _checked_rms reports it as a DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(count + 1):
-            e = _measure(applied, u, x0, desired)
+            e = _measure(applied, u, target)
             rms_values.append(_checked_rms(e, phase, first + j))
             if rows is not None:
                 rows.append((u, e))
@@ -638,17 +651,21 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
         In the model phase, before iterating, if the model iteration matrix
         has an eigenvalue outside (-1, 1); in either phase, if an error RMS
         becomes non-finite.
+    DimensionError
+        If u0, desired or x0 does not fit the plants; raised before any
+        numerical work.
     InvalidParameterError
-        If count is not a whole number >= 0, or u0 or desired is not finite.
+        If count is not a whole number >= 0, or u0, desired or x0 is not
+        finite; raised before any numerical work.
     """
     if phase not in PHASES:
         raise InvalidParameterError(f"phase must be one of {PHASES}, got {phase!r}")
     count = _integer("count", count, 0)
     applied = model if phase == "model" else world
-    _check_run_inputs(applied, model, u0, desired)
+    [target] = _targets(model, (applied,), u0, x0, desired)
     op = (_model_operator(model, law, count) if phase == "model"
           else _world_operator(model, law))
-    rms_values, _, last = _run_loop(applied, op, u0.values, x0, desired, count, phase)
+    rms_values, _, last = _run_loop(applied, op, u0.values, target, count, phase)
     return _records(0, phase, rms_values, {count: last})
 
 
@@ -662,9 +679,9 @@ class _Run:
     every read has the bits of one fresh loop.
     """
 
-    def __init__(self, applied, op, phase, x0, desired, u0, e0=None, rows=None):
+    def __init__(self, applied, op, phase, target, u0, e0=None, rows=None):
         self.applied, self.op, self.phase = applied, op, phase
-        self.x0, self.desired, self.u0, self.rows = x0, desired, u0, rows
+        self.target, self.u0, self.rows = target, u0, rows
         self.rms_values, self.last = [], None
         if e0 is not None:
             # a huge u0 can overflow e0 (invalid) or its RMS (a divergence)
@@ -684,9 +701,8 @@ class _Run:
             # a huge u0 overflows the run; its RMS raises DivergenceError
             with np.errstate(over="ignore", invalid="ignore"):
                 u = self.last[0] + _learn(self.op, self.last[1])
-        more, _, self.last = _run_loop(self.applied, self.op, u, self.x0,
-                                       self.desired, n - done, self.phase, done,
-                                       self.rows)
+        more, _, self.last = _run_loop(self.applied, self.op, u, self.target,
+                                       n - done, self.phase, done, self.rows)
         self.rms_values += more
 
     def read(self, count):
@@ -757,40 +773,49 @@ class _Curve:
 
 
 class _ModelPass:
-    """The model phase of one command, each part computed once.
+    """The model phase of one command on one world, each part computed once.
 
-    Each reader (a model run, a hybrid's model phase, the advisor) takes the
-    operator its own model-phase length picks (_model_operator) and reads
-    that operator's source: under a _DenseLaw a _Run, the explicit model run
-    from u0 and the measured e0 with its states kept as rows; under a
-    _LawOperator a _Curve, the closed form. Both serve read(count), value(n)
-    and inputs(counts), so no reader asks which one it holds. A figure also
-    reads the world-only run from u0 (world_run), a _Run without rows. No
-    source refers back to its pass, so reference counting alone frees a
-    pass. Readers get RMS values, not records (run_hybrid wraps them).
+    Its constructor checks the inputs (_targets) and keeps one target per
+    plant, y* - Abar x0, so no reader takes a plant, x0 or desired; each
+    takes counts only:
+
+    - model_run(count): run_iterations' model phase;
+    - hybrid(model_count, world_count): run_hybrid's model and world phases;
+    - world_run(count): run_iterations' world-only run from u0;
+    - probe(counts): the switch advisor's four RMS values per count.
+
+    Each model-phase reader takes the operator its own model-phase length
+    picks (_model_operator) and reads that operator's source: under a
+    _DenseLaw a _Run, the explicit model run from u0 and the measured e0
+    with its states kept as rows; under a _LawOperator a _Curve, the closed
+    form. Both serve read(count), value(n) and inputs(counts), so no reader
+    asks which one it holds. world_run reads a _Run without rows. No source
+    refers back to its pass, so reference counting alone frees a pass.
+    Readers get RMS values, not records (run_hybrid wraps them).
     """
 
-    def __init__(self, model, law, u0, x0, desired):
-        self.model, self.law, self.u0 = model, law, u0
-        self.x0, self.desired = x0, desired
+    def __init__(self, world, model, law, u0, x0, desired):
+        self.model_target, self.world_target = _targets(
+            model, (model, world), u0, x0, desired)
+        self.world, self.model, self.law, self.u0 = world, model, law, u0
         # one source per operator type, of the operator last read: a kept pass
         # may see its law's operator rebuilt after a gain eviction
         self._sources = {}
-        self._world = None
+        self._world_run = None
 
     @cached_property
     def e0(self):
         """The model error of u0, measured on first use."""
         # a huge u0 can overflow e0 (invalid) or its RMS (a divergence)
         with np.errstate(over="ignore", invalid="ignore"):
-            return _measure(self.model, self.u0.values, self.x0, self.desired)
+            return _measure(self.model, self.u0.values, self.model_target)
 
     def source(self, op):
         """The source of the model phase under op, made on first use."""
         source = self._sources.get(type(op))
         if source is None or source.op is not op:
             if isinstance(op, _DenseLaw):
-                source = _Run(self.model, op, "model", self.x0, self.desired,
+                source = _Run(self.model, op, "model", self.model_target,
                               self.u0.values, self.e0, [])
             else:
                 source = _Curve(op, self.u0.values, self.e0)
@@ -801,7 +826,7 @@ class _ModelPass:
         """RMS_0 .. RMS_count of run_iterations' model phase, or the closed form's."""
         return self.source(_model_operator(self.model, self.law, count)).read(count)
 
-    def hybrid(self, world, model_count, world_count):
+    def hybrid(self, model_count, world_count):
         """run_hybrid's RMS values and the two states it keeps.
 
         Returns RMS_0 .. RMS_(model_count - 1) of the model phase, the world
@@ -813,22 +838,48 @@ class _ModelPass:
         model_rms = source.read(model_count)
         # u_0 is u0 itself; the closed form's product takes counts n >= 1
         u = source.inputs([model_count])[0] if model_count else self.u0.values
-        world_rms, switch, last = _run_loop(world, source.op, u, self.x0,
-                                            self.desired, world_count, "world",
-                                            model_count)
+        world_rms, switch, last = _run_loop(self.world, source.op, u,
+                                            self.world_target, world_count,
+                                            "world", model_count)
         return model_rms[:-1], world_rms, switch, last
 
-    def world_run(self, world, count):
+    def world_run(self, count):
         """The count + 1 RMS values of run_iterations' world-only run from u0.
 
         A _Run under the operator run_iterations takes for a world phase, so
-        every read has the bits of a fresh run_iterations. A pass serves one
-        world.
+        every read has the bits of a fresh run_iterations.
         """
-        if self._world is None:
-            self._world = _Run(world, _world_operator(self.model, self.law),
-                               "world", self.x0, self.desired, self.u0.values)
-        return self._world.read(count)
+        if self._world_run is None:
+            self._world_run = _Run(self.world, _world_operator(self.model, self.law),
+                                   "world", self.world_target, self.u0.values)
+        return self._world_run.read(count)
+
+    def probe(self, counts):
+        """The switch advisor's (RMS_n, RMS_n+1, world RMS_n, world RMS_n+1) per n.
+
+        For each count n >= 1, in the order given: the model RMS at n and
+        n + 1 from the source of the operator that the largest count picks,
+        then the world error of u_n and of one world learning update after
+        it, in blocks of _BLOCK rows: two world applications per count. A
+        value may be non-finite; the caller names the divergence. Raises
+        InvalidParameterError when e0 is not finite.
+        """
+        if not counts:
+            return []
+        op = _model_operator(self.model, self.law, max(counts))
+        if not np.isfinite(self.e0).all():
+            raise InvalidParameterError("e0 holds non-finite values")
+        source = self.source(op)
+        rows = []
+        for start in range(0, len(counts), _BLOCK):
+            block = counts[start : start + _BLOCK]
+            u_n = source.inputs(block)
+            with np.errstate(over="ignore", invalid="ignore"):
+                e_n = _measure(self.world, u_n, self.world_target)
+                e_n1 = _measure(self.world, u_n + _learn(op, e_n), self.world_target)
+                rows += [(source.value(n), source.value(n + 1), _rms(e_n[j]),
+                          _rms(e_n1[j])) for j, n in enumerate(block)]
+        return rows
 
     def drop_rows(self):
         """Forget the explicit model run, as a pass kept past its command does."""
@@ -853,18 +904,20 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
 
     Raises
     ------
+    DimensionError
+        If u0, desired or x0 does not fit the plants; raised before any
+        numerical work.
     DivergenceError
         If the model iteration matrix has an eigenvalue outside (-1, 1), or
         an error RMS of either phase becomes non-finite.
     InvalidParameterError
-        If a count is not a whole number >= 0, or u0 or desired is not finite.
+        If a count is not a whole number >= 0, or u0, desired or x0 is not
+        finite; raised before any numerical work.
     """
     model_count = _integer("model_count", model_count, 0)
     world_count = _integer("world_count", world_count, 0)
-    _check_run_inputs(world, model, u0, desired)
-    model_pass = _ModelPass(model, law, u0, x0, desired)
-    model_rms, world_rms, switch, last = model_pass.hybrid(world, model_count,
-                                                           world_count)
+    model_pass = _ModelPass(world, model, law, u0, x0, desired)
+    model_rms, world_rms, switch, last = model_pass.hybrid(model_count, world_count)
     return (_records(0, "model", model_rms, {})
             + _records(model_count, "world", world_rms,
                        {0: switch, world_count: last}))

@@ -117,17 +117,18 @@ _BUNDLED_PASSES = {}
 
 
 def _bundled_pass(kind, law_kind):
-    """A bundled experiment and its learning pass under law_kind.
+    """A bundled pair's configuration and its learning pass under law_kind.
 
-    The pass runs the law at the preset's gain and is kept for the process,
-    one per pair and law kind, until bundled_experiment's cache is cleared.
-    Between commands it holds RMS values and one state: the model curve, and
-    the world-only run's RMS values and last (input, error); a command drops
-    the explicit model run's rows (_ModelPass.drop_rows).
+    The pass serves the pair's world and runs the law at the preset's gain.
+    It is kept for the process, one per pair and law kind, until
+    bundled_experiment's cache is cleared. Between commands it holds RMS
+    values and one state: the model curve, and the world-only run's RMS
+    values and last (input, error); a command drops the explicit model
+    run's rows (_ModelPass.drop_rows).
 
     Returns
     -------
-    (ExperimentConfig, Experiment, _ModelPass)
+    (ExperimentConfig, _ModelPass)
     """
     config, experiment = bundled_experiment(kind)
     held, passes = _BUNDLED_PASSES.get(kind, (None, None))
@@ -137,8 +138,8 @@ def _bundled_pass(kind, law_kind):
     if law_kind not in passes:
         world, model, u0, desired = experiment
         law = LearningLaw(law_kind, config.gain)
-        passes[law_kind] = _ModelPass(model, law, u0, None, desired)
-    return config, experiment, passes[law_kind]
+        passes[law_kind] = _ModelPass(world, model, law, u0, None, desired)
+    return config, passes[law_kind]
 
 
 def _pair_key(config):
@@ -311,18 +312,18 @@ def run_experiment(config):
     law = LearningLaw(config.law_kind, config.gain)
 
     # a run's model phase and the advisor's model points read one pass
-    model_pass = _ModelPass(model, law, u0, None, desired)
+    model_pass = _ModelPass(world, model, law, u0, None, desired)
     model_rms, world_rms = [], []
     if config.mode == "hybrid":
-        model_rms, world_rms, _, _ = model_pass.hybrid(
-            world, config.model_count, config.world_count)
+        model_rms, world_rms, _, _ = model_pass.hybrid(config.model_count,
+                                                       config.world_count)
     elif config.mode == "model":
         model_rms = model_pass.model_run(config.model_count)
     else:
-        world_rms = model_pass.world_run(world, config.world_count)
+        world_rms = model_pass.world_run(config.world_count)
     # every numerical step runs before the first file is written, so a
     # failure leaves no output behind
-    reports = _reports(world, model_pass, list(config.switch_candidates),
+    reports = _reports(model_pass, list(config.switch_candidates),
                        config.slope_factor)
     warning = unhandled_zero_warning(config)
     summary = {
@@ -395,7 +396,7 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
         # checked here, so a bad value is named, not the curves' total count
         # or the advisor's candidate
         switch_n = _integer("switch_n", switch_n, 1 if with_markers else 0)
-    config, (world, _, _, _), model_pass = _bundled_pass(family, law_kind)
+    config, model_pass = _bundled_pass(family, law_kind)
     if switch_n is None:
         switch_n = config.model_count
     total = switch_n + config.world_count
@@ -403,8 +404,8 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     # each curve as (model-phase RMS values, world-phase RMS values)
     curves = {
         "model": (model_pass.model_run(total), []),
-        "world": ([], model_pass.world_run(world, total)),
-        "hybrid": model_pass.hybrid(world, switch_n, config.world_count)[:2],
+        "world": ([], model_pass.world_run(total)),
+        "hybrid": model_pass.hybrid(switch_n, config.world_count)[:2],
     }
 
     # every numerical step runs before the first file is written, so a
@@ -412,7 +413,7 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     report = None
     markers = []
     if with_markers:
-        [report] = _reports(world, model_pass, [switch_n], config.slope_factor)
+        [report] = _reports(model_pass, [switch_n], config.slope_factor)
         markers = [
             Marker("A1", switch_n, to_db(report.r_model_n), "#000000"),
             Marker("A2", switch_n + 1, to_db(report.r_model_n1), "#000000"),

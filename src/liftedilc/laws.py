@@ -9,6 +9,7 @@ a short model phase; the dense gain built here is only the independent
 reference for it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ LAW_KINDS = ("p_transpose", "partial_isometry", "norm_optimal")
 
 @dataclass(frozen=True)
 class LearningLaw:
-    """A law kind plus its scalar learning gain phi."""
+    """A law kind plus its scalar learning gain phi, 0 < phi < inf."""
 
     kind: str
     gain: float = 1.0
@@ -38,8 +39,9 @@ class LearningLaw:
             raise InvalidParameterError(
                 f"unknown law kind {self.kind!r}; expected one of {LAW_KINDS}"
             )
-        if not self.gain > 0:
-            raise InvalidParameterError(f"gain must be positive, got {self.gain}")
+        if not 0 < self.gain < math.inf:
+            raise InvalidParameterError(
+                f"gain must be positive and finite, got {self.gain}")
 
 
 @dataclass(eq=False)

@@ -106,6 +106,8 @@ class LiftedSystem:
     DimensionError
         If P or Abar is not 2-D, P has more rows than columns, or Abar's row
         count differs from P's.
+    InvalidParameterError
+        If P or Abar holds NaN or inf.
     """
 
     p_matrix: np.ndarray
@@ -133,6 +135,8 @@ class LiftedSystem:
                 f"{abar.shape[0]} rows; need rows <= columns and equal row counts"
             )
         for name, array in (("p_matrix", p), ("abar_matrix", abar)):
+            if not np.isfinite(array).all():
+                raise InvalidParameterError(f"{name} holds NaN or inf")
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -164,12 +168,19 @@ def build_lifted(dss, horizon):
     Returns
     -------
     LiftedSystem
+
+    Raises
+    ------
+    InvalidParameterError
+        If the powers of an unstable Ad overflow over the horizon.
     """
     n = _integer("horizon", horizon, 1, EmptyHorizonError)
     # C Ad^k for k = 0..n: Markov parameter k is row k times Bd, row k + 1
-    # of Abar is row k + 1 itself
-    powers = _output_powers(dss, n + 1)
-    mk = powers[:n] @ dss.bd_vector[:, 0]
+    # of Abar is row k + 1 itself. Powers that overflow are left to the
+    # constructor's finiteness check, which names them
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _output_powers(dss, n + 1)
+        mk = powers[:n] @ dss.bd_vector[:, 0]
     # row i of P is mk[i], ..., mk[0] followed by zeros: reversed windows of
     # n - 1 zeros followed by mk
     padded = np.concatenate((np.zeros(n - 1), mk))

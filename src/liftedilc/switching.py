@@ -7,33 +7,26 @@ the two one-iteration improvements tells whether the hardware is still
 learning faster than the model predicts. Each candidate consumes two world
 applications, which is the entire cost of asking.
 
-The model points at n and n+1 come from the command's model pass (see
-engine): rows of one explicit model run to the largest candidate + 1 where
-that is short enough, else the closed form's RMS curve, with the inputs u_n
-from one product. A figure's markers and a run's advisor share the pass
-with the run's model phase where both pick the same operator, so A1 and A2
-are values of the figure's model curve. The candidates are evaluated in
-blocks of rows: each world step (world application, world update) is the
-engine's one plant apply or learning step, and each world RMS is the one
-the run records hold.
+The four values are the command's model pass's probe reader (see
+engine._ModelPass.probe): the model points at n and n+1 are values of the
+pass's source, rows of one explicit model run to the largest candidate + 1
+where that is short enough, else the closed form's RMS curve, with the
+inputs u_n from one product, and the world points come from the engine's
+one plant apply and learning step on blocks of candidates. A figure's
+markers and a run's advisor share the pass with the run's model phase
+where both pick the same operator, so A1 and A2 are values of the figure's
+model curve. This module turns the values into reports: the slopes, the
+jump and the slope rule.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import (
-    _BLOCK,
     _ModelPass,
-    _check_run_inputs,
-    _learn,
-    _measure,
-    _model_operator,
-    _rms,
     fast_forward,  # unused here; bench/tests/test_tracer.py traces this binding
 )
-from .errors import DivergenceError, InvalidParameterError, _integer
+from .errors import DivergenceError, _integer
 
 __all__ = ["SwitchReport", "evaluate_switch"]
 
@@ -88,57 +81,45 @@ def evaluate_switch(world, model, law, u0, x0, candidates, slope_factor, desired
 
     Raises
     ------
+    DimensionError
+        If u0, desired or x0 does not fit the plants; raised before any
+        numerical work.
     InvalidParameterError
-        If a candidate is not a whole number >= 1 (before any numerical
-        work), or u0, desired or the initial error is not finite.
+        If a candidate is not a whole number >= 1, or u0, desired or x0 is
+        not finite (each before any numerical work), or the initial error
+        is not finite.
     DivergenceError
         If the model iteration matrix has an eigenvalue outside (-1, 1), or
         any of a candidate's four RMS values is not finite.
     """
     counts = [_integer("candidate_n", n, 1) for n in candidates]
-    _check_run_inputs(world, model, u0, desired)
-    return _reports(world, _ModelPass(model, law, u0, x0, desired), counts,
+    return _reports(_ModelPass(world, model, law, u0, x0, desired), counts,
                     slope_factor)
 
 
-def _reports(world, model_pass, counts, slope_factor):
-    """evaluate_switch's reports, the model states read from model_pass."""
-    if not counts:
-        return []
-    op = _model_operator(model_pass.model, model_pass.law, max(counts))
-    if not np.isfinite(model_pass.e0).all():
-        raise InvalidParameterError("e0 holds non-finite values")
-    source = model_pass.source(op)
-    x0, desired = model_pass.x0, model_pass.desired
+def _reports(model_pass, counts, slope_factor):
+    """evaluate_switch's reports, their four RMS values read from model_pass."""
     reports = []
-    for start in range(0, len(counts), _BLOCK):
-        block = counts[start : start + _BLOCK]
-        u_n = source.inputs(block)
-        with np.errstate(over="ignore", invalid="ignore"):
-            e_world_n = _measure(world, u_n, x0, desired)
-            e_world_n1 = _measure(world, u_n + _learn(op, e_world_n), x0, desired)
-            rms_rows = [(source.value(n), source.value(n + 1), _rms(e_world_n[j]),
-                         _rms(e_world_n1[j])) for j, n in enumerate(block)]
-        for candidate_n, rms_values in zip(block, rms_rows):
-            r_model_n, r_model_n1, r_world_n, r_world_n1 = rms_values
-            if not all(map(math.isfinite, rms_values)):
-                raise DivergenceError(
-                    f"switch evaluation diverged at candidate {candidate_n}: "
-                    f"error RMS model {r_model_n} -> {r_model_n1}, "
-                    f"world {r_world_n} -> {r_world_n1}"
-                )
-            model_slope = r_model_n - r_model_n1
-            world_slope = r_world_n - r_world_n1
-            reports.append(SwitchReport(
-                candidate_n=candidate_n,
-                r_model_n=r_model_n,
-                r_model_n1=r_model_n1,
-                r_world_n=r_world_n,
-                r_world_n1=r_world_n1,
-                model_slope=model_slope,
-                world_slope=world_slope,
-                jump=r_world_n - r_model_n,
-                recommend_switch=world_slope >= slope_factor * model_slope,
-                slope_factor=float(slope_factor),
-            ))
+    for candidate_n, rms_values in zip(counts, model_pass.probe(counts)):
+        r_model_n, r_model_n1, r_world_n, r_world_n1 = rms_values
+        if not all(map(math.isfinite, rms_values)):
+            raise DivergenceError(
+                f"switch evaluation diverged at candidate {candidate_n}: "
+                f"error RMS model {r_model_n} -> {r_model_n1}, "
+                f"world {r_world_n} -> {r_world_n1}"
+            )
+        model_slope = r_model_n - r_model_n1
+        world_slope = r_world_n - r_world_n1
+        reports.append(SwitchReport(
+            candidate_n=candidate_n,
+            r_model_n=r_model_n,
+            r_model_n1=r_model_n1,
+            r_world_n=r_world_n,
+            r_world_n1=r_world_n1,
+            model_slope=model_slope,
+            world_slope=world_slope,
+            jump=r_world_n - r_model_n,
+            recommend_switch=world_slope >= slope_factor * model_slope,
+            slope_factor=float(slope_factor),
+        ))
     return reports

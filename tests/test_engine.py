@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, strategies as st
 
 import liftedilc.engine as engine
 import liftedilc.laws as laws
-import liftedilc.switching as switching
 from liftedilc import (
     DimensionError,
     DivergenceError,
@@ -103,10 +102,10 @@ def loop_rows(monkeypatch):
     rows = []
     real_loop = engine._run_loop
 
-    def keeping(applied, op, u, x0, desired, count, phase, first=0, kept=None):
+    def keeping(applied, op, u, target, count, phase, first=0, kept=None):
         kept = [] if kept is None else kept
         start = len(kept)
-        result = real_loop(applied, op, u, x0, desired, count, phase, first, kept)
+        result = real_loop(applied, op, u, target, count, phase, first, kept)
         rows.extend(kept[start:])
         return result
 
@@ -166,10 +165,10 @@ def test_measure_and_learn_take_a_vector_or_a_block_of_rows(third_order_pair, ki
     # and the advisor's blocks: each row of a block is that row's vector result
     world, model, _, desired = third_order_pair
     law = LearningLaw(kind, 1.0)
-    x0 = np.array([0.1, -0.2, 0.05])
+    target = desired.values - world.abar_matrix @ np.array([0.1, -0.2, 0.05])
     rng = np.random.default_rng(11)
     inputs = rng.standard_normal((3, model.horizon))
-    errors = engine._measure(world, inputs, x0, desired)
+    errors = engine._measure(world, inputs, target)
     assert errors.shape == (3, model.row_count)
     operators = [engine._operator(model, law)]
     if kind != "partial_isometry":
@@ -178,7 +177,7 @@ def test_measure_and_learn_take_a_vector_or_a_block_of_rows(third_order_pair, ki
         steps = engine._learn(op, errors)
         assert steps.shape == inputs.shape
         for u, e, step in zip(inputs, errors, steps):
-            e_single = engine._measure(world, u, x0, desired)
+            e_single = engine._measure(world, u, target)
             step_single = engine._learn(op, e_single)
             for row, single in ((e, e_single), (step, step_single)):
                 scale = np.max(np.abs(single))
@@ -769,8 +768,8 @@ def test_dense_hybrid_model_phase_is_the_model_run(
     # record model_count, bit for bit
     world, model, u0, desired = request.getfixturevalue(preset)
     law = LearningLaw(kind, 1.0)
-    model_pass = engine._ModelPass(model, law, u0, None, desired)
-    model_rms, world_rms, (u_switch, _), _ = model_pass.hybrid(world, bound, 5)
+    model_pass = engine._ModelPass(world, model, law, u0, None, desired)
+    model_rms, world_rms, (u_switch, _), _ = model_pass.hybrid(bound, 5)
     loop_rows.clear()
     run = run_iterations(world, model, law, u0, None, bound, "model", desired)
     states = model_pass.source(engine._model_operator(model, law, bound)).rows
@@ -791,7 +790,7 @@ def test_a_closed_form_switch_input_has_the_bits_of_fast_forward(
     # partial_isometry) it comes from the pass's one closed-form product
     world, model, u0, desired = request.getfixturevalue(preset)
     law = LearningLaw(kind, 1.0)
-    e0 = Trajectory(engine._measure(model, u0.values, None, desired))
+    e0 = Trajectory(engine._measure(model, u0.values, desired.values))
     for model_count in (0, 26, 63, 64, 127, 1000):
         history = run_hybrid(world, model, law, u0, None, model_count, 1, desired)
         u_m, _ = fast_forward(model, law, u0, e0, model_count)
@@ -820,13 +819,13 @@ def test_a_model_pass_is_freed_by_reference_counting_alone(second_order_pair, ki
     enabled = gc.isenabled()
     gc.disable()
     try:
-        model_pass = engine._ModelPass(model, law, u0, None, desired)
+        model_pass = engine._ModelPass(world, model, law, u0, None, desired)
         model_pass.model_run(10)
         model_pass.model_run(300)
-        model_pass.hybrid(world, 20, 5)
-        model_pass.hybrid(world, 90, 5)
-        model_pass.world_run(world, 30)
-        switching._reports(world, model_pass, [5, 20, 70], 1.0)
+        model_pass.hybrid(20, 5)
+        model_pass.hybrid(90, 5)
+        model_pass.world_run(30)
+        model_pass.probe([5, 20, 70])
         freed = weakref.ref(model_pass)
         del model_pass
         assert freed() is None
@@ -852,9 +851,9 @@ def test_a_model_pass_is_prefix_stable(preset, horizon, kind):
     # closed form (one of N)
     for count in (1, horizon):
         op = engine._model_operator(model, law, count)
-        longest = engine._ModelPass(model, law, u0, None, desired)
+        longest = engine._ModelPass(world, model, law, u0, None, desired)
         for rows in (1, block - 1, block, block + 1, 2 * block):
-            short = engine._ModelPass(model, law, u0, None, desired).source(op)
+            short = engine._ModelPass(world, model, law, u0, None, desired).source(op)
             assert short.read(rows - 1) == longest.source(op).read(2 * block)[:rows]
             if isinstance(op, engine._DenseLaw):
                 for (u, e), (u_long, e_long) in zip(
@@ -875,12 +874,14 @@ def _curve_experiment(preset, horizon):
 def test_the_rms_curve_is_prefix_stable(preset, horizon, kind):
     # a curve read to k and one read to 10 k agree in their first k values
     # bit for bit, k on both sides of the block boundaries at 64 and 128
-    _, model, u0, desired = _curve_experiment(preset, horizon)
+    world, model, u0, desired = _curve_experiment(preset, horizon)
     law = LearningLaw(kind, 1.0)
     op = engine._convergent_operator(model, law)
     for k in (63, 64, 65, 127, 129):
-        short = engine._ModelPass(model, law, u0, None, desired).source(op).read(k - 1)
-        long = engine._ModelPass(model, law, u0, None, desired).source(op).read(10 * k)
+        passes = [engine._ModelPass(world, model, law, u0, None, desired)
+                  for _ in range(2)]
+        short = passes[0].source(op).read(k - 1)
+        long = passes[1].source(op).read(10 * k)
         assert short == long[:k]
 
 
@@ -894,12 +895,13 @@ def test_the_rms_curve_matches_the_explicit_loop(preset, horizon, kind):
     # of e0 itself. The gap grows with n, as lambda^n magnifies the error of
     # the eigh-built lambda n-fold: third-order partial_isometry at N = 100
     # reaches 2.1e-12 near n = 300, as the closed form's rows do (1.9e-12)
-    _, model, u0, desired = _curve_experiment(preset, horizon)
+    world, model, u0, desired = _curve_experiment(preset, horizon)
     law = LearningLaw(kind, 1.0)
     op = engine._convergent_operator(model, law)
     count = 300  # above every dense bound, so the loop runs on op too
     history = run_iterations(model, model, law, u0, None, count, "model", desired)
-    curve = engine._ModelPass(model, law, u0, None, desired).source(op).read(count)
+    model_pass = engine._ModelPass(world, model, law, u0, None, desired)
+    curve = model_pass.source(op).read(count)
     assert curve[0] == history[0].rms
     compared = 0
     for n, (record, value) in enumerate(zip(history, curve, strict=True)):
@@ -1019,6 +1021,64 @@ def test_a_nonzero_initial_state_enters_every_run_as_abar_x0(
             assert r == pytest.approx(np.sqrt(np.mean(e**2)), rel=1e-10)
 
 
+def test_an_initial_state_is_resolved_once_per_plant_per_call(
+    second_order_pair, monkeypatch
+):
+    # Abar x0 enters each plant's target once, not once per plant apply: a
+    # run applies one plant, a hybrid and the advisor the model and the world
+    world, model, u0, desired = second_order_pair
+    x0 = np.array([1e-3, -2e-3])
+    law = LearningLaw("p_transpose", 1.0)
+    resolved = []
+    real = engine._free_response
+
+    def counting(plant, initial_state):
+        resolved.append(plant)
+        return real(plant, initial_state)
+
+    monkeypatch.setattr(engine, "_free_response", counting)
+    calls = [
+        (lambda: run_iterations(world, model, law, u0, x0, 100, "model", desired),
+         [model]),
+        (lambda: run_iterations(world, model, law, u0, x0, 100, "world", desired),
+         [world]),
+        (lambda: run_hybrid(world, model, law, u0, x0, 20, 10, desired),
+         [model, world]),
+        (lambda: evaluate_switch(world, model, law, u0, x0, [5, 20], 1.0, desired),
+         [model, world]),
+    ]
+    for call, plants in calls:
+        resolved.clear()
+        call()
+        assert len(resolved) == len(plants)
+        assert all(got is want for got, want in zip(resolved, plants))
+
+
+@pytest.mark.parametrize("gain", [1.0, 50.0])
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_a_wrong_length_initial_state_is_refused_before_any_factorization(
+    second_order_pair, kind, gain
+):
+    # x0 is checked with u0 and desired, before an operator is picked: the
+    # model is left unfactorized, and a divergent gain (50 for p_transpose
+    # and partial_isometry) still reports the DimensionError
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw(kind, gain)
+    x0 = np.zeros(3)
+    # counts past every dense bound, where the closed form would factorize
+    calls = [
+        lambda m: run_iterations(world, m, law, u0, x0, 100, "model", desired),
+        lambda m: run_iterations(world, m, law, u0, x0, 100, "world", desired),
+        lambda m: run_hybrid(world, m, law, u0, x0, 100, 1, desired),
+        lambda m: evaluate_switch(world, m, law, u0, x0, [100], 1.0, desired),
+    ]
+    for call in calls:
+        fresh = _fresh(model)
+        with pytest.raises(DimensionError, match="initial_state has 3 entries"):
+            call(fresh)
+        assert fresh._factorization is None
+
+
 @pytest.mark.parametrize(
     "kind, smallest_sigma",
     [("p_transpose", 1e-5), ("partial_isometry", 1e-10), ("norm_optimal", 1e-5)],
@@ -1107,9 +1167,9 @@ def test_a_diverging_run_stops_at_its_first_non_finite_rms(
     applied = []
     real_measure = engine._measure
 
-    def counting_measure(plant, inputs, x0, target):
+    def counting_measure(plant, inputs, target):
         applied.append(plant)
-        return real_measure(plant, inputs, x0, target)
+        return real_measure(plant, inputs, target)
 
     monkeypatch.setattr(engine, "_measure", counting_measure)
     tracemalloc.start()

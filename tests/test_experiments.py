@@ -10,7 +10,6 @@ import pytest
 
 import liftedilc.engine as engine
 import liftedilc.experiments as experiments
-import liftedilc.switching as switching
 from liftedilc import selfcheck
 from liftedilc import (
     CSV_HEADER,
@@ -451,13 +450,12 @@ def _count_applied_rows(monkeypatch, model):
     applied = {"model": 0, "world": 0}
     real_measure = engine._measure
 
-    def counting_measure(plant, inputs, x0, target):
+    def counting_measure(plant, inputs, target):
         plant_rows = inputs.shape[0] if inputs.ndim == 2 else 1
         applied["model" if plant is model() else "world"] += plant_rows
-        return real_measure(plant, inputs, x0, target)
+        return real_measure(plant, inputs, target)
 
     monkeypatch.setattr(engine, "_measure", counting_measure)
-    monkeypatch.setattr(switching, "_measure", counting_measure)
     return applied
 
 
@@ -632,9 +630,9 @@ def _recording_run_loop(monkeypatch):
     runs = []
     real = engine._run_loop
 
-    def recording(applied, op, u, x0, desired, count, phase, *args, **kwargs):
+    def recording(applied, op, u, target, count, phase, *args, **kwargs):
         runs.append((phase, args[0] if args else kwargs.get("first", 0), count))
-        return real(applied, op, u, x0, desired, count, phase, *args, **kwargs)
+        return real(applied, op, u, target, count, phase, *args, **kwargs)
 
     monkeypatch.setattr(engine, "_run_loop", recording)
     return runs
@@ -698,7 +696,7 @@ def test_a_gain_sweep_and_figures_keep_one_pass_per_pair_and_law(tmp_path):
         for law, model_pass in passes.items():
             assert model_pass.law == LearningLaw(law, preset.gain)
             assert list(model_pass._sources) in ([], [engine._LawOperator])
-            world_run = model_pass._world
+            world_run = model_pass._world_run
             assert world_run.rows is None
             rms_values, (u, e) = world_run.rms_values, world_run.last
             assert len(rms_values) == preset.model_count + preset.world_count + 1

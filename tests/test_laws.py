@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,6 +26,8 @@ def test_law_rejects_unknown_kind_and_nonpositive_gain():
         LearningLaw("p_transpose", 0.0)
     with pytest.raises(InvalidParameterError):
         LearningLaw("p_transpose", -0.4)
+    with pytest.raises(InvalidParameterError, match="finite, got inf"):
+        LearningLaw("norm_optimal", math.inf)
 
 
 @pytest.mark.parametrize("kind", LAW_KINDS)

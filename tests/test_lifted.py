@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from liftedilc import (
     DegenerateDeletionError,
+    DiscreteStateSpace,
     LiftedSystem,
     DimensionError,
     EmptyHorizonError,
@@ -32,7 +34,7 @@ from liftedilc import (
 )
 
 from liftedilc.config import _sampled_plant
-from liftedilc.engine import _measure
+from liftedilc.engine import _measure, _targets
 from liftedilc.lifted import PINV_RTOL
 from liftedilc.lti import _markov_parameters
 
@@ -144,7 +146,8 @@ def test_measured_output_equals_step_by_step_simulation(seed):
     u = rng.standard_normal(ls.horizon)
     x0 = rng.standard_normal(dss.order)
     y_sim = simulate(dss, u, x0)
-    error = _measure(ls, u, x0, Trajectory(y_sim))
+    [target] = _targets(ls, (ls,), Trajectory(u), x0, Trajectory(y_sim))
+    error = _measure(ls, u, target)
     assert np.max(np.abs(error)) < 1e-9 * max(1.0, float(np.max(np.abs(y_sim))))
 
 
@@ -196,6 +199,27 @@ def test_public_entries_reject_wrong_input_length(second_order_pair):
 def test_lifted_system_rejects_a_bad_shape(p_shape, abar_shape, error):
     with pytest.raises(error):
         LiftedSystem(np.ones(p_shape), np.ones(abar_shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["p_matrix", "abar_matrix"])
+def test_lifted_system_rejects_non_finite_matrices(name, bad):
+    # refused where the system is made, not later as a LinAlgError of the
+    # factorization or a rank-0 RankDeficiencyError of the inverse
+    matrices = {"p_matrix": np.tril(np.ones((4, 5))), "abar_matrix": np.ones((4, 2))}
+    matrices[name][2, 1] = bad
+    with pytest.raises(InvalidParameterError, match=f"{name} holds NaN or inf"):
+        LiftedSystem(**matrices)
+
+
+def test_an_overflowing_lift_is_refused_without_a_warning():
+    # |Ad| = 1e3: Ad^k overflows long before k = 200. The powers overflow
+    # silently and the constructor names the result
+    dss = DiscreteStateSpace([[1e3]], [[1.0]], [[1.0]], 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="holds NaN or inf"):
+            build_lifted(dss, 200)
 
 
 def test_a_lifted_system_is_its_two_read_only_matrices(third_order_pair):
@@ -445,18 +469,24 @@ def test_non_finite_initial_state_is_rejected(third_order_pair, x0):
         run_iterations(model, model, law, u0, x0, 0, "model", desired)
 
 
-def test_measure_adds_the_free_response_only_for_a_nonzero_state(
+def test_a_target_adds_the_free_response_only_for_a_nonzero_state(
     third_order_pair,
 ):
-    # against a zero target the measured error is exactly -(P u + Abar x0)
+    # against a zero desired output the measured error is exactly
+    # -(P u + Abar x0); without a free response the target is y* itself
     _, model, u0, _ = third_order_pair
     zero = Trajectory(np.zeros(model.row_count))
     forced = model.p_matrix @ u0.values
-    assert np.array_equal(-_measure(model, u0.values, None, zero), forced)
-    assert np.array_equal(-_measure(model, u0.values, np.zeros(3), zero), forced)
+
+    def measured(x0):
+        [target] = _targets(model, (model,), u0, x0, zero)
+        if x0 is None or not np.any(x0):
+            assert target is zero.values
+        return _measure(model, u0.values, target)
+
+    assert np.array_equal(-measured(None), forced)
+    assert np.array_equal(-measured(np.zeros(3)), forced)
     x0 = np.array([0.1, -0.2, 0.05])
-    assert np.array_equal(
-        -_measure(model, u0.values, x0, zero), forced + model.abar_matrix @ x0
-    )
+    assert np.array_equal(-measured(x0), forced + model.abar_matrix @ x0)
     with pytest.raises(DimensionError):
-        _measure(model, u0.values, np.zeros(2), zero)
+        measured(np.zeros(2))

@@ -72,14 +72,13 @@ def test_advisor_consumes_exactly_two_world_runs(second_order_pair, monkeypatch)
     rows = {"world": 0, "model": 0}
     real_measure = engine._measure
 
-    def counting_measure(plant, inputs, x0, target):
+    def counting_measure(plant, inputs, target):
         plant_rows = inputs.shape[0] if inputs.ndim == 2 else 1
         rows["world" if plant is world else "model"] += plant_rows
-        return real_measure(plant, inputs, x0, target)
+        return real_measure(plant, inputs, target)
 
-    # the one plant apply, as the engine's loop and the advisor bind it
+    # the one plant apply of the engine's loop and of the pass's probe
     monkeypatch.setattr(engine, "_measure", counting_measure)
-    monkeypatch.setattr(switching, "_measure", counting_measure)
     # one candidate, and more than one block of them. On the dense side
     # (25 <= N // 4) the model takes the 27 records of the one explicit model
     # run to 26, the first of them the initial error; the closed form applies
@@ -98,8 +97,8 @@ def test_candidate_must_be_positive(second_order_pair, monkeypatch):
     def refuse(*args):
         raise AssertionError("numerical work before the candidates were checked")
 
-    for name in ("_check_run_inputs", "_measure", "_model_operator"):
-        monkeypatch.setattr(switching, name, refuse)
+    # the model pass is the advisor's one way into the engine
+    monkeypatch.setattr(switching, "_ModelPass", refuse)
     for bad in (0, 1.5, np.nan, np.inf):
         with pytest.raises(InvalidParameterError, match=f"candidate_n .*got {bad!r}"):
             evaluate_switch(
@@ -122,7 +121,7 @@ def test_candidates_beyond_one_block_match_single_evaluations(second_order_pair,
     world, model, u0, desired = second_order_pair
     law = LearningLaw(kind, 1.0)
     candidates = range(1, 151)
-    assert len(candidates) > 2 * switching._BLOCK
+    assert len(candidates) > 2 * engine._BLOCK
     reports = evaluate_switch(world, model, law, u0, None, candidates, 1.0, desired)
     fields = ("r_model_n", "r_model_n1", "r_world_n", "r_world_n1")
     for n, report in zip(candidates, reports):
