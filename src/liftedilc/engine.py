@@ -72,11 +72,17 @@ explicit loop passes vectors, the probe its candidates as rows. `_learn`
 goes through the operator the call chose, the cached factorization (two
 matrix-vector products) or the direct law. A world phase on its own needs
 no pre-flight, so p_transpose applies phi P^T e there without any
-factorization. The dense gain built in `laws` is only the independent
-reference. A run is its RMS curve: the records of `run_iterations` and
-`run_hybrid` carry the iteration, phase and RMS, and only the records that
-hand a state on keep their input and error, a run's last record and a
-hybrid's switch record, where the phase turns to "world".
+factorization. On one vector of a Toeplitz system (`lifted.build_lifted`,
+`delete_rows`) at N >= 512, `_measure`'s P u and p_transpose's direct
+phi P^T e are FFT convolutions (`lifted._convolution`), O(N log N) and
+normwise within a few eps of the dense product; blocks of rows, shorter
+horizons and systems built from matrices take the dense product, as do the
+factorizations, `fast_forward` and `_model_phase`. The dense gain built in
+`laws` is only the independent reference. A run is its RMS curve: the
+records of `run_iterations` and `run_hybrid` carry the iteration, phase and
+RMS, and only the records that hand a state on keep their input and error,
+a run's last record and a hybrid's switch record, where the phase turns to
+"world".
 """
 
 import math
@@ -93,7 +99,7 @@ from .errors import (
     UndefinedDbError,
     _integer,
 )
-from .lifted import Trajectory, _free_response
+from .lifted import Trajectory, _convolution, _free_response
 
 __all__ = [
     "IterationRecord",
@@ -363,17 +369,21 @@ class _DenseLaw:
 
     gain_t is P itself with scale phi for p_transpose, and
     (phi I + P P^T)^-1 P with scale 1 for norm_optimal, whose gain
-    (phi I + P^T P)^-1 P^T equals P^T (phi I + P P^T)^-1.
+    (phi I + P^T P)^-1 P^T equals P^T (phi I + P P^T)^-1. A p_transpose law
+    on a system with a convolution (lifted._convolution) forms P^T e of one
+    error through it.
     """
 
     gain_t: np.ndarray
     scale: float
+    convolution: object = False
 
 
-def _build_dense_law(p, law):
+def _build_dense_law(p, law, convolution=False):
     """The _DenseLaw of p_transpose or norm_optimal on P, or None.
 
     None when the rho < 1 certificate described at _DENSE_FLOOR fails.
+    convolution is P's lifted._convolution, which p_transpose keeps.
     """
     phi = law.gain
     transpose = law.kind == "p_transpose"
@@ -398,7 +408,7 @@ def _build_dense_law(p, law):
     except np.linalg.LinAlgError:
         return None
     if transpose:
-        return _DenseLaw(p, phi)
+        return _DenseLaw(p, phi, convolution)
     gram[on_diagonal] = diagonal + phi
     return _DenseLaw(np.linalg.solve(gram, p), 1.0)
 
@@ -412,8 +422,14 @@ def _model_operator(model, law, largest):
     """
     divisor = _DENSE_DIVISOR.get(law.kind)
     if divisor and largest <= model.horizon // divisor:
+        # norm_optimal's solved gain is no Toeplitz matrix, so it makes no
+        # convolution: made there too, ahead of the solve's N x N temporaries,
+        # it moved run-n1000's peak_rss_mb between 123.6 and 138.9 MB with
+        # the directory the benchmark ran from (heap placement)
         dense = _cached(model, "dense", law,
-                        lambda entry, law: _build_dense_law(entry.p_matrix, law))
+                        lambda entry, law: _build_dense_law(
+                            entry.p_matrix, law,
+                            law.kind == "p_transpose" and _convolution(model)))
         if dense is not None:
             return dense
     return _convergent_operator(model, law)
@@ -426,7 +442,7 @@ def _world_operator(model, law):
     the cached _LawOperator without its convergence check.
     """
     if law.kind == "p_transpose":
-        return _DenseLaw(model.p_matrix, law.gain)
+        return _DenseLaw(model.p_matrix, law.gain, _convolution(model))
     return _operator(model, law)
 
 
@@ -554,6 +570,8 @@ def _learn(op, errors):
     the model spectrum and fails only when its error overflows.
     """
     if isinstance(op, _DenseLaw):
+        if op.convolution and errors.ndim == 1:
+            return op.scale * op.convolution.apply_transpose(errors)
         return op.scale * (errors @ op.gain_t)
     return ((errors @ op.ut.T) * op.lam_minus_one) @ op.lu_neg.T
 
@@ -588,8 +606,18 @@ def _measure(applied, inputs, target):
     """The error target - P u of one input, or of each row of a block.
 
     Applies each input to the plant `applied` over the full horizon; target
-    is that plant's y* - Abar x0 (_targets), which checked the lengths.
+    is that plant's y* - Abar x0 (_targets), which checked the lengths. One
+    input on a plant with a convolution (lifted._convolution) is applied
+    through it, a block always as one matrix product.
     """
+    if inputs.ndim == 1:
+        # the kept answer of lifted._convolution, read inline: at N = 100 the
+        # whole dense apply takes about 2.3 us, and the call would add 5 %
+        convolution = applied._convolution
+        if convolution is None:
+            convolution = _convolution(applied)
+        if convolution:
+            return target - convolution.apply(inputs)
     return target - inputs @ applied.p_matrix.T
 
 

@@ -10,6 +10,7 @@ reference for it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,11 @@ class LearningLaw:
             raise InvalidParameterError(
                 f"unknown law kind {self.kind!r}; expected one of {LAW_KINDS}"
             )
+        # bool, int and numpy scalars are Real; a string, None, complex or
+        # sequence would fail the comparison below with a TypeError
+        if not isinstance(self.gain, numbers.Real):
+            raise InvalidParameterError(
+                f"gain must be a real number, got {self.gain!r}")
         if not 0 < self.gain < math.inf:
             raise InvalidParameterError(
                 f"gain must be positive and finite, got {self.gain}")

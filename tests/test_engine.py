@@ -7,10 +7,12 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import liftedilc.engine as engine
+import liftedilc.experiments as experiments
 import liftedilc.laws as laws
+import liftedilc.lifted as lifted
 from liftedilc import (
     DimensionError,
     DivergenceError,
@@ -1237,3 +1239,104 @@ def test_rms_db_is_none_for_exact_tracking(second_order_pair):
     history = run_iterations(model, model, law, u0, None, 0, "model", desired)
     assert history[0].rms == 0.0
     assert history[0].rms_db is None
+
+
+# ------------------------------------------------------------ the FFT plant apply
+
+# just below, at and above lifted._FFT_HORIZON
+_FFT_HORIZONS = [511, 512, 1000, 2000]
+
+# ||FFT - dense|| / ||dense|| for P u and P^T e of Gaussian vectors. Measured
+# at most 6.1e-16 on both presets and 5.5e-16 on random stable plants with up
+# to two deleted rows (936 plants), at N = 512 to 2000
+_FFT_RTOL = 1e-14
+
+
+def _preset_pair_at(kind, horizon):
+    """A preset's (world, model) pair lifted anew at another horizon."""
+    config = dataclasses.replace(load_preset(kind), horizon=horizon)
+    return experiments._lift_pair(config)
+
+
+def _assert_vector_applies(plant, rng):
+    """_measure and the p_transpose step of one vector against the dense products.
+
+    Bit for bit where the plant has no convolution, within _FFT_RTOL where it
+    has one.
+    """
+    u = rng.standard_normal(plant.horizon)
+    e = rng.standard_normal(plant.row_count)
+    law = LearningLaw("p_transpose", 0.7)
+    # a zero target makes the measured error -P u exactly
+    applied = -engine._measure(plant, u, np.zeros(plant.row_count))
+    step = engine._learn(engine._world_operator(plant, law), e)
+    dense_applied = u @ plant.p_matrix.T
+    dense_step = 0.7 * (e @ plant.p_matrix)
+    if not lifted._convolution(plant):
+        assert np.array_equal(applied, dense_applied)
+        assert np.array_equal(step, dense_step)
+        return
+    for got, dense in ((applied, dense_applied), (step, dense_step)):
+        assert got.shape == dense.shape
+        assert np.linalg.norm(got - dense) <= _FFT_RTOL * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("horizon", _FFT_HORIZONS)
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_fft_apply_matches_the_dense_product_from_its_threshold(preset, horizon):
+    # the second-order pair keeps every row (d = 0), the third-order one
+    # deletes one (d = 1)
+    rng = np.random.default_rng(horizon)
+    for plant in _preset_pair_at(preset, horizon):
+        assert bool(lifted._convolution(plant)) == (horizon >= 512)
+        _assert_vector_applies(plant, rng)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(_FFT_HORIZONS), st.integers(0, 2))
+@settings(max_examples=16)
+def test_fft_apply_of_random_stable_plants(seed, horizon, deleted):
+    rng = np.random.default_rng(seed)
+    _, dss = random_stable_lifted(rng)
+    plant = build_lifted(dss, horizon)
+    if deleted:
+        plant = delete_rows(plant, deleted)
+    _assert_vector_applies(plant, rng)
+
+
+@pytest.mark.parametrize("horizon", _FFT_HORIZONS)
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_blocks_and_raw_matrix_systems_apply_p_densely(preset, horizon):
+    # the advisor's row blocks never take the FFT, and neither does a system
+    # built from a matrix, which need not be Toeplitz: both keep the dense
+    # product's bits
+    world, model = _preset_pair_at(preset, horizon)
+    raw = LiftedSystem(model.p_matrix, model.abar_matrix)
+    rng = np.random.default_rng(7)
+    inputs = rng.standard_normal((3, horizon))
+    errors = rng.standard_normal((3, model.row_count))
+    target = rng.standard_normal(model.row_count)
+    law = LearningLaw("p_transpose", 0.7)
+    for plant in (world, model, raw):
+        op = engine._world_operator(plant, law)
+        assert np.array_equal(engine._measure(plant, inputs, target),
+                              target - inputs @ plant.p_matrix.T)
+        assert np.array_equal(engine._learn(op, errors),
+                              0.7 * (errors @ plant.p_matrix))
+    assert lifted._convolution(raw) is False
+    _assert_vector_applies(raw, rng)
+
+
+def test_only_the_p_transpose_dense_law_keeps_the_convolution(third_order_pair):
+    # the model phase's cached p_transpose law forms P^T e through the model's
+    # convolution; norm_optimal's solved gain is no Toeplitz matrix
+    _, model = _preset_pair_at("third_order", 1000)
+    p_transpose = engine._model_operator(model, LearningLaw("p_transpose", 1.0), 10)
+    norm_optimal = engine._model_operator(model, LearningLaw("norm_optimal", 1.0), 10)
+    assert p_transpose.convolution is lifted._convolution(model)
+    assert isinstance(p_transpose.convolution, lifted._Convolution)
+    assert isinstance(norm_optimal, engine._DenseLaw)
+    assert norm_optimal.convolution is False
+    # at the paper's N = 100 no law has one
+    _, small, _, _ = third_order_pair
+    assert engine._model_operator(small, LearningLaw("p_transpose", 1.0),
+                                  10).convolution is False

@@ -29,6 +29,7 @@ from liftedilc import (
     continuous_plant,
     delete_rows,
     discretize_zoh,
+    evaluate_switch,
     load_config,
     load_preset,
     reproduce_figure,
@@ -600,6 +601,45 @@ def test_any_other_pair_is_lifted_per_command_and_freed(
     assert len(lifted) == 2
     gc.collect()
     assert [ref() for ref in lifted] == [None, None]
+
+
+@pytest.mark.parametrize("law_kind", LAW_KINDS)
+@pytest.mark.parametrize("kind", ["second_order", "third_order"])
+def test_a_large_pair_is_freed_by_reference_counting_alone(tmp_path, monkeypatch,
+                                                           kind, law_kind):
+    # at N = 1000 both systems keep an FFT convolution and the model its
+    # factorization, dense laws and operators; none of them may refer back
+    # to a system, or a cycle would keep a 16 MB pair alive until the cyclic
+    # collector ran
+    config = dataclasses.replace(
+        load_preset(kind), horizon=1000, law_kind=law_kind,
+        csv_path=str(tmp_path / "run.csv"), plot_path=None,
+    )
+    law = LearningLaw(law_kind, config.gain)
+    lifted = []
+    real = experiments._lift_pair
+
+    def recording(config):
+        pair = real(config)
+        lifted.extend(weakref.ref(system) for system in pair)
+        return pair
+
+    monkeypatch.setattr(experiments, "_lift_pair", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_experiment(config)
+        world, model, u0, desired = build_experiment(config)
+        evaluate_switch(world, model, law, u0, None, [5, 20], 1.0, desired)
+        for phase in ("model", "world"):
+            run_iterations(world, model, law, u0, None, 5, phase, desired)
+        assert world._convolution and model._factorization is not None
+        del world, model
+        assert len(lifted) == 4
+        assert [ref() for ref in lifted] == [None] * 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_gain_sweep_keeps_one_operator_and_one_dense_law_per_kind(tmp_path):

@@ -30,6 +30,19 @@ def test_law_rejects_unknown_kind_and_nonpositive_gain():
         LearningLaw("norm_optimal", math.inf)
 
 
+@pytest.mark.parametrize("gain", ["1", None, 1 + 0j, [1]])
+def test_law_rejects_a_gain_that_is_not_a_real_number(gain):
+    # each of these raised a raw TypeError from the comparison 0 < gain
+    with pytest.raises(InvalidParameterError, match="real number"):
+        LearningLaw("p_transpose", gain)
+
+
+def test_law_takes_numpy_scalar_gains():
+    assert LearningLaw("p_transpose", np.float64(0.5)).gain == 0.5
+    assert LearningLaw("norm_optimal", np.float32(2.0)).gain == 2.0
+    assert LearningLaw("partial_isometry", np.int64(1)).gain == 1
+
+
 @pytest.mark.parametrize("kind", LAW_KINDS)
 def test_gain_is_rectangular_after_row_deletion(third_order_pair, kind):
     _, model, _, _ = third_order_pair
