@@ -242,14 +242,16 @@ def load_config(path):
             ) from None
 
     deleted_rows = values["lifted.deleted_rows"]
+    resolved = ""
     if deleted_rows == "auto":
         deleted_rows = plants["model"].unstable_zero_count
+        resolved = f" ('auto' resolved to {deleted_rows})"
     else:
         deleted_rows = _parse_int(deleted_rows, "lifted.deleted_rows")
-        if not 0 <= deleted_rows < values["lifted.horizon"]:
-            raise ConfigError(
-                "key 'lifted.deleted_rows': must satisfy 0 <= d < horizon"
-            )
+    if not 0 <= deleted_rows < values["lifted.horizon"]:
+        raise ConfigError(
+            f"key 'lifted.deleted_rows': must satisfy 0 <= d < horizon{resolved}"
+        )
 
     initial_input = values["run.initial_input"]
     if initial_input not in INITIAL_INPUT_NAMES and not Path(initial_input).exists():

@@ -63,21 +63,25 @@ and one state, and outlives the command (see `experiments.reproduce_figure`).
 `run_iterations` and `fast_forward` stay outside the pass: they are the
 explicit loop and the closed form that the self-checks compare and time.
 
-`run_iterations` is the explicit counterpart of the fast-forward: it
-applies every input to the plant and measures every error. The engine
-has one plant apply, `_measure` (e = target - P u, the target y* - Abar x0
-resolved once per plant and call), and one learning step, `_learn` (L e),
-each taking one vector or a block with one row per input or error: the
-explicit loop passes vectors, the probe its candidates as rows. `_learn`
-goes through the operator the call chose, the cached factorization (two
-matrix-vector products) or the direct law. A world phase on its own needs
-no pre-flight, so p_transpose applies phi P^T e there without any
-factorization. On one vector of a Toeplitz system (`lifted.build_lifted`,
-`delete_rows`) at N >= 512, `_measure`'s P u and p_transpose's direct
-phi P^T e are FFT convolutions (`lifted._convolution`), O(N log N) and
-normwise within a few eps of the dense product; blocks of rows, shorter
-horizons and systems built from matrices take the dense product, as do the
-factorizations, `fast_forward` and `_model_phase`. The dense gain built in
+The engine has one explicit loop, `_Run`, the counterpart of the
+fast-forward: it starts from (u0, e0) and, on each read, learns, applies
+each input to its plant, measures each error and checks its RMS, from its
+last state on. `run_iterations` in either phase, a hybrid's world phase
+from the switch input, a world-only run and the dense model source are
+each one `_Run`. The engine has one plant apply, `_measure`
+(e = target - P u, the target y* - Abar x0 resolved once per plant and
+call), and one learning step, `_learn` (L e), each taking one vector or a
+block with one row per input or error: a `_Run` passes vectors, the probe
+its candidates as rows. `_learn` goes through the operator the call chose,
+the cached factorization (two matrix-vector products) or the direct law.
+A world phase on its own needs no pre-flight, so p_transpose applies
+phi P^T e there without any factorization. On one vector of a Toeplitz
+system (`lifted.build_lifted`, `delete_rows`) at N >= 512, `_measure`'s
+P u and p_transpose's direct phi P^T e are FFT convolutions
+(`lifted._convolution`), O(N log N) and normwise within a few eps of the
+dense product; blocks of rows, shorter horizons and systems built from
+matrices take the dense product, as do the factorizations, `fast_forward`
+and `_model_phase`. The dense gain built in
 `laws` is only the independent reference. A run is its RMS curve: the
 records of `run_iterations` and `run_hybrid` carry the iteration, phase and
 RMS, and only the records that hand a state on keep their input and error,
@@ -621,34 +625,10 @@ def _measure(applied, inputs, target):
     return target - inputs @ applied.p_matrix.T
 
 
-def _run_loop(applied, op, u, target, count, phase, first=0, rows=None):
-    """Apply, measure and update `count` times from the input vector u.
-
-    Each input goes to `applied`, measured against its target, and each
-    update is the model law's operator `op`. Returns the count + 1 RMS
-    values and the (input, error) of the first and of the last iteration; a
-    list passed as `rows` takes every (input, error) as well. Raises
-    DivergenceError at the first non-finite RMS, naming its iteration
-    counted from `first`.
-    """
-    rms_values = []
-    # a diverging run overflows; _checked_rms reports it as a DivergenceError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(count + 1):
-            e = _measure(applied, u, target)
-            rms_values.append(_checked_rms(e, phase, first + j))
-            if rows is not None:
-                rows.append((u, e))
-            if j == 0:
-                start = u, e
-            if j < count:
-                u = u + _learn(op, e)
-    return rms_values, start, (u, e)
-
-
 def run_iterations(world, model, law, u0, x0, count, phase, desired):
     """Explicit learning run: apply, measure, update, `count` times.
 
+    The run is one `_Run`, the engine's one explicit loop, read to count.
     Every update is the model's law: applied directly in a model phase of
     at most N // 4 iterations with p_transpose or N // 8 with norm_optimal,
     else through the model's cached factorization. In the model phase every
@@ -693,45 +673,48 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
     [target] = _targets(model, (applied,), u0, x0, desired)
     op = (_model_operator(model, law, count) if phase == "model"
           else _world_operator(model, law))
-    rms_values, _, last = _run_loop(applied, op, u0.values, target, count, phase)
-    return _records(0, phase, rms_values, {count: last})
+    run = _Run(applied, op, phase, target, u0.values)
+    return _records(0, phase, run.read(count), {count: run.last})
 
 
 class _Run:
-    """An explicit run under one operator, extended from its last state on read.
+    """An explicit run under one operator: the engine's one learning loop.
 
-    It keeps the run's RMS values and its last (input, error); a list passed
-    as `rows` takes every (input, error) as well. A run given the error e0
-    of u0 starts from (u0, e0) and applies u0 no second time; else its first
-    read applies u0. A longer read runs _run_loop on from the last state, so
-    every read has the bits of one fresh loop.
+    It starts from (u0, e0), measuring e0 itself where the caller does not
+    pass it, and checks that RMS at construction, naming iteration `first`.
+    It keeps its RMS values and its last (input, error); a list passed as
+    `rows` takes every (input, error) as well. A read runs the loop on from
+    the last state, so every read has the bits of one fresh run, and
+    DivergenceError names the iteration of the first non-finite RMS,
+    counted from `first`.
     """
 
-    def __init__(self, applied, op, phase, target, u0, e0=None, rows=None):
+    def __init__(self, applied, op, phase, target, u0, e0=None, rows=None, first=0):
         self.applied, self.op, self.phase = applied, op, phase
-        self.target, self.u0, self.rows = target, u0, rows
-        self.rms_values, self.last = [], None
-        if e0 is not None:
-            # a huge u0 can overflow e0 (invalid) or its RMS (a divergence)
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.rms_values.append(_checked_rms(e0, phase, 0))
-            self.last = u0, e0
-            if rows is not None:
-                rows.append(self.last)
+        self.target, self.rows, self.first = target, rows, first
+        # a huge u0 can overflow e0 (invalid) or its RMS (a divergence)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if e0 is None:
+                e0 = _measure(applied, u0, target)
+            self.rms_values = [_checked_rms(e0, phase, first)]
+        self.last = u0, e0
+        if rows is not None:
+            rows.append(self.last)
 
     def _extend(self, n):
-        """Run on to RMS_n."""
-        done = len(self.rms_values)
-        if n < done:
-            return
-        u = self.u0
-        if self.last is not None:
-            # a huge u0 overflows the run; its RMS raises DivergenceError
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = self.last[0] + _learn(self.op, self.last[1])
-        more, _, self.last = _run_loop(self.applied, self.op, u, self.target,
-                                       n - done, self.phase, done, self.rows)
-        self.rms_values += more
+        """Run on to RMS_n: learn, measure, check the RMS, keep the state."""
+        applied, op, phase, target = self.applied, self.op, self.phase, self.target
+        rms_values, rows, first = self.rms_values, self.rows, self.first
+        u, e = self.last
+        # a diverging run overflows; _checked_rms reports it as a DivergenceError
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(len(rms_values), n + 1):
+                u = u + _learn(op, e)
+                e = _measure(applied, u, target)
+                rms_values.append(_checked_rms(e, phase, first + j))
+                self.last = u, e
+                if rows is not None:
+                    rows.append(self.last)
 
     def read(self, count):
         """RMS_0 .. RMS_count."""
@@ -817,7 +800,9 @@ class _ModelPass:
     _DenseLaw a _Run, the explicit model run from u0 and the measured e0
     with its states kept as rows; under a _LawOperator a _Curve, the closed
     form. Both serve read(count), value(n) and inputs(counts), so no reader
-    asks which one it holds. world_run reads a _Run without rows. No source
+    asks which one it holds. world_run reads a _Run without rows, and
+    hybrid's world phase is a _Run from the switch input: every explicit
+    phase of a pass is the engine's one loop. No source
     refers back to its pass, so reference counting alone frees a pass.
     Readers get RMS values, not records (run_hybrid wraps them).
     """
@@ -866,10 +851,10 @@ class _ModelPass:
         model_rms = source.read(model_count)
         # u_0 is u0 itself; the closed form's product takes counts n >= 1
         u = source.inputs([model_count])[0] if model_count else self.u0.values
-        world_rms, switch, last = _run_loop(self.world, source.op, u,
-                                            self.world_target, world_count,
-                                            "world", model_count)
-        return model_rms[:-1], world_rms, switch, last
+        run = _Run(self.world, source.op, "world", self.world_target, u,
+                   first=model_count)
+        switch = run.last
+        return model_rms[:-1], run.read(world_count), switch, run.last
 
     def world_run(self, count):
         """The count + 1 RMS values of run_iterations' world-only run from u0.

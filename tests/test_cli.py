@@ -496,6 +496,24 @@ def test_zeros_reports_both_plants(write_cfg):
     assert "-3.31042889" in text
 
 
+@pytest.mark.parametrize("command", ["run", "zeros"])
+def test_auto_deleted_rows_of_the_whole_horizon_is_a_config_error(
+    command, tmp_path, monkeypatch, capsys
+):
+    # 'auto' resolves to the third-order model's one unstable zero, which
+    # leaves no row of a one-step horizon
+    monkeypatch.chdir(tmp_path)
+    path = write_preset("third_order", tmp_path,
+                        [("lifted.horizon = 100", "lifted.horizon = 1")])
+    code, text = run_cli([command, str(path)])
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "lifted.deleted_rows" in err and "'auto' resolved to 1" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["third_order.cfg"]
+
+
 @pytest.mark.parametrize("fig_id, code", [("fig2", 2), ("fig3", 0), ("fig4", 2)])
 def test_switch_zero_fails_only_for_marker_figures_and_then_writes_nothing(
     fig_id, code, tmp_path

@@ -103,6 +103,19 @@ def test_invalid_values_are_rejected(write_cfg, overrides, fragment):
         load_config(path)
 
 
+def test_auto_deleted_rows_must_leave_a_row(write_cfg):
+    # the third-order model has one sampled zero outside the unit disc, so
+    # 'auto' resolves to 1, which a one-step horizon cannot delete
+    path = write_cfg({"lifted.horizon": "1"}, base=MINIMAL_THIRD_ORDER)
+    with pytest.raises(
+        ConfigError,
+        match=r"^key 'lifted\.deleted_rows': .*0 <= d < horizon.*'auto' resolved to 1",
+    ):
+        load_config(path)
+    assert load_config(write_cfg({"lifted.horizon": "2"}, base=MINIMAL_THIRD_ORDER)
+                       ).deleted_rows == 1
+
+
 def test_third_order_requires_real_poles(write_cfg):
     path = write_cfg({"model.real_pole": None}, base=MINIMAL_THIRD_ORDER)
     with pytest.raises(ConfigError, match="real_pole"):

@@ -96,22 +96,26 @@ def _fresh(model):
 
 @pytest.fixture
 def loop_rows(monkeypatch):
-    """Every (input, error) the engine's explicit loops compute, in order.
+    """Every (input, error) the engine's explicit loop computes, in order.
 
     A run's records keep only the states they hand on; the loop's own rows
-    are its arrays, kept here for the test to read.
+    are its arrays, kept here for the test to read: every _Run keeps its
+    rows in a list that also copies each row here.
     """
     rows = []
-    real_loop = engine._run_loop
 
-    def keeping(applied, op, u, target, count, phase, first=0, kept=None):
-        kept = [] if kept is None else kept
-        start = len(kept)
-        result = real_loop(applied, op, u, target, count, phase, first, kept)
-        rows.extend(kept[start:])
-        return result
+    class Tee(list):
+        def append(self, row):
+            super().append(row)
+            rows.append(row)
 
-    monkeypatch.setattr(engine, "_run_loop", keeping)
+    class KeepingRun(engine._Run):
+        # a caller's own rows list is only read back through the run's rows
+        def __init__(self, applied, op, phase, target, u0, e0=None, kept=None,
+                     first=0):
+            super().__init__(applied, op, phase, target, u0, e0, Tee(), first)
+
+    monkeypatch.setattr(engine, "_Run", KeepingRun)
     return rows
 
 
@@ -638,6 +642,44 @@ def test_run_iterations_record_layout(second_order_pair, loop_rows):
     assert np.array_equal(history[-1].error.values, loop_rows[-1][1])
 
 
+@pytest.mark.parametrize("phase", engine.PHASES)
+@pytest.mark.parametrize("horizon", [100, 1000])
+def test_any_sequence_of_reads_has_the_bits_of_one_fresh_run(horizon, phase):
+    # the one loop, on dense vectors at N = 100 and FFT convolutions at
+    # N = 1000: however a run is read, it holds the RMS values and last
+    # state of one fresh run_iterations of the longest count read
+    config = dataclasses.replace(load_preset("second_order"), horizon=horizon)
+    world, model, u0, desired = build_experiment(config)
+    law = LearningLaw("p_transpose", 1.0)
+    longest = 20
+    fresh = run_iterations(world, model, law, u0, None, longest, phase, desired)
+    want = [r.rms for r in fresh]
+    applied = model if phase == "model" else world
+    assert bool(lifted._convolution(applied)) == (horizon >= 512)
+    op = (engine._model_operator(model, law, longest) if phase == "model"
+          else engine._world_operator(model, law))
+    [target] = engine._targets(model, (applied,), u0, None, desired)
+    makers = [lambda: engine._Run(applied, op, phase, target, u0.values)]
+    if phase == "model":
+        # the pass's dense model source, started from the e0 it measured
+        makers.append(lambda: engine._ModelPass(
+            world, model, law, u0, None, desired).source(op))
+    for make in makers:
+        for reads in ([("read", 7), ("read", longest)],
+                      [("read", longest), ("read", 7), ("read", longest)],
+                      [("value", 3), ("value", longest), ("read", 12)],
+                      [("value", 0), ("read", 0), ("value", longest)]):
+            run = make()
+            for how, n in reads:
+                if how == "read":
+                    assert run.read(n) == want[: n + 1]
+                else:
+                    assert run.value(n) == want[n]
+            assert run.rms_values == want
+            assert np.array_equal(run.last[0], fresh[-1].input.values)
+            assert np.array_equal(run.last[1], fresh[-1].error.values)
+
+
 def test_run_iterations_model_phase_decreases_monotonically(second_order_pair):
     _, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)
@@ -1156,6 +1198,26 @@ def test_world_phase_divergence_names_phase_and_iteration(second_order_pair):
         run_iterations(world, model, law, u0, None, 1000, "world", desired)
     with pytest.raises(DivergenceError, match=r"world phase diverged.*iteration \d+"):
         run_hybrid(world, model, law, u0, None, 10, 1000, desired)
+
+
+@pytest.mark.parametrize("horizon", [100, 1000])
+def test_a_diverging_hybrid_names_its_iteration_from_the_switch(horizon):
+    # the world phase is the one loop started at the switch input: it
+    # diverges where a world-phase run_iterations from that input does,
+    # model_count iterations later in the hybrid's numbering
+    config = dataclasses.replace(load_preset("second_order"), horizon=horizon)
+    _, model, u0, desired = build_experiment(config)
+    world = _lightly_damped_world(model)
+    law = LearningLaw("p_transpose", 1.0)
+    model_count = 10
+    switch = run_iterations(model, model, law, u0, None, model_count, "model",
+                            desired)[-1].input
+    with pytest.raises(DivergenceError) as alone:
+        run_iterations(world, model, law, switch, None, 10**6, "world", desired)
+    iteration = int(str(alone.value).rsplit(" ", 1)[1])
+    with pytest.raises(DivergenceError, match=r"^world phase diverged: error RMS "
+                       rf"is inf at iteration {model_count + iteration}$"):
+        run_hybrid(world, model, law, u0, None, model_count, 10**6, desired)
 
 
 def test_a_diverging_run_stops_at_its_first_non_finite_rms(

@@ -665,16 +665,18 @@ def test_a_gain_sweep_keeps_one_operator_and_one_dense_law_per_kind(tmp_path):
         ("p_transpose", gains[-1]), ("norm_optimal", gains[-1])}
 
 
-def _recording_run_loop(monkeypatch):
-    """(phase, first, count) of every engine._run_loop call."""
+def _recording_runs(monkeypatch):
+    """(phase, first iteration, updates) of every _Run read that runs the loop."""
     runs = []
-    real = engine._run_loop
+    real = engine._Run._extend
 
-    def recording(applied, op, u, target, count, phase, *args, **kwargs):
-        runs.append((phase, args[0] if args else kwargs.get("first", 0), count))
-        return real(applied, op, u, target, count, phase, *args, **kwargs)
+    def recording(run, n):
+        done = len(run.rms_values) - 1
+        if n > done:
+            runs.append((run.phase, run.first + done, n - done))
+        return real(run, n)
 
-    monkeypatch.setattr(engine, "_run_loop", recording)
+    monkeypatch.setattr(engine._Run, "_extend", recording)
     return runs
 
 
@@ -686,7 +688,7 @@ def test_check_9_computes_every_curve_in_both_draws(
     # 100-update world-only curve from u0 itself
     reproduce_figure("fig3", "p_transpose", 50, str(tmp_path))
     factorization_calls.clear()
-    runs = _recording_run_loop(monkeypatch)
+    runs = _recording_runs(monkeypatch)
     assert selfcheck.check_figure_determinism().passed
     assert [run for run in runs if run[:2] == ("world", 0)] == [("world", 0, 100)] * 2
     assert factorization_calls == ["eigh", "eigh"]
