@@ -21,7 +21,7 @@ __all__ = ["main"]
 
 
 def _format_db(rms_value):
-    if rms_value is None or rms_value <= 0.0:
+    if rms_value <= 0.0:
         return "-inf dB"
     return f"{to_db(rms_value):.2f} dB"
 

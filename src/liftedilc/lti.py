@@ -12,7 +12,7 @@ discretization path.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,24 @@ __all__ = [
 ]
 
 
+def _store_matrices(plant, a, b, c):
+    """Set plant's first three fields to (A, B, C) as float arrays.
+
+    The shapes are (n, n), (n, 1) and (1, n); any mismatch raises
+    DimensionError.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float).reshape(-1, 1)
+    c = np.asarray(c, dtype=float).reshape(1, -1)
+    n = a.shape[0]
+    if a.shape != (n, n) or b.shape[0] != n or c.shape[1] != n:
+        raise DimensionError(
+            f"inconsistent shapes: A {a.shape}, B {b.shape}, C {c.shape}"
+        )
+    for field, value in zip(fields(plant), (a, b, c)):
+        object.__setattr__(plant, field.name, value)
+
+
 @dataclass(frozen=True, eq=False)
 class ContinuousStateSpace:
     """Strictly proper SISO plant dx/dt = A x + B u, y = C x.
@@ -52,20 +70,7 @@ class ContinuousStateSpace:
     c_vector: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
-        b = np.asarray(self.b_vector, dtype=float).reshape(-1, 1)
-        c = np.asarray(self.c_vector, dtype=float).reshape(1, -1)
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise DimensionError(f"state matrix must be square, got {a.shape}")
-        if b.shape[0] != n or c.shape[1] != n:
-            raise DimensionError(
-                f"input/output maps do not match state dimension {n}: "
-                f"B {b.shape}, C {c.shape}"
-            )
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "b_vector", b)
-        object.__setattr__(self, "c_vector", c)
+        _store_matrices(self, self.a_matrix, self.b_vector, self.c_vector)
 
     @property
     def order(self):
@@ -82,21 +87,11 @@ class DiscreteStateSpace:
     sample_period: float
 
     def __post_init__(self):
-        ad = np.atleast_2d(np.asarray(self.ad_matrix, dtype=float))
-        bd = np.asarray(self.bd_vector, dtype=float).reshape(-1, 1)
-        c = np.asarray(self.c_vector, dtype=float).reshape(1, -1)
-        n = ad.shape[0]
-        if ad.shape != (n, n) or bd.shape[0] != n or c.shape[1] != n:
-            raise DimensionError(
-                f"inconsistent shapes: Ad {ad.shape}, Bd {bd.shape}, C {c.shape}"
-            )
+        _store_matrices(self, self.ad_matrix, self.bd_vector, self.c_vector)
         if not self.sample_period > 0:
             raise InvalidParameterError(
                 f"sample_period must be positive, got {self.sample_period}"
             )
-        object.__setattr__(self, "ad_matrix", ad)
-        object.__setattr__(self, "bd_vector", bd)
-        object.__setattr__(self, "c_vector", c)
         object.__setattr__(self, "sample_period", float(self.sample_period))
 
     @property

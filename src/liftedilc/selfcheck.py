@@ -5,9 +5,15 @@ independent reference computation (explicit iteration loops, closed-form
 eigenvalue identities, quadrature) or a qualitative property of the bundled
 example systems. The acceptance tests call the same functions, so the CLI
 and the test suite cannot drift apart.
+
+Each check's number, name and wall-clock budget are declared once, at its
+`_check` registration. A check body returns only (passed, detail); the
+registration times it, fails it past its budget with the runtime appended to
+the detail, builds its CheckResult and appends it to ALL_CHECKS.
 """
 
 import dataclasses
+import functools
 import io
 import math
 import tempfile
@@ -54,14 +60,44 @@ def format_result(result):
     )
 
 
+ALL_CHECKS = ()
+
+
+def _check(number, name, seconds=None):
+    """Register a body returning (passed, detail) as check `number`.
+
+    The registered check times the body and, given a budget in `seconds`,
+    fails past it with the runtime appended to the detail.
+    """
+
+    def register(body):
+        global ALL_CHECKS
+
+        @functools.wraps(body)
+        def check():
+            t0 = time.perf_counter()
+            passed, detail = body()
+            elapsed = time.perf_counter() - t0
+            if seconds is not None:
+                passed = passed and elapsed < seconds
+                detail += f", runtime {elapsed:.2f} s (< {seconds} s)"
+            return CheckResult(number, name, passed, detail, elapsed)
+
+        check.number, check.name = number, name
+        ALL_CHECKS += (check,)
+        return check
+
+    return register
+
+
 def _rel_gap(candidate, reference):
     scale = max(float(np.max(np.abs(reference))), 1e-12)
     return float(np.max(np.abs(candidate - reference))) / scale
 
 
+@_check(1, "fast-forward matches explicit iteration", seconds=2)
 def check_fast_forward_matches_explicit():
     """1: fast-forward equals the explicit update loop for every law."""
-    t0 = time.perf_counter()
     worst = 0.0
     for kind in ("second_order", "third_order"):
         _, (_, model, u0, desired) = bundled_experiment(kind)
@@ -84,20 +120,12 @@ def check_fast_forward_matches_explicit():
                     _rel_gap(u_fast.values, u_ref),
                     _rel_gap(e_fast.values, e_ref),
                 )
-    elapsed = time.perf_counter() - t0
-    passed = worst <= 1e-8 and elapsed < 2.0
-    return CheckResult(
-        1,
-        "fast-forward matches explicit iteration",
-        passed,
-        f"max relative gap {worst:.2e} (tol 1e-8), runtime {elapsed:.2f} s (< 2 s)",
-        elapsed,
-    )
+    return worst <= 1e-8, f"max relative gap {worst:.2e} (tol 1e-8)"
 
 
+@_check(2, "law eigenvalue identities")
 def check_law_eigenvalue_identities():
     """2: eigenvalues of I - P L follow the closed forms; matrix symmetric."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(31416)
     cases = []
     for _ in range(20):
@@ -128,21 +156,16 @@ def check_law_eigenvalue_identities():
             eig = np.sort(np.linalg.eigvalsh((w + w.T) / 2.0))
             gap = float(np.max(np.abs(eig - np.sort(predictions[law_kind]))))
             worst_eig = max(worst_eig, gap)
-    elapsed = time.perf_counter() - t0
     passed = worst_eig <= 1e-8 and worst_asym <= 1e-10
-    return CheckResult(
-        2,
-        "law eigenvalue identities",
-        passed,
+    return passed, (
         f"22 systems x 3 laws: max eigenvalue gap {worst_eig:.2e} (tol 1e-8), "
-        f"max asymmetry {worst_asym:.2e} (tol 1e-10)",
-        elapsed,
+        f"max asymmetry {worst_asym:.2e} (tol 1e-10)"
     )
 
 
+@_check(3, "first-order discretization oracle")
 def check_first_order_discretization():
     """3: sampled closed loop matches the quadrature solution."""
-    t0 = time.perf_counter()
     spec = FirstOrderFeedbackSpec(3.0, 40.0, initial_output=0.25)
     grid = np.arange(_N + 1) * _T
     held = math.pi * (1.0 - np.cos(4.0 * math.pi * grid[:-1])) ** 2
@@ -158,21 +181,15 @@ def check_first_order_discretization():
             spec, staircase, k * _T, breakpoints=grid
         )
         worst = max(worst, abs(y_discrete[k - 1] - y_exact))
-    elapsed = time.perf_counter() - t0
-    passed = worst <= 1e-8
-    return CheckResult(
-        3,
-        "first-order discretization oracle",
-        passed,
+    return worst <= 1e-8, (
         f"100 sample points, piecewise-constant command: "
-        f"max gap {worst:.2e} (tol 1e-8)",
-        elapsed,
+        f"max gap {worst:.2e} (tol 1e-8)"
     )
 
 
+@_check(4, "non-minimum-phase zero detection")
 def check_sampled_zero_detection():
     """4: third-order plant has one zero outside, on the negative real axis."""
-    t0 = time.perf_counter()
     z3, z2 = (
         _sampled_plant(c.system_kind, c.model_params, c.sample_period).zeros
         for c in map(load_preset, ("third_order", "second_order"))
@@ -185,15 +202,10 @@ def check_sampled_zero_detection():
         and abs(outside3[0].imag) <= 1e-9
         and not outside2
     )
-    elapsed = time.perf_counter() - t0
     moduli3 = ", ".join(f"{abs(z):.6f}" for z in z3)
-    return CheckResult(
-        4,
-        "non-minimum-phase zero detection",
-        passed,
+    return passed, (
         f"third-order zero moduli [{moduli3}] -> {len(outside3)} outside "
-        f"(negative real axis), second-order {len(outside2)} outside",
-        elapsed,
+        f"(negative real axis), second-order {len(outside2)} outside"
     )
 
 
@@ -205,9 +217,9 @@ def _forward_substitution(lower, rhs):
     return x
 
 
+@_check(5, "stable-inverse boundedness")
 def check_stable_inverse_boundedness():
     """5: one deleted row shrinks the inverse input by >= 10x."""
-    t0 = time.perf_counter()
     config = load_preset("third_order")
     dss = _sampled_plant("third_order", config.model_params, config.sample_period).dss
     full = build_lifted(dss, config.horizon)
@@ -219,14 +231,9 @@ def check_stable_inverse_boundedness():
     bounded = float(np.max(np.abs(u_star.values)))
     unbounded = float(np.max(np.abs(u_exact)))
     ratio = unbounded / bounded
-    elapsed = time.perf_counter() - t0
-    return CheckResult(
-        5,
-        "stable-inverse boundedness",
-        ratio >= 10.0,
+    return ratio >= 10.0, (
         f"max|u| full inverse {unbounded:.3e}, deleted-row pseudoinverse "
-        f"{bounded:.3e}, ratio {ratio:.3e} (>= 10)",
-        elapsed,
+        f"{bounded:.3e}, ratio {ratio:.3e} (>= 10)"
     )
 
 
@@ -239,9 +246,9 @@ def _second_order_curves(law_kind):
     return model_history, hybrid, world_history
 
 
+@_check(6, "second-order curve ordering", seconds=5)
 def check_second_order_curve_ordering():
     """6: monotone model phase, jump at the switch, hybrid beats world-only."""
-    t0 = time.perf_counter()
     failures = []
     for law_kind in LAW_KINDS:
         model_history, hybrid, world_history = _second_order_curves(law_kind)
@@ -256,23 +263,17 @@ def check_second_order_curve_ordering():
             failures.append(
                 f"{law_kind}: monotone={monotone} jump={jump} bypass={bypass}"
             )
-    elapsed = time.perf_counter() - t0
-    passed = not failures and elapsed < 5.0
-    detail = (
-        f"all three laws: model phase monotone, world jump at 50, hybrid "
-        f"below world-only after 10 hardware iterations; runtime "
-        f"{elapsed:.2f} s (< 5 s)"
+    return not failures, (
+        "all three laws: model phase monotone, world jump at 50, hybrid "
+        "below world-only after 10 hardware iterations"
         if not failures
         else "; ".join(failures)
     )
-    return CheckResult(
-        6, "second-order curve ordering", passed, detail, elapsed
-    )
 
 
+@_check(7, "second-order dB spot checks")
 def check_second_order_db_levels():
     """7: dB spot values of the p-transpose run sit in the expected windows."""
-    t0 = time.perf_counter()
     _, hybrid, world_history = _second_order_curves("p_transpose")
     initial_world = world_history[0].rms_db
     hybrid_start = hybrid[50].rms_db
@@ -282,20 +283,18 @@ def check_second_order_db_levels():
         and hybrid_start < 7.0
         and abs(hybrid_after_10 - (-2.0)) <= 3.0
     )
-    detail = (
+    return in_windows, (
         f"world start {initial_world:.2f} dB (13..18), hybrid start "
         f"{hybrid_start:.2f} dB (< 7), after 10 world iterations "
         f"{hybrid_after_10:.2f} dB (-2 +/- 3); reference 20 log10(raw RMS)"
     )
-    elapsed = time.perf_counter() - t0
-    return CheckResult(7, "second-order dB spot checks", in_windows, detail, elapsed)
 
 
+@_check(8, "switch advisor consistency")
 def check_switch_advisor_consistency():
     """8: no jump and equal slopes when the model is exact; jump otherwise."""
     from .switching import evaluate_switch
 
-    t0 = time.perf_counter()
     _, (world, model, u0, desired) = bundled_experiment("second_order")
     law = LearningLaw("p_transpose", 1.0)
     same = evaluate_switch(model, model, law, u0, None, [50], 1.0, desired)[0]
@@ -306,19 +305,15 @@ def check_switch_advisor_consistency():
         and split.jump > 0.0
         and split.world_slope > 0.0
     )
-    elapsed = time.perf_counter() - t0
-    return CheckResult(
-        8,
-        "switch advisor consistency",
-        passed,
+    return passed, (
         f"exact model: |jump| {abs(same.jump):.2e}, slope gap "
         f"{abs(same.model_slope - same.world_slope):.2e} (tol 1e-9); "
         f"model/world pair: jump {split.jump:.4f} > 0, world slope "
-        f"{split.world_slope:.4f} > 0",
-        elapsed,
+        f"{split.world_slope:.4f} > 0"
     )
 
 
+@_check(9, "figure output determinism")
 def check_figure_determinism():
     """9: the same figure command twice produces byte-identical CSVs.
 
@@ -328,7 +323,6 @@ def check_figure_determinism():
     """
     from . import cli
 
-    t0 = time.perf_counter()
     contents = []
     with tempfile.TemporaryDirectory() as tmp:
         for run in ("a", "b"):
@@ -348,28 +342,17 @@ def check_figure_determinism():
                 stdout=io.StringIO(),
             )
             if code != 0:
-                elapsed = time.perf_counter() - t0
-                return CheckResult(
-                    9,
-                    "figure output determinism",
-                    False,
-                    f"figure command exited with {code}",
-                    elapsed,
-                )
+                return False, f"figure command exited with {code}"
             contents.append(
                 {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
             )
     identical = contents[0] == contents[1] and len(contents[0]) == 3
-    elapsed = time.perf_counter() - t0
-    return CheckResult(
-        9,
-        "figure output determinism",
-        identical,
-        f"{len(contents[0])} CSV files, repeated run byte-identical: {identical}",
-        elapsed,
+    return identical, (
+        f"{len(contents[0])} CSV files, repeated run byte-identical: {identical}"
     )
 
 
+@_check(10, "fast-forward speedup")
 def check_fast_forward_speedup():
     """10: the closed form beats 100 explicit iterations by > 100x."""
     _, (world, model, u0, desired) = bundled_experiment("second_order")
@@ -377,7 +360,6 @@ def check_fast_forward_speedup():
     e0 = Trajectory(desired.values - model.p_matrix @ u0.values)
     fast_forward(model, law, u0, e0, 100)  # populate the operator cache
 
-    t0 = time.perf_counter()
     fast_time = math.inf
     for _ in range(300):
         tick = time.perf_counter()
@@ -389,29 +371,10 @@ def check_fast_forward_speedup():
         run_iterations(world, model, law, u0, None, 100, "model", desired)
         loop_time = min(loop_time, time.perf_counter() - tick)
     ratio = fast_time / loop_time
-    elapsed = time.perf_counter() - t0
-    return CheckResult(
-        10,
-        "fast-forward speedup",
-        ratio < 0.01,
+    return ratio < 0.01, (
         f"fast-forward {fast_time * 1e6:.1f} us vs explicit loop "
-        f"{loop_time * 1e6:.1f} us, ratio {ratio:.4f} (< 0.01)",
-        elapsed,
+        f"{loop_time * 1e6:.1f} us, ratio {ratio:.4f} (< 0.01)"
     )
-
-
-ALL_CHECKS = (
-    check_fast_forward_matches_explicit,
-    check_law_eigenvalue_identities,
-    check_first_order_discretization,
-    check_sampled_zero_detection,
-    check_stable_inverse_boundedness,
-    check_second_order_curve_ordering,
-    check_second_order_db_levels,
-    check_switch_advisor_consistency,
-    check_figure_determinism,
-    check_fast_forward_speedup,
-)
 
 
 def run_all():

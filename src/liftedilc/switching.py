@@ -35,9 +35,11 @@ __all__ = ["SwitchReport", "evaluate_switch"]
 class SwitchReport:
     """The four RMS values around a candidate switch point, with slopes.
 
-    model_slope and world_slope are the one-iteration RMS improvements in
-    raw units; jump is the world-minus-model gap at the candidate. The
-    recommendation is world_slope >= slope_factor * model_slope.
+    A report stores the four values and the slope factor only; the rest is
+    derived from them. model_slope and world_slope are the one-iteration RMS
+    improvements in raw units; jump is the world-minus-model gap at the
+    candidate. The recommendation is world_slope >= slope_factor *
+    model_slope.
     """
 
     candidate_n: int
@@ -45,11 +47,23 @@ class SwitchReport:
     r_model_n1: float
     r_world_n: float
     r_world_n1: float
-    model_slope: float
-    world_slope: float
-    jump: float
-    recommend_switch: bool
     slope_factor: float
+
+    @property
+    def model_slope(self):
+        return self.r_model_n - self.r_model_n1
+
+    @property
+    def world_slope(self):
+        return self.r_world_n - self.r_world_n1
+
+    @property
+    def jump(self):
+        return self.r_world_n - self.r_model_n
+
+    @property
+    def recommend_switch(self):
+        return self.world_slope >= self.slope_factor * self.model_slope
 
 
 def evaluate_switch(world, model, law, u0, x0, candidates, slope_factor, desired):
@@ -101,25 +115,12 @@ def _reports(model_pass, counts, slope_factor):
     """evaluate_switch's reports, their four RMS values read from model_pass."""
     reports = []
     for candidate_n, rms_values in zip(counts, model_pass.probe(counts)):
-        r_model_n, r_model_n1, r_world_n, r_world_n1 = rms_values
         if not all(map(math.isfinite, rms_values)):
+            r_model_n, r_model_n1, r_world_n, r_world_n1 = rms_values
             raise DivergenceError(
                 f"switch evaluation diverged at candidate {candidate_n}: "
                 f"error RMS model {r_model_n} -> {r_model_n1}, "
                 f"world {r_world_n} -> {r_world_n1}"
             )
-        model_slope = r_model_n - r_model_n1
-        world_slope = r_world_n - r_world_n1
-        reports.append(SwitchReport(
-            candidate_n=candidate_n,
-            r_model_n=r_model_n,
-            r_model_n1=r_model_n1,
-            r_world_n=r_world_n,
-            r_world_n1=r_world_n1,
-            model_slope=model_slope,
-            world_slope=world_slope,
-            jump=r_world_n - r_model_n,
-            recommend_switch=world_slope >= slope_factor * model_slope,
-            slope_factor=float(slope_factor),
-        ))
+        reports.append(SwitchReport(candidate_n, *rms_values, float(slope_factor)))
     return reports
