@@ -55,11 +55,12 @@ hybrid's model and world phases), `world_run` (a world-only run from u0)
 and `probe` (the switch advisor's four RMS values per candidate). The pass
 keeps one source per operator, which readers whose lengths pick that
 operator share: a `_Run`, one explicit model run extended to the largest n
-read, or a `_Curve`, the closed form's RMS curve over aligned blocks of
-_BLOCK counts, which forms only the states a reader hands on (a hybrid's
-switch input, the probe's inputs) in one `_model_phase` product. A bundled
-figure's pass also holds its world-only run from u0, a `_Run` of RMS values
-and one state, and outlives the command (see `experiments.reproduce_figure`).
+read that keeps its inputs, or a `_Curve`, the closed form's RMS curve over
+aligned blocks of _BLOCK counts, which forms only the states a reader hands
+on (a hybrid's switch input, the probe's inputs) in one `_model_phase`
+product. A bundled figure's pass also holds its world-only run from u0, a
+`_Run` of RMS values and one state, and outlives the command (see
+`experiments.reproduce_figure`).
 `run_iterations` and `fast_forward` stay outside the pass: they are the
 explicit loop and the closed form that the self-checks compare and time.
 
@@ -75,18 +76,18 @@ block with one row per input or error: a `_Run` passes vectors, the probe
 its candidates as rows. `_learn` goes through the operator the call chose,
 the cached factorization (two matrix-vector products) or the direct law.
 A world phase on its own needs no pre-flight, so p_transpose applies
-phi P^T e there without any factorization. On one vector of a Toeplitz
-system (`lifted.build_lifted`, `delete_rows`) at N >= 512, `_measure`'s
-P u and p_transpose's direct phi P^T e are FFT convolutions
-(`lifted._convolution`), O(N log N) and normwise within a few eps of the
-dense product; blocks of rows, shorter horizons and systems built from
-matrices take the dense product, as do the factorizations, `fast_forward`
-and `_model_phase`. The dense gain built in
-`laws` is only the independent reference. A run is its RMS curve: the
-records of `run_iterations` and `run_hybrid` carry the iteration, phase and
-RMS, and only the records that hand a state on keep their input and error,
-a run's last record and a hybrid's switch record, where the phase turns to
-"world".
+phi P^T e there without any factorization. On one vector of a system
+that `lifted.build_lifted` made at N >= 512 (kept by `delete_rows`),
+`_measure`'s P u and p_transpose's direct phi P^T e are FFT convolutions
+through the system's `_convolution`, attached when it was lifted:
+O(N log N) and normwise within a few eps of the dense product. Blocks of
+rows, shorter horizons and systems built from matrices take the dense
+product, as do the factorizations, `fast_forward` and `_model_phase`. The
+dense gain built in `laws` is only the independent reference. A run is its
+RMS curve: the records of `run_iterations` and `run_hybrid` carry the
+iteration, phase and RMS, and only the records that hand a state on keep
+their input and error, a run's last record and a hybrid's switch record,
+where the phase turns to "world".
 """
 
 import math
@@ -103,7 +104,7 @@ from .errors import (
     UndefinedDbError,
     _integer,
 )
-from .lifted import Trajectory, _convolution, _free_response
+from .lifted import Trajectory, _free_response
 
 __all__ = [
     "IterationRecord",
@@ -374,8 +375,8 @@ class _DenseLaw:
     gain_t is P itself with scale phi for p_transpose, and
     (phi I + P P^T)^-1 P with scale 1 for norm_optimal, whose gain
     (phi I + P^T P)^-1 P^T equals P^T (phi I + P P^T)^-1. A p_transpose law
-    on a system with a convolution (lifted._convolution) forms P^T e of one
-    error through it.
+    on a system with a convolution (LiftedSystem._convolution) forms P^T e
+    of one error through it.
     """
 
     gain_t: np.ndarray
@@ -387,7 +388,7 @@ def _build_dense_law(p, law, convolution=False):
     """The _DenseLaw of p_transpose or norm_optimal on P, or None.
 
     None when the rho < 1 certificate described at _DENSE_FLOOR fails.
-    convolution is P's lifted._convolution, which p_transpose keeps.
+    convolution is the system's _convolution, which p_transpose keeps.
     """
     phi = law.gain
     transpose = law.kind == "p_transpose"
@@ -426,14 +427,12 @@ def _model_operator(model, law, largest):
     """
     divisor = _DENSE_DIVISOR.get(law.kind)
     if divisor and largest <= model.horizon // divisor:
-        # norm_optimal's solved gain is no Toeplitz matrix, so it makes no
-        # convolution: made there too, ahead of the solve's N x N temporaries,
-        # it moved run-n1000's peak_rss_mb between 123.6 and 138.9 MB with
-        # the directory the benchmark ran from (heap placement)
+        # norm_optimal's solved gain is no Toeplitz matrix: it keeps no
+        # convolution
         dense = _cached(model, "dense", law,
                         lambda entry, law: _build_dense_law(
                             entry.p_matrix, law,
-                            law.kind == "p_transpose" and _convolution(model)))
+                            law.kind == "p_transpose" and model._convolution))
         if dense is not None:
             return dense
     return _convergent_operator(model, law)
@@ -446,7 +445,7 @@ def _world_operator(model, law):
     the cached _LawOperator without its convergence check.
     """
     if law.kind == "p_transpose":
-        return _DenseLaw(model.p_matrix, law.gain, _convolution(model))
+        return _DenseLaw(model.p_matrix, law.gain, model._convolution)
     return _operator(model, law)
 
 
@@ -611,17 +610,11 @@ def _measure(applied, inputs, target):
 
     Applies each input to the plant `applied` over the full horizon; target
     is that plant's y* - Abar x0 (_targets), which checked the lengths. One
-    input on a plant with a convolution (lifted._convolution) is applied
-    through it, a block always as one matrix product.
+    input on a plant with a convolution (LiftedSystem._convolution) is
+    applied through it, a block always as one matrix product.
     """
-    if inputs.ndim == 1:
-        # the kept answer of lifted._convolution, read inline: at N = 100 the
-        # whole dense apply takes about 2.3 us, and the call would add 5 %
-        convolution = applied._convolution
-        if convolution is None:
-            convolution = _convolution(applied)
-        if convolution:
-            return target - convolution.apply(inputs)
+    if inputs.ndim == 1 and applied._convolution:
+        return target - applied._convolution.apply(inputs)
     return target - inputs @ applied.p_matrix.T
 
 
@@ -683,28 +676,28 @@ class _Run:
     It starts from (u0, e0), measuring e0 itself where the caller does not
     pass it, and checks that RMS at construction, naming iteration `first`.
     It keeps its RMS values and its last (input, error); a list passed as
-    `rows` takes every (input, error) as well. A read runs the loop on from
-    the last state, so every read has the bits of one fresh run, and
-    DivergenceError names the iteration of the first non-finite RMS,
-    counted from `first`.
+    `kept` takes every input as well, which `inputs` reads. A read runs the
+    loop on from the last state, so every read has the bits of one fresh
+    run, and DivergenceError names the iteration of the first non-finite
+    RMS, counted from `first`.
     """
 
-    def __init__(self, applied, op, phase, target, u0, e0=None, rows=None, first=0):
+    def __init__(self, applied, op, phase, target, u0, e0=None, kept=None, first=0):
         self.applied, self.op, self.phase = applied, op, phase
-        self.target, self.rows, self.first = target, rows, first
+        self.target, self.kept, self.first = target, kept, first
         # a huge u0 can overflow e0 (invalid) or its RMS (a divergence)
         with np.errstate(over="ignore", invalid="ignore"):
             if e0 is None:
                 e0 = _measure(applied, u0, target)
             self.rms_values = [_checked_rms(e0, phase, first)]
         self.last = u0, e0
-        if rows is not None:
-            rows.append(self.last)
+        if kept is not None:
+            kept.append(u0)
 
     def _extend(self, n):
         """Run on to RMS_n: learn, measure, check the RMS, keep the state."""
         applied, op, phase, target = self.applied, self.op, self.phase, self.target
-        rms_values, rows, first = self.rms_values, self.rows, self.first
+        rms_values, kept, first = self.rms_values, self.kept, self.first
         u, e = self.last
         # a diverging run overflows; _checked_rms reports it as a DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
@@ -713,8 +706,8 @@ class _Run:
                 e = _measure(applied, u, target)
                 rms_values.append(_checked_rms(e, phase, first + j))
                 self.last = u, e
-                if rows is not None:
-                    rows.append(self.last)
+                if kept is not None:
+                    kept.append(u)
 
     def read(self, count):
         """RMS_0 .. RMS_count."""
@@ -727,9 +720,9 @@ class _Run:
         return self.rms_values[n]
 
     def inputs(self, counts):
-        """The inputs u_n, one row per n in counts, from a run that keeps rows."""
+        """The inputs u_n, one row per n in counts, from a run that keeps them."""
         self._extend(max(counts))
-        return np.array([self.rows[n][0] for n in counts])
+        return np.array([self.kept[n] for n in counts])
 
 
 class _Curve:
@@ -798,13 +791,15 @@ class _ModelPass:
     Each model-phase reader takes the operator its own model-phase length
     picks (_model_operator) and reads that operator's source: under a
     _DenseLaw a _Run, the explicit model run from u0 and the measured e0
-    with its states kept as rows; under a _LawOperator a _Curve, the closed
-    form. Both serve read(count), value(n) and inputs(counts), so no reader
-    asks which one it holds. world_run reads a _Run without rows, and
-    hybrid's world phase is a _Run from the switch input: every explicit
-    phase of a pass is the engine's one loop. No source
-    refers back to its pass, so reference counting alone frees a pass.
-    Readers get RMS values, not records (run_hybrid wraps them).
+    with its inputs kept, one array per iteration; under a _LawOperator a
+    _Curve, the closed form. Both serve read(count), value(n) and
+    inputs(counts), so no reader asks which one it holds. A dense source
+    stops at n = N // 4 + 1 (a model phase of N // 4 and the probe's next
+    count), so it keeps at most N // 4 + 2 inputs. world_run reads a _Run
+    that keeps no inputs, and hybrid's world phase is a _Run from the switch
+    input: every explicit phase of a pass is the engine's one loop. No
+    source refers back to its pass, so reference counting alone frees a
+    pass. Readers get RMS values, not records (run_hybrid wraps them).
     """
 
     def __init__(self, world, model, law, u0, x0, desired):
@@ -893,10 +888,6 @@ class _ModelPass:
                 rows += [(source.value(n), source.value(n + 1), _rms(e_n[j]),
                           _rms(e_n1[j])) for j, n in enumerate(block)]
         return rows
-
-    def drop_rows(self):
-        """Forget the explicit model run, as a pass kept past its command does."""
-        self._sources.pop(_DenseLaw, None)
 
 
 def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):

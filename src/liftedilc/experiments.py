@@ -122,9 +122,9 @@ def _bundled_pass(kind, law_kind):
     The pass serves the pair's world and runs the law at the preset's gain.
     It is kept for the process, one per pair and law kind, until
     bundled_experiment's cache is cleared. Between commands it holds RMS
-    values and one state: the model curve, and the world-only run's RMS
-    values and last (input, error); a command drops the explicit model
-    run's rows (_ModelPass.drop_rows).
+    values and one state: the model curve, the world-only run's RMS values
+    and last (input, error), and the explicit model run's kept inputs, at
+    most N // 4 + 2 = 27 of them at the bundled N = 100.
 
     Returns
     -------
@@ -365,12 +365,13 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
     whose dB values the chart plots; no IterationRecord is built.
 
     The pair comes from bundled_experiment, and the pass is kept with it:
-    one per pair and law kind, holding RMS values and one state, the last
-    input and error of the world-only run. The first figure of a pair in a
-    process lifts and factorizes it, and every later figure of that pair, in
-    any law, reuses both; one in the same law reads its world curve from
-    the kept run, extended from that state where it is longer. The output
-    does not depend on which came first.
+    one per pair and law kind, holding RMS values, the last input and error
+    of the world-only run, and at most 27 inputs of a short explicit model
+    run (see _bundled_pass). The first figure of a pair in a process lifts
+    and factorizes it, and every later figure of that pair, in any law,
+    reuses both; one in the same law reads its world curve from the kept
+    run, extended from that state where it is longer. The output does not
+    depend on which came first.
 
     Parameters
     ----------
@@ -420,7 +421,6 @@ def reproduce_figure(figure_id, law_kind, switch_n=None, output_dir="."):
             Marker("B1", switch_n, to_db(report.r_world_n), "#c62828"),
             Marker("B2", switch_n + 1, to_db(report.r_world_n1), "#c62828"),
         ]
-    model_pass.drop_rows()
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,17 +19,18 @@ A LiftedSystem is only its two read-only matrices P and Abar; their shape
 gives the horizon N and the deleted row count d. A signal (Trajectory) is only
 its samples; the LiftedSystem fixes their steps.
 
-A system made by build_lifted (and kept by delete_rows) also records that P
-is Toeplitz: P u is the convolution of u with the Markov parameters h, which
-it reads back from P itself (h[d:] = P[:, 0], h[:d + 1] = P[0, d::-1]). From
-N = _FFT_HORIZON (512) the engine applies P and P^T to one vector as an FFT
-convolution with h, whose transform is computed once per system on first
-use: O(N log N) per apply instead of O(N^2), and normwise within a few eps of
-the dense product (at most 6.1e-16 relative, measured on both presets at
-N = 512 to 2000). Row blocks, shorter horizons and a LiftedSystem built from
-a raw matrix keep the dense product.
+P of a system made by build_lifted is Toeplitz: P u is the convolution of u
+with the Markov parameters h. From N = _FFT_HORIZON (512) build_lifted
+attaches a _Convolution, the transforms of h, computed once from the h it
+built P from; delete_rows gives the shorter system the same transforms with
+its own row offset. The engine applies P and P^T to one vector through it:
+O(N log N) per apply instead of O(N^2), and normwise within a few eps of the
+dense product (at most 6.1e-16 relative, measured on both presets at N = 512
+to 2000). Row blocks, shorter horizons and a LiftedSystem built from a raw
+matrix keep the dense product.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,12 +139,10 @@ class LiftedSystem:
     # the engine's factorization of p_matrix, filled on first use; a copy
     # made by dataclasses.replace or delete_rows starts without one
     _factorization: object = field(default=None, init=False, repr=False)
-    # True where build_lifted made P, so P is Toeplitz; delete_rows keeps it,
-    # dataclasses.replace does not
-    _toeplitz: bool = field(default=False, init=False, repr=False)
-    # the _Convolution of a Toeplitz P at N >= _FFT_HORIZON, or False where P
-    # is applied densely: decided on first use (_convolution)
-    _convolution: object = field(default=None, init=False, repr=False)
+    # the _Convolution that build_lifted attaches at N >= _FFT_HORIZON and
+    # delete_rows keeps, or False where P is applied densely; a copy made by
+    # dataclasses.replace has none
+    _convolution: object = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         p = np.array(self.p_matrix, dtype=float)
@@ -216,7 +215,8 @@ def build_lifted(dss, horizon):
     # the constructor's copy is the one copy of both
     p = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1]
     lifted = LiftedSystem(p, powers[1:])
-    object.__setattr__(lifted, "_toeplitz", True)
+    if n >= _FFT_HORIZON:
+        object.__setattr__(lifted, "_convolution", _Convolution(mk))
     return lifted
 
 
@@ -241,7 +241,9 @@ def delete_rows(ls, d):
     shorter = object.__new__(LiftedSystem)
     object.__setattr__(shorter, "p_matrix", ls.p_matrix[d:])
     object.__setattr__(shorter, "abar_matrix", ls.abar_matrix[d:])
-    object.__setattr__(shorter, "_toeplitz", ls._toeplitz)
+    convolution = ls._convolution
+    object.__setattr__(shorter, "_convolution",
+                       convolution and convolution.delete_rows(d))
     return shorter
 
 
@@ -269,15 +271,18 @@ class _Convolution:
     factorization that keeps it keeps no system alive.
     """
 
-    def __init__(self, p):
-        rows, self.horizon = p.shape
-        self.deleted = self.horizon - rows
-        h = np.empty(self.horizon)
-        h[self.deleted:] = p[:, 0]
-        h[: self.deleted + 1] = p[0, self.deleted :: -1]
+    def __init__(self, h):
+        self.horizon = h.size
+        self.deleted = 0
         self.size = _fft_size(2 * self.horizon - 1)
         self.forward = rfft(h, self.size)
         self.adjoint = rfft(h[::-1], self.size)
+
+    def delete_rows(self, d):
+        """The convolution of P with its d leading rows deleted: same transforms."""
+        shorter = copy.copy(self)
+        shorter.deleted = d
+        return shorter
 
     def apply(self, u):
         """P u of one input vector."""
@@ -296,21 +301,6 @@ class _Convolution:
         spectrum = rfft(v, self.size)
         np.multiply(transform, spectrum, out=spectrum)
         return irfft(spectrum, self.size)
-
-
-def _convolution(ls):
-    """The _Convolution of ls, or False where ls applies P densely.
-
-    Only a Toeplitz system (build_lifted, delete_rows) at a horizon of at
-    least _FFT_HORIZON has one. The answer is decided on first use and kept
-    in ls._convolution, which a caller on a hot path reads first.
-    """
-    convolution = ls._convolution
-    if convolution is None:
-        convolution = (ls._toeplitz and ls.horizon >= _FFT_HORIZON
-                       and _Convolution(ls.p_matrix))
-        object.__setattr__(ls, "_convolution", convolution)
-    return convolution
 
 
 def _free_response(ls, initial_state):

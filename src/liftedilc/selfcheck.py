@@ -223,7 +223,7 @@ def check_stable_inverse_boundedness():
     config = load_preset("third_order")
     dss = _sampled_plant("third_order", config.model_params, config.sample_period).dss
     full = build_lifted(dss, config.horizon)
-    deleted = delete_rows(build_lifted(dss, config.horizon), 1)
+    deleted = delete_rows(full, 1)
     y_full = build_desired_trajectory(dataclasses.replace(config, deleted_rows=0))
     y_deleted = build_desired_trajectory(dataclasses.replace(config, deleted_rows=1))
     u_star = pseudo_inverse_input(deleted, y_deleted)

@@ -199,6 +199,21 @@ def test_advise_switch_flag_rejects_candidates_below_one(write_cfg, capsys):
     assert "candidates must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv_tail, overrides, key", [
+    ([], {"lifted.horizon": "abc"}, "lifted.horizon"),
+    (["--candidates", "1,,2"], {}, "--candidates"),
+], ids=["config-key", "flag"])
+def test_an_integer_that_does_not_parse_is_named(
+    argv_tail, overrides, key, write_cfg, capsys
+):
+    path = write_cfg(overrides)
+    command = "advise-switch" if argv_tail else "run"
+    code, text = run_cli([command, str(path), *argv_tail])
+    assert code == 1
+    assert text == ""
+    _assert_one_line_error(capsys, f"config error: key {key!r}: cannot parse")
+
+
 def test_advise_switch_prints_nothing_when_a_candidate_fails(tmp_path):
     # a gain of 2.5 makes the model iteration divergent, so every candidate fails
     path = write_preset("second_order", tmp_path,
@@ -320,6 +335,43 @@ def test_run_rejects_a_non_finite_initial_input_file(
     assert text == ""
     assert "run.initial_input" in capsys.readouterr().err
     assert not (tmp_path / "results.csv").exists()
+
+
+def test_run_rejects_an_initial_input_that_names_a_directory(
+    write_cfg, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg({"run.initial_input": str(tmp_path)})
+    code, text = run_cli(["run", str(path)])
+    assert code == 1
+    assert text == ""
+    _assert_one_line_error(capsys, "config error: key 'run.initial_input': cannot read")
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_an_exactly_zero_tracking_error_runs_and_advises(tmp_path, monkeypatch):
+    # a zero target from u0 = y* = 0: every RMS is 0.0, which has no dB value
+    monkeypatch.chdir(tmp_path)
+    path = write_preset("second_order", tmp_path, [(
+        "trajectory.amplitude_coefficient = pi",
+        "trajectory.amplitude_coefficient = 0",
+    )])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["run", str(path)])
+        assert code == 0
+        assert "final model RMS 0.000000e+00 (-inf dB)" in text
+        assert "final world RMS 0.000000e+00 (-inf dB)" in text
+        rows = Path("second_order_results.csv").read_text().splitlines()[1:]
+        assert len(rows) == 101
+        assert all(row.split(",")[2:4] == ["0.0", ""] for row in rows)
+        # no point to draw: the chart falls back to the unit range
+        svg = Path("second_order_results.svg").read_text()
+        assert "<polyline" not in svg
+        assert 'text-anchor="middle">0.2</text>' in svg
+        code, text = run_cli(["advise-switch", str(path)])
+        assert code == 0
+        assert "candidate 25: model RMS 0.0000e+00 -> 0.0000e+00" in text
 
 
 def _huge_input_preset(directory, mode="hybrid"):
@@ -735,3 +787,25 @@ def test_each_command_samples_each_plant_once(argv, zeros_limit, tmp_path):
     assert first["discretize_zoh"] <= 2
     assert first["sampled_zeros"] <= zeros_limit
     assert repeated == first
+
+
+def test_check_prints_each_result_and_exits_2_on_a_failure(monkeypatch):
+    # two stub checks stand in for the real ten, which the acceptance tests
+    # run once: the command only prints and counts what run_all returns
+    import liftedilc.selfcheck as selfcheck
+
+    def stub(number, passed):
+        return lambda: selfcheck.CheckResult(number, f"stub {number}", passed,
+                                             "detail", 0.0)
+
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", (stub(1, True),))
+    code, text = run_cli(["check"])
+    assert code == 0
+    assert text.splitlines() == ["PASS  1 stub 1: detail [0.00 s]",
+                                 "1/1 checks passed"]
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", (stub(1, True), stub(2, False)))
+    code, text = run_cli(["check"])
+    assert code == 2
+    assert text.splitlines() == ["PASS  1 stub 1: detail [0.00 s]",
+                                 "FAIL  2 stub 2: detail [0.00 s]",
+                                 "1/2 checks passed"]

@@ -99,21 +99,20 @@ def loop_rows(monkeypatch):
     """Every (input, error) the engine's explicit loop computes, in order.
 
     A run's records keep only the states they hand on; the loop's own rows
-    are its arrays, kept here for the test to read: every _Run keeps its
-    rows in a list that also copies each row here.
+    are its arrays, kept here for the test to read: every _Run sets its
+    last (input, error) once per state, and this one copies each out.
     """
     rows = []
 
-    class Tee(list):
-        def append(self, row):
-            super().append(row)
-            rows.append(row)
-
     class KeepingRun(engine._Run):
-        # a caller's own rows list is only read back through the run's rows
-        def __init__(self, applied, op, phase, target, u0, e0=None, kept=None,
-                     first=0):
-            super().__init__(applied, op, phase, target, u0, e0, Tee(), first)
+        @property
+        def last(self):
+            return self._last
+
+        @last.setter
+        def last(self, state):
+            self._last = state
+            rows.append(state)
 
     monkeypatch.setattr(engine, "_Run", KeepingRun)
     return rows
@@ -655,7 +654,7 @@ def test_any_sequence_of_reads_has_the_bits_of_one_fresh_run(horizon, phase):
     fresh = run_iterations(world, model, law, u0, None, longest, phase, desired)
     want = [r.rms for r in fresh]
     applied = model if phase == "model" else world
-    assert bool(lifted._convolution(applied)) == (horizon >= 512)
+    assert bool(applied._convolution) == (horizon >= 512)
     op = (engine._model_operator(model, law, longest) if phase == "model"
           else engine._world_operator(model, law))
     [target] = engine._targets(model, (applied,), u0, None, desired)
@@ -816,9 +815,10 @@ def test_dense_hybrid_model_phase_is_the_model_run(
     model_rms, world_rms, (u_switch, _), _ = model_pass.hybrid(bound, 5)
     loop_rows.clear()
     run = run_iterations(world, model, law, u0, None, bound, "model", desired)
-    states = model_pass.source(engine._model_operator(model, law, bound)).rows
-    for (u, e), (u_run, e_run) in zip(states, loop_rows, strict=True):
-        assert np.array_equal(u, u_run) and np.array_equal(e, e_run)
+    # e = target - P u is deterministic: equal inputs pin the errors
+    inputs = model_pass.source(engine._model_operator(model, law, bound)).kept
+    for u, (u_run, _) in zip(inputs, loop_rows, strict=True):
+        assert np.array_equal(u, u_run)
     assert model_rms == [r.rms for r in run[:bound]]
     assert len(world_rms) == 6
     assert np.array_equal(u_switch, run[bound].input.values)
@@ -884,8 +884,9 @@ def test_a_model_pass_is_freed_by_reference_counting_alone(second_order_pair, ki
 def test_a_model_pass_is_prefix_stable(preset, horizon, kind):
     # what a shorter pass computes is bit for bit the start of a longer one,
     # on both sides of each block boundary: either source's RMS values, and
-    # the explicit run's states. One closed-form product over all the
-    # counts is not: its values' last bits move with the count
+    # the explicit run's inputs, which pin its errors (e = target - P u).
+    # One closed-form product over all the counts is not: its values' last
+    # bits move with the count
     world, model, u0, desired = build_experiment(
         dataclasses.replace(load_preset(preset), horizon=horizon)
     )
@@ -900,10 +901,10 @@ def test_a_model_pass_is_prefix_stable(preset, horizon, kind):
             short = engine._ModelPass(world, model, law, u0, None, desired).source(op)
             assert short.read(rows - 1) == longest.source(op).read(2 * block)[:rows]
             if isinstance(op, engine._DenseLaw):
-                for (u, e), (u_long, e_long) in zip(
-                    short.rows, longest.source(op).rows[:rows], strict=True,
+                for u, u_long in zip(
+                    short.kept, longest.source(op).kept[:rows], strict=True,
                 ):
-                    assert np.array_equal(u, u_long) and np.array_equal(e, e_long)
+                    assert np.array_equal(u, u_long)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1334,7 +1335,7 @@ def _assert_vector_applies(plant, rng):
     step = engine._learn(engine._world_operator(plant, law), e)
     dense_applied = u @ plant.p_matrix.T
     dense_step = 0.7 * (e @ plant.p_matrix)
-    if not lifted._convolution(plant):
+    if not plant._convolution:
         assert np.array_equal(applied, dense_applied)
         assert np.array_equal(step, dense_step)
         return
@@ -1350,8 +1351,30 @@ def test_fft_apply_matches_the_dense_product_from_its_threshold(preset, horizon)
     # deletes one (d = 1)
     rng = np.random.default_rng(horizon)
     for plant in _preset_pair_at(preset, horizon):
-        assert bool(lifted._convolution(plant)) == (horizon >= 512)
+        assert bool(plant._convolution) == (horizon >= 512)
         _assert_vector_applies(plant, rng)
+
+
+@pytest.mark.parametrize("horizon", _FFT_HORIZONS)
+def test_lifting_decides_the_fft_apply_once(horizon):
+    # build_lifted attaches the transforms of the h it built P from, which
+    # are those of h read back from P; delete_rows shares them with its own
+    # row offset, and a copy made by dataclasses.replace applies P densely
+    config = load_preset("third_order")
+    dss = _sampled_plant("third_order", config.model_params,
+                         config.sample_period).dss
+    full = build_lifted(dss, horizon)
+    deleted = delete_rows(full, 1)
+    assert dataclasses.replace(full)._convolution is False
+    if horizon < 512:
+        assert full._convolution is False and deleted._convolution is False
+        return
+    convolution = full._convolution
+    assert np.array_equal(convolution.forward,
+                          np.fft.rfft(full.p_matrix[:, 0], convolution.size))
+    assert (convolution.deleted, deleted._convolution.deleted) == (0, 1)
+    assert deleted._convolution.forward is convolution.forward
+    assert deleted._convolution.adjoint is convolution.adjoint
 
 
 @given(st.integers(0, 10_000), st.sampled_from(_FFT_HORIZONS), st.integers(0, 2))
@@ -1384,7 +1407,7 @@ def test_blocks_and_raw_matrix_systems_apply_p_densely(preset, horizon):
                               target - inputs @ plant.p_matrix.T)
         assert np.array_equal(engine._learn(op, errors),
                               0.7 * (errors @ plant.p_matrix))
-    assert lifted._convolution(raw) is False
+    assert raw._convolution is False
     _assert_vector_applies(raw, rng)
 
 
@@ -1394,7 +1417,7 @@ def test_only_the_p_transpose_dense_law_keeps_the_convolution(third_order_pair):
     _, model = _preset_pair_at("third_order", 1000)
     p_transpose = engine._model_operator(model, LearningLaw("p_transpose", 1.0), 10)
     norm_optimal = engine._model_operator(model, LearningLaw("norm_optimal", 1.0), 10)
-    assert p_transpose.convolution is lifted._convolution(model)
+    assert p_transpose.convolution is model._convolution
     assert isinstance(p_transpose.convolution, lifted._Convolution)
     assert isinstance(norm_optimal, engine._DenseLaw)
     assert norm_optimal.convolution is False

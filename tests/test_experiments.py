@@ -720,9 +720,10 @@ def test_a_world_curve_is_a_prefix_or_an_extension_of_the_kept_run(tmp_path, pai
 
 
 def test_a_gain_sweep_and_figures_keep_one_pass_per_pair_and_law(tmp_path):
-    # each pass holds its model curve, and of the world-only run its RMS
-    # values and last (input, error); no explicit model run's rows survive
-    # a figure, not even one whose short model phase took the dense path
+    # each pass holds its model curve, of the world-only run its RMS values
+    # and last (input, error), and of an explicit model run (a short model
+    # phase's dense path) its inputs, which stop at n = N // 4 + 1: at most
+    # 27 at N = 100
     bundled_experiment.cache_clear()
     for kind, figure_id in (("second_order", "fig2"), ("third_order", "fig4")):
         preset = dataclasses.replace(
@@ -737,9 +738,13 @@ def test_a_gain_sweep_and_figures_keep_one_pass_per_pair_and_law(tmp_path):
         assert sorted(passes) == sorted(LAW_KINDS)
         for law, model_pass in passes.items():
             assert model_pass.law == LearningLaw(law, preset.gain)
-            assert list(model_pass._sources) in ([], [engine._LawOperator])
+            assert set(model_pass._sources) <= {engine._LawOperator, engine._DenseLaw}
+            dense = model_pass._sources.get(engine._DenseLaw)
+            if dense is not None:
+                assert len(dense.kept) <= preset.horizon // 4 + 2 == 27
+                assert all(u.shape == (preset.horizon,) for u in dense.kept)
             world_run = model_pass._world_run
-            assert world_run.rows is None
+            assert world_run.kept is None
             rms_values, (u, e) = world_run.rms_values, world_run.last
             assert len(rms_values) == preset.model_count + preset.world_count + 1
             assert u.shape == (preset.horizon,)

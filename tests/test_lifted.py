@@ -450,6 +450,14 @@ def test_undeleted_third_order_preset_falls_back_to_the_svd(factorization_calls)
     assert factorization_calls == ["svd"]
 
 
+def test_pseudo_inverse_rejects_a_target_of_the_wrong_length(third_order_pair):
+    # the full horizon's target, one sample longer than the deleted rows
+    _, model, _, desired = third_order_pair
+    target = Trajectory(np.append(desired.values, 0.0))
+    with pytest.raises(DimensionError, match="desired output has 100 entries"):
+        pseudo_inverse_input(model, target)
+
+
 def test_pseudo_inverse_rejects_non_finite_target(third_order_pair):
     _, model, _, desired = third_order_pair
     values = desired.values.copy()

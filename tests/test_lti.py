@@ -93,6 +93,18 @@ def test_simulate_rejects_wrong_state_size():
         simulate(dss, np.ones(5), initial_state=[1.0, 2.0, 3.0])
 
 
+def test_simulate_rejects_an_empty_input_history():
+    dss = discretize_zoh(make_second_order(0.5, 37.0), T)
+    with pytest.raises(DimensionError, match="at least one sample"):
+        simulate(dss, [])
+
+
+@pytest.mark.parametrize("period", [0.0, -T, math.nan])
+def test_zoh_rejects_a_sample_period_that_is_not_positive(period):
+    with pytest.raises(InvalidParameterError, match="sample_period must be positive"):
+        discretize_zoh(make_second_order(0.5, 37.0), period)
+
+
 def test_first_order_response_at_zero_is_initial_output():
     spec = FirstOrderFeedbackSpec(3.0, 40.0, initial_output=0.7)
     assert analytic_first_order_response(spec, lambda t: 1.0, 0.0) == 0.7

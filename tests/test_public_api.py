@@ -89,3 +89,55 @@ def test_the_root_exports_exactly_the_modules_lists():
     union = {name for module in MODULES for name in _declared(module)}
     assert len(liftedilc.__all__) == len(set(liftedilc.__all__))
     assert set(liftedilc.__all__) == union | {"__version__"}
+
+
+def _private_definitions(tree):
+    """(name, first line, last line) of each private top-level binding.
+
+    A def or class spans its decorators too; dunder names such as __all__
+    are not private.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            first = node.lineno
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, first, node.end_lineno
+
+
+def _name_reads(tree):
+    """(name, line) of every name and attribute read in a module's code.
+
+    Comments and strings do not count; an f-string's expressions do.
+    """
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            reads.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            reads.append((node.attr, node.lineno))
+    return reads
+
+
+def test_every_private_top_level_name_is_used_in_the_package():
+    # the private counterpart of the public-API guard: a private helper,
+    # constant or class that nothing in the package reads outside its own
+    # definition is dead code
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in PACKAGE.rglob("*.py")}
+    reads = {path: _name_reads(tree) for path, tree in trees.items()}
+    unused = [
+        f"{path.name}:{name}"
+        for path, tree in trees.items()
+        for name, first, last in _private_definitions(tree)
+        if not any(read == name and (other != path or not first <= line <= last)
+                   for other, names in reads.items() for read, line in names)
+    ]
+    assert unused == []
