@@ -35,12 +35,12 @@ and the closed form, which is used only where it pays. A model phase of at
 most N // 4 iterations with p_transpose, or N // 8 with norm_optimal
 (a model run's count, a hybrid's model_count, the advisor's largest
 candidate), builds no spectrum: it is the explicit loop, bit for bit in
-all three, with its updates applied directly, u + phi P^T e or u + L e
-with the norm_optimal gain L = P^T (phi I + P P^T)^-1 solved once per
-model and law, and a Cholesky certificate stands in for the rho < 1
-pre-flight. Where that certificate fails, the call takes the spectral
-path. partial_isometry, `fast_forward` and longer model phases always
-take the closed form.
+all three, with its updates applied directly, u + phi P^T e or
+u + P^T (M e) with norm_optimal's M = (phi I + P P^T)^-1 formed once per
+model and law from one Cholesky factor, and a Cholesky certificate stands
+in for the rho < 1 pre-flight. Where that certificate fails, the call
+takes the spectral path. partial_isometry, `fast_forward` and longer model
+phases always take the closed form.
 
 Since U is square, (N - d) x (N - d), and orthogonal, the model error's
 RMS after n model iterations needs no row at all:
@@ -76,9 +76,10 @@ block with one row per input or error: a `_Run` passes vectors, the probe
 its candidates as rows. `_learn` goes through the operator the call chose,
 the cached factorization (two matrix-vector products) or the direct law.
 A world phase on its own needs no pre-flight, so p_transpose applies
-phi P^T e there without any factorization. On one vector of a system
+phi P^T e there without any factorization, and norm_optimal takes its
+direct law wherever the certificate holds. On one vector of a system
 that `lifted.build_lifted` made at N >= 512 (kept by `delete_rows`),
-`_measure`'s P u and p_transpose's direct phi P^T e are FFT convolutions
+`_measure`'s P u and the direct laws' P^T e are FFT convolutions
 through the system's `_convolution`, attached when it was lifted:
 O(N log N) and normwise within a few eps of the dense product. Blocks of
 rows, shorter horizons and systems built from matrices take the dense
@@ -104,7 +105,7 @@ from .errors import (
     UndefinedDbError,
     _integer,
 )
-from .lifted import Trajectory, _free_response
+from .lifted import Trajectory, _free_response, _invert_upper_triangular
 
 __all__ = [
     "IterationRecord",
@@ -191,9 +192,11 @@ _EPS = np.finfo(float).eps
 # phases on both presets at N = 400 and 1000 (best of 5, 2-vCPU Xeon) put
 # the crossover with eigh(P P^T) plus the closed form at 0.4 N to above
 # 0.5 N for p_transpose, which needs no set-up, and at 0.2 N to 0.25 N for
-# norm_optimal, which first pays its certificate and gain solve (about
-# 100 ms at N = 1000). Each divisor sits about a factor 2 below its law's
-# crossover; partial_isometry always takes the spectrum.
+# norm_optimal, which first pays its certificate and gain: about 100 ms at
+# N = 1000 when this was measured, with the gain an LU solve, and 74-84 ms
+# (best of 7, both presets) built from one Cholesky factor. Each divisor
+# sits about a factor 2 below its law's crossover; partial_isometry always
+# takes the spectrum.
 _DENSE_DIVISOR = {"p_transpose": 4, "norm_optimal": 8}
 
 # counts in one closed-form product of a model pass, and candidates the switch
@@ -370,25 +373,29 @@ def _build_operator(entry, law):
 
 @dataclass(eq=False)
 class _DenseLaw:
-    """p_transpose or norm_optimal applied directly: L e = scale * gain_t^T e.
+    """p_transpose or norm_optimal applied directly: L e = scale * P^T (M e).
 
-    gain_t is P itself with scale phi for p_transpose, and
-    (phi I + P P^T)^-1 P with scale 1 for norm_optimal, whose gain
-    (phi I + P^T P)^-1 P^T equals P^T (phi I + P P^T)^-1. A p_transpose law
-    on a system with a convolution (LiftedSystem._convolution) forms P^T e
-    of one error through it.
+    p_transpose is M = I (inverse None) with scale phi. norm_optimal's gain
+    (phi I + P^T P)^-1 P^T equals P^T (phi I + P P^T)^-1, so it is
+    M = (phi I + P P^T)^-1, kept as the symmetric R R^T from one Cholesky
+    factor, with scale 1. On a system with a convolution
+    (LiftedSystem._convolution) both laws form P^T of one error through it.
     """
 
-    gain_t: np.ndarray
+    p: np.ndarray
     scale: float
     convolution: object = False
+    inverse: Optional[np.ndarray] = None
 
 
 def _build_dense_law(p, law, convolution=False):
     """The _DenseLaw of p_transpose or norm_optimal on P, or None.
 
-    None when the rho < 1 certificate described at _DENSE_FLOOR fails.
-    convolution is the system's _convolution, which p_transpose keeps.
+    norm_optimal's inverse is R R^T, where phi I + P P^T = C C^T and
+    R = C^-T is the transposed Cholesky factor inverted in place. None when
+    the rho < 1 certificate described at _DENSE_FLOOR fails, or when that
+    Cholesky factorization fails despite it. convolution is the system's
+    _convolution.
     """
     phi = law.gain
     transpose = law.kind == "p_transpose"
@@ -408,14 +415,25 @@ def _build_dense_law(p, law, convolution=False):
     diagonal = gram.diagonal().copy()
     on_diagonal = np.diag_indices_from(gram)
     gram[on_diagonal] = diagonal - shift
+    # the certificate, then norm_optimal's factor: where either fails, the
+    # spectrum decides
     try:
         np.linalg.cholesky(gram)
+        if transpose:
+            return _DenseLaw(p, phi, convolution)
+        gram[on_diagonal] = diagonal + phi
+        r = np.linalg.cholesky(gram).T
+        del gram
+        _invert_upper_triangular(r)
     except np.linalg.LinAlgError:
         return None
-    if transpose:
-        return _DenseLaw(p, phi, convolution)
-    gram[on_diagonal] = diagonal + phi
-    return _DenseLaw(np.linalg.solve(gram, p), 1.0)
+    return _DenseLaw(p, 1.0, convolution, r @ r.T)
+
+
+def _dense_law(model, law):
+    """The cached _DenseLaw of (model, law), or None where its certificate failed."""
+    return _cached(model, "dense", law, lambda entry, law: _build_dense_law(
+        entry.p_matrix, law, model._convolution))
 
 
 def _model_operator(model, law, largest):
@@ -426,27 +444,21 @@ def _model_operator(model, law, largest):
     spectrum refuses a divergent law with DivergenceError.
     """
     divisor = _DENSE_DIVISOR.get(law.kind)
-    if divisor and largest <= model.horizon // divisor:
-        # norm_optimal's solved gain is no Toeplitz matrix: it keeps no
-        # convolution
-        dense = _cached(model, "dense", law,
-                        lambda entry, law: _build_dense_law(
-                            entry.p_matrix, law,
-                            law.kind == "p_transpose" and model._convolution))
-        if dense is not None:
-            return dense
-    return _convergent_operator(model, law)
+    dense = divisor and largest <= model.horizon // divisor and _dense_law(model, law)
+    return dense or _convergent_operator(model, law)
 
 
 def _world_operator(model, law):
     """The law's operator for a world phase, which needs no pre-flight.
 
-    p_transpose applies phi P^T e with no factorization; the other laws take
-    the cached _LawOperator without its convergence check.
+    p_transpose applies phi P^T e with no factorization, and norm_optimal
+    takes its cached direct law where the certificate holds; otherwise the
+    law takes the cached _LawOperator without its convergence check.
     """
     if law.kind == "p_transpose":
         return _DenseLaw(model.p_matrix, law.gain, model._convolution)
-    return _operator(model, law)
+    dense = law.kind == "norm_optimal" and _dense_law(model, law)
+    return dense or _operator(model, law)
 
 
 def _check_lengths(model, u0v, e0v, e0_name="e0"):
@@ -573,9 +585,11 @@ def _learn(op, errors):
     the model spectrum and fails only when its error overflows.
     """
     if isinstance(op, _DenseLaw):
+        if op.inverse is not None:
+            errors = errors @ op.inverse  # M e of each row: M is symmetric
         if op.convolution and errors.ndim == 1:
             return op.scale * op.convolution.apply_transpose(errors)
-        return op.scale * (errors @ op.gain_t)
+        return op.scale * (errors @ op.p)
     return ((errors @ op.ut.T) * op.lam_minus_one) @ op.lu_neg.T
 
 

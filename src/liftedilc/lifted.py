@@ -330,8 +330,10 @@ def _invert_upper_triangular(r):
     [[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]: two matrix
     products per level, about a third of the arithmetic of np.linalg.inv,
     which factorizes the matrix as if it were full (numpy has no triangular
-    solver), and no second n x n array. Raises LinAlgError when a diagonal
-    block is exactly singular, leaving r partly overwritten.
+    solver), and no second n x n array. It inverts the R of the stable
+    inverse's QR here and the transposed Cholesky factor of norm_optimal's
+    direct law in `engine`. Raises LinAlgError when a diagonal block is
+    exactly singular, leaving r partly overwritten.
     """
     n = r.shape[0]
     if n <= _INVERSE_BLOCK:

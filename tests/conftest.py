@@ -46,7 +46,8 @@ def factorization_calls(monkeypatch):
     """Names of the eigh, svd, cholesky and gain solve calls made while the test runs.
 
     Only solves called from `liftedilc.laws` (the dense reference gain) and
-    `liftedilc.engine` (the norm_optimal gain of the dense path) count: the
+    `liftedilc.engine` (which builds norm_optimal's direct law from a
+    Cholesky factor, so a solve there would show) count: the
     Pade exponential in `lti` also solves, but only the first time a plant
     is sampled in the process, so counting it would make the result depend
     on test order.

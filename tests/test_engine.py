@@ -332,8 +332,8 @@ def test_a_refused_certificate_raises_the_spectral_divergence_text(
 @pytest.mark.parametrize("kind", LAW_KINDS)
 def test_short_calls_build_no_spectrum(second_order_pair, factorization_calls, kind):
     # every count at most N // 8 = 12: p_transpose and norm_optimal run on
-    # one certificate (and norm_optimal's one gain solve), partial_isometry
-    # on the spectrum
+    # one certificate (and norm_optimal's one Cholesky factor of
+    # phi I + P P^T), partial_isometry on the spectrum
     world, model, u0, desired = second_order_pair
     model = _fresh(model)
     law = LearningLaw(kind, 1.0)
@@ -343,7 +343,7 @@ def test_short_calls_build_no_spectrum(second_order_pair, factorization_calls, k
     assert factorization_calls == {
         "p_transpose": ["cholesky"],
         "partial_isometry": ["eigh"],
-        "norm_optimal": ["cholesky", "solve"],
+        "norm_optimal": ["cholesky", "cholesky"],
     }[kind]
 
 
@@ -1411,17 +1411,112 @@ def test_blocks_and_raw_matrix_systems_apply_p_densely(preset, horizon):
     _assert_vector_applies(raw, rng)
 
 
-def test_only_the_p_transpose_dense_law_keeps_the_convolution(third_order_pair):
-    # the model phase's cached p_transpose law forms P^T e through the model's
-    # convolution; norm_optimal's solved gain is no Toeplitz matrix
+@pytest.mark.parametrize("kind", ["p_transpose", "norm_optimal"])
+def test_both_direct_laws_keep_the_convolution(third_order_pair, kind):
+    # the model phase's cached direct law forms P^T of one vector through the
+    # model's convolution: norm_optimal's P^T (M e) as p_transpose's phi P^T e
     _, model = _preset_pair_at("third_order", 1000)
-    p_transpose = engine._model_operator(model, LearningLaw("p_transpose", 1.0), 10)
-    norm_optimal = engine._model_operator(model, LearningLaw("norm_optimal", 1.0), 10)
-    assert p_transpose.convolution is model._convolution
-    assert isinstance(p_transpose.convolution, lifted._Convolution)
-    assert isinstance(norm_optimal, engine._DenseLaw)
-    assert norm_optimal.convolution is False
+    dense = engine._model_operator(model, LearningLaw(kind, 1.0), 10)
+    assert isinstance(dense, engine._DenseLaw)
+    assert dense.convolution is model._convolution
+    assert isinstance(dense.convolution, lifted._Convolution)
     # at the paper's N = 100 no law has one
     _, small, _, _ = third_order_pair
-    assert engine._model_operator(small, LearningLaw("p_transpose", 1.0),
+    assert engine._model_operator(small, LearningLaw(kind, 1.0),
                                   10).convolution is False
+
+
+# ------------------------------------------------ norm_optimal's direct law
+
+
+@pytest.mark.parametrize("horizon", [100, 400, 1000])
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_direct_norm_optimal_step_matches_the_dense_gain(preset, horizon):
+    # P^T (M e) with M = R R^T from one Cholesky factor against the LU-solved
+    # gain of laws, for one vector (through the convolution from N = 512) and
+    # for each row of a block. Measured at most 9.4e-15 relative
+    _, model = _preset_pair_at(preset, horizon)
+    rng = np.random.default_rng(horizon)
+    errors = rng.standard_normal((3, model.row_count))
+    for gain in (1.0, 0.01):
+        law = LearningLaw("norm_optimal", gain)
+        op = engine._model_operator(model, law, 1)
+        assert isinstance(op, engine._DenseLaw)
+        l_matrix = build_gain(law, model).l_matrix
+        steps = [engine._learn(op, errors[0])] + list(engine._learn(op, errors))
+        for step, e in zip(steps, [errors[0]] + list(errors), strict=True):
+            expected = l_matrix @ e
+            assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("horizon", [511, 512, 1000])
+def test_the_direct_norm_optimal_vector_step_takes_the_fft_from_512(
+    horizon, monkeypatch
+):
+    calls = []
+    real = lifted._Convolution.apply_transpose
+
+    def counting(self, e):
+        calls.append(e.shape)
+        return real(self, e)
+
+    monkeypatch.setattr(lifted._Convolution, "apply_transpose", counting)
+    _, model = _preset_pair_at("third_order", horizon)
+    op = engine._model_operator(model, LearningLaw("norm_optimal", 1.0), 1)
+    rng = np.random.default_rng(5)
+    engine._learn(op, rng.standard_normal(model.row_count))
+    engine._learn(op, rng.standard_normal((3, model.row_count)))
+    # only the vector, never the block
+    assert calls == ([(model.row_count,)] if horizon >= 512 else [])
+
+
+def test_a_failed_norm_optimal_factor_takes_the_spectral_path(
+    second_order_pair, monkeypatch
+):
+    # the certificate passes, then the Cholesky factor of phi I + P P^T
+    # raises: both phases run on the spectrum, with a fresh spectral run's bits
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw("norm_optimal", 1.0)
+
+    def runs(plant):
+        return [[record.rms for record in run_iterations(
+                    world, plant, law, u0, None, 12, phase, desired)]
+                for phase in engine.PHASES]
+
+    real = np.linalg.cholesky
+    shapes = []
+
+    def second_raises(a):
+        shapes.append(a.shape)
+        if len(shapes) == 2:
+            raise np.linalg.LinAlgError("forced")
+        return real(a)
+
+    failed = _fresh(model)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", second_raises)
+        got = runs(failed)
+    assert len(shapes) == 2
+    assert failed._factorization.dense == {("norm_optimal", 1.0): None}
+    monkeypatch.setattr(engine, "_dense_law", lambda model, law: None)
+    assert got == runs(_fresh(model))
+
+
+def test_a_world_only_norm_optimal_run_builds_no_spectrum(
+    tmp_path, second_order_pair, factorization_calls
+):
+    world, model, u0, desired = second_order_pair
+    law = LearningLaw("norm_optimal", 1.0)
+    fresh = _fresh(model)
+    run_iterations(world, fresh, law, u0, None, 150, "world", desired)
+    assert factorization_calls == ["cholesky", "cholesky"]
+    # a world-mode run whose switch candidates are at most N // 8 = 12 shares
+    # the one direct law with its advisor
+    bundled_experiment.cache_clear()
+    factorization_calls.clear()
+    run_experiment(dataclasses.replace(
+        load_preset("second_order"), law_kind="norm_optimal", mode="world",
+        switch_candidates=(1, 12), csv_path=str(tmp_path / "world.csv"),
+        plot_path=None,
+    ))
+    assert factorization_calls == ["cholesky", "cholesky"]

@@ -372,18 +372,23 @@ def test_reproduce_figure_factorizes_the_model_once(
 ):
     # the first figure of a pair makes its one eigh: three curves plus the
     # marker advisor share it, and the default switch (50 and 100, both past
-    # N // 4 = 25) keeps every call on the closed form. Every later figure of
-    # that pair, in any law and either figure id, factorizes nothing.
+    # N // 4 = 25) keeps every call on the closed form. norm_optimal's
+    # world-only curve takes its direct law: the certificate and one
+    # Cholesky factor, made once per pair. Every later figure of that pair,
+    # in any law and either figure id, factorizes nothing else.
+    direct = ["cholesky", "cholesky"]
     for first, other in _PAIR_FIGURES:
         bundled_experiment.cache_clear()
+        factorization_calls.clear()
         reproduce_figure(first, kind, output_dir=str(tmp_path))
-        assert factorization_calls == ["eigh"]
+        assert factorization_calls == ["eigh"] + (
+            direct if kind == "norm_optimal" else [])
         factorization_calls.clear()
         for law in LAW_KINDS:
             if law != kind:
                 reproduce_figure(first, law, output_dir=str(tmp_path))
             reproduce_figure(other, law, output_dir=str(tmp_path))
-        assert factorization_calls == []
+        assert factorization_calls == ([] if kind == "norm_optimal" else direct)
 
 
 def _figure_bytes(figure_id, law, directory):
