@@ -14,7 +14,7 @@ immediately.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
@@ -137,6 +137,11 @@ def _parse_text(text, key):
     return text
 
 
+def _parse_plot(text, key):
+    """An output path; empty text means no plot."""
+    return text or None
+
+
 def _one_of(choices):
     def parse(text, key):
         if text not in choices:
@@ -148,38 +153,46 @@ def _one_of(choices):
 _MANDATORY = object()
 
 # Every key of the format, in the order load_config checks them, with its
-# parser(text, key) and its default: _MANDATORY when the file must set the
-# key, None when it may leave it out, or else the text parsed in its place.
+# parser(text, key), its default and the ExperimentConfig field it fills.
+# The default is _MANDATORY when the file must set the key, None when it may
+# leave it out, or else the text parsed in its place. The model.*, world.*
+# and trajectory.* keys fill no field of their own: each section fills the
+# PlantParams or TrajectoryShape field named after the key's last part.
 _KEYS = {
-    "system.kind": (_one_of(SYSTEM_KINDS), _MANDATORY),
-    "model.damping_ratio": (_parse_positive, _MANDATORY),
-    "model.natural_frequency": (_parse_positive, _MANDATORY),
-    "model.real_pole": (_parse_positive, None),
-    "world.damping_ratio": (_parse_positive, _MANDATORY),
-    "world.natural_frequency": (_parse_positive, _MANDATORY),
-    "world.real_pole": (_parse_positive, None),
-    "discretization.sample_period": (_parse_positive, _MANDATORY),
-    "lifted.horizon": (_parse_horizon, _MANDATORY),
-    "trajectory.amplitude_coefficient": (_parse_float, _MANDATORY),
-    "trajectory.angular_frequency_coefficient": (_parse_float, _MANDATORY),
-    "trajectory.exponent": (_parse_float, _MANDATORY),
-    "law.kind": (_one_of(LAW_KINDS), _MANDATORY),
-    "law.gain": (_parse_positive, "1.0"),
-    "lifted.deleted_rows": (_parse_text, "auto"),
-    "run.initial_input": (_parse_text, "desired_output"),
-    "run.mode": (_one_of(MODES), "hybrid"),
-    "run.model_count": (_parse_count, "50"),
-    "run.world_count": (_parse_count, "50"),
-    "switch.candidates": (_parse_candidates, ""),
-    "switch.slope_factor": (_parse_float, "1.0"),
-    "output.csv": (_parse_text, "results.csv"),
-    "output.plot": (_parse_text, None),
+    "system.kind": (_one_of(SYSTEM_KINDS), _MANDATORY, "system_kind"),
+    "model.damping_ratio": (_parse_positive, _MANDATORY, None),
+    "model.natural_frequency": (_parse_positive, _MANDATORY, None),
+    "model.real_pole": (_parse_positive, None, None),
+    "world.damping_ratio": (_parse_positive, _MANDATORY, None),
+    "world.natural_frequency": (_parse_positive, _MANDATORY, None),
+    "world.real_pole": (_parse_positive, None, None),
+    "discretization.sample_period": (_parse_positive, _MANDATORY, "sample_period"),
+    "lifted.horizon": (_parse_horizon, _MANDATORY, "horizon"),
+    "trajectory.amplitude_coefficient": (_parse_float, _MANDATORY, None),
+    "trajectory.angular_frequency_coefficient": (_parse_float, _MANDATORY, None),
+    "trajectory.exponent": (_parse_float, _MANDATORY, None),
+    "law.kind": (_one_of(LAW_KINDS), _MANDATORY, "law_kind"),
+    "law.gain": (_parse_positive, "1.0", "gain"),
+    "lifted.deleted_rows": (_parse_text, "auto", "deleted_rows"),
+    "run.initial_input": (_parse_text, "desired_output", "initial_input"),
+    "run.mode": (_one_of(MODES), "hybrid", "mode"),
+    "run.model_count": (_parse_count, "50", "model_count"),
+    "run.world_count": (_parse_count, "50", "world_count"),
+    "switch.candidates": (_parse_candidates, "", "switch_candidates"),
+    "switch.slope_factor": (_parse_float, "1.0", "slope_factor"),
+    "output.csv": (_parse_text, "results.csv", "csv_path"),
+    "output.plot": (_parse_plot, None, "plot_path"),
 }
+
+
+def _section(cls, values, section):
+    """A PlantParams or TrajectoryShape from the values of one key section."""
+    return cls(**{f.name: values[f"{section}.{f.name}"] for f in fields(cls)})
 
 
 def _read_pairs(path):
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file {path}: {exc}") from None
     pairs = {}
@@ -214,7 +227,7 @@ def load_config(path):
     """
     pairs = _read_pairs(path)
     values = {}
-    for key, (parse, default) in _KEYS.items():
+    for key, (parse, default, _) in _KEYS.items():
         text = pairs.get(key, default)
         if text is _MANDATORY:
             raise ConfigError(f"{path}: missing required key {key!r}")
@@ -232,8 +245,7 @@ def load_config(path):
             raise ConfigError(
                 f"key {pole_key!r}: not applicable to second_order systems"
             )
-        params[section] = PlantParams(values[f"{section}.damping_ratio"],
-                                      values[f"{section}.natural_frequency"], pole)
+        params[section] = _section(PlantParams, values, section)
         try:
             plants[section] = _sampled_plant(kind, params[section], sample_period)
         except InvalidParameterError as exc:
@@ -252,6 +264,7 @@ def load_config(path):
         raise ConfigError(
             f"key 'lifted.deleted_rows': must satisfy 0 <= d < horizon{resolved}"
         )
+    values["lifted.deleted_rows"] = deleted_rows
 
     initial_input = values["run.initial_input"]
     if initial_input not in INITIAL_INPUT_NAMES and not Path(initial_input).exists():
@@ -261,27 +274,9 @@ def load_config(path):
         )
 
     return ExperimentConfig(
-        system_kind=kind,
-        model_params=params["model"],
-        world_params=params["world"],
-        sample_period=sample_period,
-        horizon=values["lifted.horizon"],
-        deleted_rows=deleted_rows,
-        trajectory=TrajectoryShape(
-            values["trajectory.amplitude_coefficient"],
-            values["trajectory.angular_frequency_coefficient"],
-            values["trajectory.exponent"],
-        ),
-        law_kind=values["law.kind"],
-        gain=values["law.gain"],
-        initial_input=initial_input,
-        mode=values["run.mode"],
-        model_count=values["run.model_count"],
-        world_count=values["run.world_count"],
-        switch_candidates=values["switch.candidates"],
-        slope_factor=values["switch.slope_factor"],
-        csv_path=values["output.csv"],
-        plot_path=values["output.plot"] or None,
+        model_params=params["model"], world_params=params["world"],
+        trajectory=_section(TrajectoryShape, values, "trajectory"),
+        **{field: values[key] for key, (_, _, field) in _KEYS.items() if field},
     )
 
 

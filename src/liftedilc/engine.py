@@ -244,7 +244,17 @@ class _Factorization:
 
     @cached_property
     def gram(self):
-        sigma2, u = np.linalg.eigh(self.p_matrix @ self.p_matrix.T)
+        # a huge P overflows P P^T; its sum, an O(N^2) pass with no N x N
+        # temporary, is finite unless an entry is not, or the entries are huge
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.p_matrix @ self.p_matrix.T
+            finite = np.isfinite(gram.sum()) or np.isfinite(gram).all()
+            if finite:
+                sigma2, u = np.linalg.eigh(gram)
+        if not (finite and np.isfinite(sigma2).all()):
+            raise InvalidParameterError(
+                "model P P^T overflows: its entries or eigenvalues are not finite"
+            )
         # rounding can leave the smallest sigma^2 a hair below zero
         return u, np.maximum(sigma2, 0.0)
 
@@ -507,7 +517,7 @@ def fast_forward(model, law, u0, e0, n):
     ------
     InvalidParameterError
         If n is not a nonnegative integer, or u0 or e0 holds a non-finite
-        value.
+        value, or the model's P P^T overflows.
     DivergenceError
         If any eigenvalue of the model iteration matrix lies outside (-1, 1).
     """
@@ -671,7 +681,8 @@ def run_iterations(world, model, law, u0, x0, count, phase, desired):
         numerical work.
     InvalidParameterError
         If count is not a whole number >= 0, or u0, desired or x0 is not
-        finite; raised before any numerical work.
+        finite, raised before any numerical work; or, where the run
+        factorizes the model, if the model's P P^T overflows.
     """
     if phase not in PHASES:
         raise InvalidParameterError(f"phase must be one of {PHASES}, got {phase!r}")
@@ -930,7 +941,8 @@ def run_hybrid(world, model, law, u0, x0, model_count, world_count, desired):
         an error RMS of either phase becomes non-finite.
     InvalidParameterError
         If a count is not a whole number >= 0, or u0, desired or x0 is not
-        finite; raised before any numerical work.
+        finite, raised before any numerical work; or if the model's P P^T
+        overflows.
     """
     model_count = _integer("model_count", model_count, 0)
     world_count = _integer("world_count", world_count, 0)

@@ -38,8 +38,7 @@ class Marker:
 
 
 def _nice_ticks(lo, hi, target=6):
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick values over lo < hi; the caller widens an empty range."""
     raw = (hi - lo) / target
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -164,5 +163,5 @@ def render_line_chart(path, series, title, markers=None):
         doc.text(MARGIN_LEFT + plot_w - 112, legend_y, s.name, size=12)
         legend_y += 18
 
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(doc.render())

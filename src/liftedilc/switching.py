@@ -101,7 +101,7 @@ def evaluate_switch(world, model, law, u0, x0, candidates, slope_factor, desired
     InvalidParameterError
         If a candidate is not a whole number >= 1, or u0, desired or x0 is
         not finite (each before any numerical work), or the initial error
-        is not finite.
+        is not finite, or the model's P P^T overflows.
     DivergenceError
         If the model iteration matrix has an eigenvalue outside (-1, 1), or
         any of a candidate's four RMS values is not finite.

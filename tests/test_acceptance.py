@@ -13,7 +13,8 @@ import types
 
 import pytest
 
-from liftedilc import selfcheck
+import liftedilc.cli as cli
+from liftedilc import DivergenceError, selfcheck
 
 
 def _run(check):
@@ -94,3 +95,29 @@ def test_a_check_past_its_budget_fails_with_its_runtime(
     assert result.detail.endswith(
         f", runtime {result.elapsed:.2f} s (< {budget} s)"
     )
+
+
+def test_check_6_names_each_law_whose_model_phase_is_not_monotone(monkeypatch):
+    real = selfcheck._second_order_curves
+
+    def rising(law_kind):
+        model_history, hybrid, world_history = real(law_kind)
+        # reversed, the curve rises; its midpoint, the jump's reference, stays
+        return model_history[::-1], hybrid, world_history
+
+    monkeypatch.setattr(selfcheck, "_second_order_curves", rising)
+    result = selfcheck.check_second_order_curve_ordering()
+    assert not result.passed
+    assert result.detail.startswith("; ".join(
+        f"{kind}: monotone=False jump=True bypass=True"
+        for kind in ("p_transpose", "partial_isometry", "norm_optimal")) + ", runtime ")
+
+
+def test_check_9_reports_a_figure_command_that_fails(monkeypatch):
+    def diverging(*args):
+        raise DivergenceError("stub divergence")
+
+    monkeypatch.setattr(cli, "reproduce_figure", diverging)
+    result = selfcheck.check_figure_determinism()
+    assert not result.passed
+    assert result.detail == "figure command exited with 2"

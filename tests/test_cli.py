@@ -538,6 +538,50 @@ def test_figure_into_an_output_dir_that_is_a_file_fails_cleanly(tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+def _full_disk(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+def test_a_run_whose_plot_fails_to_write_leaves_no_file(
+    write_cfg, tmp_path, monkeypatch, capsys
+):
+    # the CSV is written first; a failing SVG must not leave it behind
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(experiments, "render_line_chart", _full_disk)
+    path = write_cfg({"output.csv": "out.csv", "output.plot": "out.svg"})
+    code, text = run_cli(["run", str(path)])
+    assert code == 1
+    assert text == ""
+    _assert_one_line_error(capsys, "error: [Errno 28] No space left on device")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["test.cfg"]
+
+
+def test_a_figure_whose_plot_fails_to_write_leaves_no_file(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(experiments, "render_line_chart", _full_disk)
+    code, text = run_cli(["figure", "fig3", "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert text == ""
+    _assert_one_line_error(capsys, "error: [Errno 28] No space left on device")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_keeps_the_previous_outputs(write_cfg, tmp_path, monkeypatch):
+    # files of an earlier run stay as they were, byte for byte
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg({"output.csv": "out.csv", "output.plot": "out.svg"})
+    assert run_cli(["run", str(path)])[0] == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["out.csv", "out.svg", "test.cfg"]
+    monkeypatch.setattr(experiments, "render_line_chart", _full_disk)
+    path.write_text(path.read_text() + "law.gain = 0.5\n")
+    assert run_cli(["run", str(path)])[0] == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()
+            if p.name != "test.cfg"} == {
+        name: data for name, data in before.items() if name != "test.cfg"}
+
+
 def test_zeros_reports_both_plants(write_cfg):
     path = write_cfg(base=MINIMAL_THIRD_ORDER)
     code, text = run_cli(["zeros", str(path)])
@@ -740,6 +784,30 @@ def test_commands_import_no_scipy_module(tmp_path):
     assert result["scipy"] == []
     # fig2's three curves and one history per run
     assert len(list(tmp_path.glob("*.csv"))) == 3 + len(PRESET_FILES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "second_order.cfg"],
+    ["figure", "fig2", "--output-dir", "figures"],
+    ["advise-switch", "second_order.cfg"],
+    ["zeros", "second_order.cfg"],
+], ids=lambda argv: argv[0])
+def test_commands_name_the_encoding_of_every_text_file(argv, tmp_path):
+    # a config and an input file that start with a UTF-8 byte order mark, read
+    # in a process where a text file opened without an encoding is an error
+    path = write_preset("second_order", tmp_path, [
+        ("run.initial_input = desired_output", "run.initial_input = warm.txt"),
+    ])
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    (tmp_path / "warm.txt").write_bytes(b"\xef\xbb\xbf" + b"0.25\n" * 100)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "liftedilc.cli", *argv],
+        capture_output=True, text=True, encoding="utf-8", env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "EncodingWarning" not in done.stderr
 
 
 _COUNT_SAMPLING = """

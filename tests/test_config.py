@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -5,11 +6,13 @@ import pytest
 
 from liftedilc import (
     ConfigError,
+    ExperimentConfig,
     PlantParams,
+    TrajectoryShape,
     load_config,
     load_preset,
 )
-from liftedilc.config import _KEYS, _MANDATORY
+from liftedilc.config import _KEYS, _MANDATORY, PRESET_FILES
 
 from conftest import MINIMAL_THIRD_ORDER
 
@@ -144,12 +147,12 @@ def _readme_table(heading):
 
 
 def test_readme_key_tables_match_the_key_table():
-    required = [key for key, (_, default) in _KEYS.items() if default is _MANDATORY]
+    required = [key for key, (_, default, _) in _KEYS.items() if default is _MANDATORY]
     assert sorted(_readme_table("Required keys:")) == sorted(required)
     spelled = {None: "none", "": "empty"}
     optional = {
         key: spelled.get(default, f"`{default}`")
-        for key, (_, default) in _KEYS.items()
+        for key, (_, default, _) in _KEYS.items()
         if default is not _MANDATORY
     }
     assert _readme_table("Optional keys and their defaults:") == optional
@@ -166,3 +169,26 @@ def test_malformed_lines_report_positions(tmp_path):
         load_config(dup)
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")
+
+
+def test_each_config_field_is_filled_once():
+    # a key outside the model, world and trajectory sections names its field;
+    # each of those sections fills one field by its dataclass's field names
+    sections = {"model": PlantParams, "world": PlantParams,
+                "trajectory": TrajectoryShape}
+    filled = [field for _, _, field in _KEYS.values() if field]
+    filled += ["model_params", "world_params", "trajectory"]
+    assert sorted(filled) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    assert {key for key, (_, _, field) in _KEYS.items() if field is None} == {
+        f"{section}.{f.name}"
+        for section, cls in sections.items() for f in dataclasses.fields(cls)
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(PRESET_FILES))
+def test_a_byte_order_mark_is_skipped(tmp_path, kind):
+    preset = Path(__file__).resolve().parent.parent / "src" / "liftedilc" / "presets"
+    text = (preset / PRESET_FILES[kind]).read_text(encoding="utf-8")
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(marked) == load_preset(kind)

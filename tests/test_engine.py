@@ -1252,6 +1252,61 @@ def test_a_diverging_run_stops_at_its_first_non_finite_rms(
     assert peak < 4e6
 
 
+# the five entry points, with the model runs short and long: each takes
+# (world, model, law, u0, desired) and returns its RMS values
+_ENTRY_POINTS = {
+    "short model run": lambda world, model, law, u0, desired: [
+        r.rms for r in run_iterations(world, model, law, u0, None, 1, "model", desired)],
+    "long model run": lambda world, model, law, u0, desired: [
+        r.rms for r in run_iterations(world, model, law, u0, None, 100, "model", desired)],
+    "world run": lambda world, model, law, u0, desired: [
+        r.rms for r in run_iterations(world, model, law, u0, None, 100, "world", desired)],
+    "run_hybrid": lambda world, model, law, u0, desired: [
+        r.rms for r in run_hybrid(world, model, law, u0, None, 1, 3, desired)],
+    "evaluate_switch": lambda world, model, law, u0, desired: [
+        value for report in evaluate_switch(world, model, law, u0, None, [1, 5], 1.0,
+                                            desired)
+        for value in (report.r_model_n, report.r_world_n1)],
+    "fast_forward": lambda world, model, law, u0, desired: np.concatenate(
+        [t.values for t in fast_forward(model, law, u0, desired, 5)]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("scale", [1e150, 1e160])
+def test_a_model_whose_gram_overflows_raises_a_documented_error(scale, kind, entry):
+    # at 1e160 the model's P P^T overflows: every call that factorizes the
+    # model says so, and p_transpose's world run, which needs no
+    # factorization, diverges. At 1e150 P P^T is finite, and the calls finish
+    # or diverge as they always have
+    ones = np.tril(np.ones((8, 8)))
+    model = LiftedSystem(scale * ones, np.zeros((8, 1)))
+    world = LiftedSystem(ones, np.zeros((8, 1)))
+    law = LearningLaw(kind, 1.0)
+    try:
+        values = _ENTRY_POINTS[entry](world, model, law, Trajectory(np.zeros(8)),
+                                      Trajectory(np.ones(8)))
+    except DivergenceError:
+        outcome = "diverged"
+    except InvalidParameterError as exc:
+        assert str(exc) == ("model P P^T overflows: its entries or eigenvalues "
+                            "are not finite")
+        outcome = "overflow"
+    else:
+        assert np.isfinite(values).all()
+        outcome = "finite"
+    if scale == 1e160:
+        expected = ("diverged" if (kind, entry) == ("p_transpose", "world run")
+                    else "overflow")
+    elif kind == "norm_optimal" or (kind, entry) == ("partial_isometry", "world run"):
+        expected = "finite"
+    else:
+        expected = "diverged"
+    assert outcome == expected
+
+
 def test_run_hybrid_zero_counts_yield_one_world_record(second_order_pair):
     world, model, u0, desired = second_order_pair
     law = LearningLaw("p_transpose", 1.0)

@@ -216,6 +216,23 @@ def test_zero_count_hybrid_writes_a_single_row(write_cfg, tmp_path):
     assert rows[0]["hardware_iterations_consumed"] == "1"
 
 
+def test_a_one_point_world_run_draws_its_plot_twice_alike(write_cfg, tmp_path):
+    # one RMS value spans no range on either axis, so the chart widens both
+    svgs = []
+    for name in ("first", "second"):
+        config = _tmp_config(
+            write_cfg, tmp_path, f"{name}.csv",
+            **{"run.mode": "world", "run.world_count": "0",
+               "output.plot": str(tmp_path / f"{name}.svg")},
+        )
+        artifacts = run_experiment(config)
+        assert len(read_rows(artifacts.csv_path)) == 1
+        svgs.append(Path(artifacts.plot_paths[0]).read_bytes())
+    assert svgs[0] == svgs[1]
+    assert svgs[0].count(b"<polyline") == 1
+    assert svgs[0].startswith(b"<svg") and svgs[0].endswith(b"</svg>\n")
+
+
 def test_model_mode_error_decreases_every_iteration(write_cfg, tmp_path):
     config = _tmp_config(
         write_cfg, tmp_path, "model.csv",

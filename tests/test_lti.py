@@ -105,6 +105,15 @@ def test_zoh_rejects_a_sample_period_that_is_not_positive(period):
         discretize_zoh(make_second_order(0.5, 37.0), period)
 
 
+def test_zoh_of_the_zero_plant_holds_its_state():
+    # A = 0 and B = 0: the exponential needs no squaring, and its Pade solve
+    # returns I to one rounding; nothing enters the state
+    dss = discretize_zoh(ContinuousStateSpace(np.zeros((2, 2)), np.zeros(2),
+                                              [1.0, 0.0]), T)
+    assert np.allclose(dss.ad_matrix, np.eye(2), rtol=0.0, atol=np.finfo(float).eps)
+    assert np.array_equal(dss.bd_vector, np.zeros((2, 1)))
+
+
 def test_first_order_response_at_zero_is_initial_output():
     spec = FirstOrderFeedbackSpec(3.0, 40.0, initial_output=0.7)
     assert analytic_first_order_response(spec, lambda t: 1.0, 0.0) == 0.7

@@ -8,6 +8,7 @@ import liftedilc.switching as switching
 from liftedilc import (
     InvalidParameterError,
     LearningLaw,
+    LiftedSystem,
     Trajectory,
     UndefinedDbError,
     evaluate_switch,
@@ -144,6 +145,15 @@ def test_advisor_rejects_a_non_finite_input_or_target(second_order_pair, target,
     law = LearningLaw("p_transpose", 1.0)
     with pytest.raises(InvalidParameterError, match=f"{target} holds non-finite"):
         evaluate_switch(world, model, law, u0, None, [10], 1.0, desired)
+
+
+@pytest.mark.parametrize("kind", ["partial_isometry", "norm_optimal"])
+def test_advisor_rejects_a_finite_input_whose_error_overflows(kind):
+    # u0 is finite, but P u0 overflows, so the initial error is not
+    ones = LiftedSystem(np.tril(np.ones((8, 8))), np.zeros((8, 1)))
+    with pytest.raises(InvalidParameterError, match="^e0 holds non-finite values$"):
+        evaluate_switch(ones, ones, LearningLaw(kind, 0.1), Trajectory(np.full(8, 1e308)),
+                        None, [1, 5], 1.0, Trajectory(np.ones(8)))
 
 
 def test_extreme_slope_factor_blocks_the_switch(second_order_pair):
