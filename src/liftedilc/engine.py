@@ -16,19 +16,25 @@ so the input and error after n model iterations are
 which costs two matrix-vector products instead of n full iterations, and a
 whole model-phase history one matrix product.
 
-The factorization is computed once per LiftedSystem, on first use:
-eigh(P P^T), which gives U and sigma^2, serves all three laws.
-partial_isometry and norm_optimal also need V, which they take as
-P^T U diag(1 / sigma) when one matrix product certifies that those columns
-are orthonormal; only when that certificate fails, or sigma has a zero, do
-they fall back to the thin SVD of P. norm_optimal needs the certificate for
-its accuracy: eigh perturbs sigma^2 by about eps sigma_max^2, and
-lambda^n = (phi / (phi + sigma^2))^n magnifies that about n / phi times, so
-a model too ill-conditioned to certify takes its sigma from the SVD.
-p_transpose stays on eigh alone. The model object holds the factorization,
-together with the products derived from it for each law, so every
-fast-forward, run and switch evaluation on one model shares it, and it is
-freed with the model.
+The factorization is computed once per LiftedSystem, on first use, from
+one eigh that serves all three laws. A square P that `lifted.build_lifted`
+made at N >= 512 is lower-triangular Toeplitz, so K = P J (J reverses the
+columns) is a symmetric Hankel matrix, and its eigh K = X diag(mu) X^T is
+the SVD of P: U = X sign(mu), sigma = |mu|, V = J X, orthonormal by
+construction, with sigma off by about eps sigma_max where eigh(P P^T)
+leaves eps sigma_max^2 / sigma. Every other model
+(below N = 512, with deleted rows, or built from a matrix) takes
+eigh(P P^T), which gives U and sigma^2. partial_isometry and norm_optimal
+also need V, which they then take as P^T U diag(1 / sigma) when one matrix
+product certifies that those columns are orthonormal; only when that
+certificate fails, or sigma has a zero, do they fall back to the thin SVD
+of P. norm_optimal needs the certificate for its accuracy: eigh perturbs
+sigma^2 by about eps sigma_max^2, and lambda^n = (phi / (phi + sigma^2))^n
+magnifies that about n / phi times, so a model too ill-conditioned to
+certify takes its sigma from the SVD. p_transpose stays on eigh alone.
+The model object holds the factorization, together with the products
+derived from it for each law, so every fast-forward, run and switch
+evaluation on one model shares it, and it is freed with the model.
 
 A model phase has two algorithms: the explicit loop of `run_iterations`
 and the closed form, which is used only where it pays. A model phase of at
@@ -83,7 +89,11 @@ that `lifted.build_lifted` made at N >= 512 (kept by `delete_rows`),
 through the system's `_convolution`, attached when it was lifted:
 O(N log N) and normwise within a few eps of the dense product. Blocks of
 rows, shorter horizons and systems built from matrices take the dense
-product, as do the factorizations, `fast_forward` and `_model_phase`. The
+product, as do `fast_forward` and `_model_phase`. A system with a
+convolution is Toeplitz, and its direct laws' certificate forms P P^T by an
+O(N^2) recurrence along the diagonals (_toeplitz_gram) and
+||P||_1 ||P||_inf from prefix sums, in place of the O(N^3) product and an
+N x N |P|; a square one factorizes through the Hankel P J (above). The
 dense gain built in `laws` is only the independent reference. A run is its
 RMS curve: the records of `run_iterations` and `run_hybrid` carry the
 iteration, phase and RMS, and only the records that hand a state on keep
@@ -181,8 +191,15 @@ def _records(first, phase, rms_values, kept):
 # relative error of the same order. Over 17k random draws (3000 models,
 # three gains, two n), fast-forwards drifted from the dense SVD gain's loop
 # by up to 0.7e-9 (relative) where certificates up to 1e-9 were kept, and by
-# up to 0.16e-9 at 3e-10. 3e-10 accepts both presets (1.6e-11 and 1.1e-10 at
-# N = 1000) and keeps the fast-forward well inside the 1e-9 it is tested to.
+# up to 0.16e-9 at 3e-10. 3e-10 accepts both presets at N = 100 to 2000 with
+# OpenBLAS at 1 and 2 threads (at most 1.2e-11 on the second-order preset,
+# 1.4e-10 to 1.9e-10 on the third-order one, d = 1) and keeps the
+# fast-forward well inside the 1e-9 it is tested to. The third-order margin
+# is under a factor 2: from P P^T summed along its diagonals (_toeplitz_gram)
+# instead of the dense product, eigh's certificate there read 5.9e-10 to
+# 6.9e-10 at N = 512 to 2000, which sends the model to the SVD, so that
+# eigh keeps the dense product. A square P that build_lifted made needs no
+# certificate (_Factorization._hankel_svd).
 _ISOMETRY_TOLERANCE = 3e-10
 
 _EPS = np.finfo(float).eps
@@ -220,30 +237,44 @@ _BLOCK = 64
 # phi = 0.325 passed it while its p_transpose eigenvalue rounded to exactly
 # 1. p_transpose also needs lambda > -1: sigma_max^2 <= ||P||_1 ||P||_inf,
 # so phi (||P||_1 ||P||_inf + shift) < 2 keeps phi sigma^2 below 2, eigh's
-# error included. Where a test fails, the spectrum decides.
+# error included. Where a test fails, the spectrum decides. A Toeplitz P that
+# build_lifted made takes P P^T from _toeplitz_gram, whose sums in order
+# along each diagonal give |dG| <= N eps |P| |P^T| entrywise, so
+# ||dG||_2 <= N^1.5 eps ||P||_1 ||P||_inf: inside the shift's N^2 term.
 _DENSE_FLOOR = 1e3 * _EPS
+
+_OVERFLOW = "model P P^T overflows: its entries or eigenvalues are not finite"
 
 
 class _Factorization:
     """Factorizations of one model's lifted matrix P, each computed on first use.
 
-    gram is (U, sigma^2) from eigh(P P^T) and serves p_transpose. isometry is
-    (U, sigma, V) for partial_isometry and norm_optimal: built from gram,
-    under the certificate max|V^T V - I| <= _ISOMETRY_TOLERANCE, and from the
-    thin SVD of P only when that certificate fails or sigma has a zero.
+    gram is (U, sigma^2) and serves p_transpose; isometry is (U, sigma, V)
+    for partial_isometry and norm_optimal. Both come from one eigh, sigma
+    ascending. A square P that build_lifted made Toeplitz (N >= 512, no
+    deleted rows) takes both from the eigh of the symmetric Hankel P J
+    (_hankel_svd), whose V is orthonormal by construction. Every other P
+    takes gram from eigh(P P^T) and builds isometry from it, under the
+    certificate max|V^T V - I| <= _ISOMETRY_TOLERANCE, and from the thin
+    SVD of P only when that certificate fails or sigma has a zero.
     `laws` holds a _LawOperator and `dense` a _DenseLaw (or None where its
     certificate failed), each keyed by (law kind, gain) and kept for the most
     recent gain of each law kind only: a bundled model lives for the whole
     process, and a gain sweep must not keep one operator per gain.
     """
 
-    def __init__(self, p_matrix):
+    def __init__(self, p_matrix, convolution=False):
         self.p_matrix = p_matrix
+        # a square P that build_lifted made (it has a convolution): Toeplitz
+        self.hankel = bool(convolution) and convolution.deleted == 0
         self.laws = {}
         self.dense = {}
 
     @cached_property
     def gram(self):
+        if self.hankel:
+            u, sigma, _ = self.isometry
+            return u, sigma * sigma  # finite: isometry checked it
         # a huge P overflows P P^T; its sum, an O(N^2) pass with no N x N
         # temporary, is finite unless an entry is not, or the entries are huge
         with np.errstate(over="ignore", invalid="ignore"):
@@ -252,14 +283,14 @@ class _Factorization:
             if finite:
                 sigma2, u = np.linalg.eigh(gram)
         if not (finite and np.isfinite(sigma2).all()):
-            raise InvalidParameterError(
-                "model P P^T overflows: its entries or eigenvalues are not finite"
-            )
+            raise InvalidParameterError(_OVERFLOW)
         # rounding can leave the smallest sigma^2 a hair below zero
         return u, np.maximum(sigma2, 0.0)
 
     @cached_property
     def isometry(self):
+        if self.hankel:
+            return self._hankel_svd()
         u, sigma2 = self.gram
         # eigh sorts ascending. Where sigma_min^2 <= eps sigma_max^2
         # (cond(P)^2 eps >= 1), V^T V - I has entries of order 1 or more and
@@ -276,6 +307,20 @@ class _Factorization:
                     return u, sigma, v
         u, sigma, vt = np.linalg.svd(self.p_matrix, full_matrices=False)
         return u, sigma, vt.T
+
+    def _hankel_svd(self):
+        # K = P J, P with its columns reversed, is a symmetric Hankel matrix,
+        # so K = X diag(mu) X^T gives P = K J = (X S) diag(|mu|) (J X)^T with
+        # S = sign(mu): U = X S and V = J X are orthonormal as eigh returns X
+        mu, x = np.linalg.eigh(self.p_matrix[:, ::-1])
+        order = np.argsort(np.abs(mu), kind="stable")  # ascending, as eigh's
+        mu = mu[order]
+        x = x[:, order]
+        sigma = np.abs(mu)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(sigma * sigma).all():
+                raise InvalidParameterError(_OVERFLOW)
+        return x * np.where(mu < 0.0, -1.0, 1.0), sigma, x[::-1]
 
 
 @dataclass(eq=False)
@@ -312,7 +357,7 @@ def _cached(model, table, law, build):
     """The (law kind, gain) entry of _Factorization.<table>, built on first use."""
     entry = model._factorization
     if entry is None:
-        entry = _Factorization(model.p_matrix)
+        entry = _Factorization(model.p_matrix, model._convolution)
         object.__setattr__(model, "_factorization", entry)
     cache = getattr(entry, table)
     # keyed by value: hashing the tuple is cheaper than the dataclass hash
@@ -405,15 +450,20 @@ def _build_dense_law(p, law, convolution=False):
     R = C^-T is the transposed Cholesky factor inverted in place. None when
     the rho < 1 certificate described at _DENSE_FLOOR fails, or when that
     Cholesky factorization fails despite it. convolution is the system's
-    _convolution.
+    _convolution; with one, P is Toeplitz, and P P^T and ||P||_1 ||P||_inf
+    come from _toeplitz_gram and _toeplitz_norm_product.
     """
     phi = law.gain
     transpose = law.kind == "p_transpose"
     # a huge P overflows the norms; the certificate then fails
     with np.errstate(over="ignore", invalid="ignore"):
-        magnitude = np.abs(p)
-        norm_product = magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max()
-        del magnitude  # an N x N temporary, freed before P P^T is formed
+        if convolution:
+            h = p[-1, ::-1]  # the Markov parameters: P's last row, reversed
+            norm_product = _toeplitz_norm_product(h, convolution.deleted)
+        else:
+            magnitude = np.abs(p)
+            norm_product = magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max()
+            del magnitude  # an N x N temporary, freed before P P^T is formed
         shift = (p.shape[1] ** 2 * _EPS * norm_product
                  + _DENSE_FLOOR * (1.0 / phi if transpose else phi))
         # written so that a NaN or inf fails the tests too
@@ -421,7 +471,11 @@ def _build_dense_law(p, law, convolution=False):
             return None
         if transpose and not phi * (norm_product + shift) < 2.0:
             return None
-        gram = p @ p.T
+        if convolution:
+            d = convolution.deleted
+            gram = _toeplitz_gram(h)[d:, d:]
+        else:
+            gram = p @ p.T
     diagonal = gram.diagonal().copy()
     on_diagonal = np.diag_indices_from(gram)
     gram[on_diagonal] = diagonal - shift
@@ -438,6 +492,33 @@ def _build_dense_law(p, law, convolution=False):
     except np.linalg.LinAlgError:
         return None
     return _DenseLaw(p, 1.0, convolution, r @ r.T)
+
+
+def _toeplitz_gram(h):
+    """P P^T of the square lower-triangular Toeplitz P whose first column is h.
+
+    (P P^T)[i, j] sums h[i - k] h[j - k] over k <= min(i, j), so it is the
+    entry before it on its diagonal plus h[i] h[j]: O(N^2) instead of the
+    O(N^3) product, each entry summed in order along its diagonal (see
+    _DENSE_FLOOR for the rounding).
+    """
+    gram = np.multiply.outer(h, h)
+    for i in range(1, h.size):
+        gram[i, 1:] += gram[i - 1, :-1]
+    return gram
+
+
+def _toeplitz_norm_product(h, d):
+    """||P||_1 ||P||_inf of that P without its d leading rows, in O(N).
+
+    With the prefix sums c of |h|, row i of P sums to c[i], so the last row
+    is the largest, and column j of rows d.. to c[N - 1 - j], less
+    c[d - 1 - j] where j < d.
+    """
+    sums = np.cumsum(np.abs(h))
+    columns = sums[::-1].copy()
+    columns[:d] -= sums[:d][::-1]
+    return columns.max() * sums[-1]
 
 
 def _dense_law(model, law):

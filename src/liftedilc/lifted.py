@@ -209,11 +209,11 @@ def build_lifted(dss, horizon):
     with np.errstate(over="ignore", invalid="ignore"):
         powers = _output_powers(dss, n + 1)
         mk = powers[:n] @ dss.bd_vector[:, 0]
-    # row i of P is mk[i], ..., mk[0] followed by zeros: reversed windows of
-    # n - 1 zeros followed by mk
-    padded = np.concatenate((np.zeros(n - 1), mk))
-    # the constructor's copy is the one copy of both
-    p = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1]
+    # row i of P is mk[i], ..., mk[0] followed by zeros: the window from
+    # n - 1 - i of mk reversed followed by n - 1 zeros
+    padded = np.concatenate((mk[::-1], np.zeros(n - 1)))
+    # the constructor's copy is the one copy of both, read forward row by row
+    p = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
     lifted = LiftedSystem(p, powers[1:])
     if n >= _FFT_HORIZON:
         object.__setattr__(lifted, "_convolution", _Convolution(mk))

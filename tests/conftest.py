@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -14,8 +15,9 @@ settings.load_profile("suite")
 SAMPLE_PERIOD = 0.01
 
 
-def _freshly_lifted_experiment(kind):
-    config = load_preset(kind)
+def freshly_lifted_experiment(kind, horizon=100):
+    """(world, model, u0, desired) of a preset at `horizon`, lifted anew."""
+    config = dataclasses.replace(load_preset(kind), horizon=horizon)
     return experiments._experiment(config, experiments._lift_pair(config))
 
 
@@ -28,7 +30,7 @@ def second_order_pair():
     pair must not depend on which commands or checks ran before it in the
     session.
     """
-    return _freshly_lifted_experiment("second_order")
+    return freshly_lifted_experiment("second_order")
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +40,7 @@ def third_order_pair():
     Its own instance, not bundled_experiment's, for the same reason as
     second_order_pair.
     """
-    return _freshly_lifted_experiment("third_order")
+    return freshly_lifted_experiment("third_order")
 
 
 @pytest.fixture

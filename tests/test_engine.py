@@ -43,7 +43,13 @@ from liftedilc import (
 
 from liftedilc.config import _sampled_plant
 
-from conftest import SAMPLE_PERIOD, explicit_iterates, poisoned, random_stable_lifted
+from conftest import (
+    SAMPLE_PERIOD,
+    explicit_iterates,
+    freshly_lifted_experiment,
+    poisoned,
+    random_stable_lifted,
+)
 
 
 # ---------------------------------------------------------------- factorization
@@ -152,16 +158,102 @@ def test_one_factorization_serves_a_run_and_twenty_switch_evaluations(
     assert factorization_calls == ["eigh"]
 
 
+def _eigh_inputs(monkeypatch, p):
+    """Names of what each np.linalg.eigh call factorizes: "P J" or "P P^T"."""
+    inputs = []
+    real = np.linalg.eigh
+    gram = p @ p.T
+
+    def eigh(a, *args, **kwargs):
+        if np.array_equal(a, p[:, ::-1]):
+            inputs.append("P J")
+        elif a.shape == gram.shape and np.allclose(a, gram, rtol=1e-12, atol=0.0):
+            inputs.append("P P^T")
+        else:
+            inputs.append("other")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return inputs
+
+
+@pytest.mark.parametrize("horizon", [100, 400, 1000])
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
 def test_one_factorization_serves_all_three_laws(
-    second_order_pair, factorization_calls
+    preset, horizon, factorization_calls, monkeypatch
 ):
-    world, model, u0, desired = second_order_pair
-    model = _fresh(model)
+    # model phases and candidates past N // 4 take every law's spectrum. Only
+    # a square model that build_lifted made at N >= 512 factorizes the
+    # Hankel P J; a deleted row (third order) or N < 512 keeps eigh(P P^T).
+    # The third-order certificate reads 1.4e-10 to 1.9e-10 against
+    # _ISOMETRY_TOLERANCE = 3e-10: past it, V would come from the thin SVD
+    world, model, u0, desired = freshly_lifted_experiment(preset, horizon)
+    eigh_inputs = _eigh_inputs(monkeypatch, model.p_matrix)
     for kind in LAW_KINDS:
         law = LearningLaw(kind, 1.0)
-        run_hybrid(world, model, law, u0, None, 50, 10, desired)
-        evaluate_switch(world, model, law, u0, None, [30], 1.0, desired)
+        run_hybrid(world, model, law, u0, None, horizon // 2, 10, desired)
+        evaluate_switch(world, model, law, u0, None, [3 * horizon // 10], 1.0,
+                        desired)
     assert factorization_calls == ["eigh"]
+    square_toeplitz = horizon >= lifted._FFT_HORIZON and model.deleted_rows == 0
+    assert eigh_inputs == ["P J" if square_toeplitz else "P P^T"]
+
+
+def _full_model(preset, horizon):
+    """The preset's model plant lifted over `horizon`, no row deleted."""
+    config = load_preset(preset)
+    plant = _sampled_plant(config.system_kind, config.model_params,
+                           config.sample_period)
+    return build_lifted(plant.dss, horizon)
+
+
+@pytest.mark.parametrize("plant, horizon", [
+    ("second_order", 512), ("second_order", 1000), ("second_order", 2000),
+    ("random", 600),
+])
+def test_hankel_factorization_is_the_svd(plant, horizon):
+    if plant == "random":
+        _, dss = random_stable_lifted(np.random.default_rng(5))
+        model = build_lifted(dss, horizon)
+    else:
+        _, model, _, _ = freshly_lifted_experiment(plant, horizon)
+    p = model.p_matrix
+    entry = engine._Factorization(p, model._convolution)
+    assert entry.hankel
+    u, sigma, v = entry.isometry
+    assert entry.gram[0] is u and np.array_equal(entry.gram[1], sigma**2)
+    reference = np.linalg.svd(p, compute_uv=False)[::-1]
+    assert np.all(np.diff(sigma) >= 0.0)
+    error = np.abs(sigma - reference)
+    assert np.max(error) <= 1e-13 * reference[-1]
+    if plant != "random":  # cond(P) is about 540; the random P is singular
+        assert np.max(error / reference) <= 1e-13
+    # Frobenius norms and the certificate's max|V^T V - I|: a 2-norm at
+    # N = 2000 would cost an SVD each
+    assert np.linalg.norm(p @ v - u * sigma) <= 1e-14 * np.linalg.norm(p)
+    identity = np.eye(horizon)
+    assert np.max(np.abs(v.T @ v - identity)) <= 1e-13
+    assert np.max(np.abs(u.T @ u - identity)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_toeplitz_gram_matches_the_dense_product(preset, d):
+    p = _full_model(preset, 1000).p_matrix[d:]
+    gram = engine._toeplitz_gram(p[-1, ::-1])[d:, d:]
+    magnitude = np.abs(p)
+    bound = p.shape[1] * engine._EPS * (magnitude @ magnitude.T)
+    assert np.all(np.abs(gram - p @ p.T) <= bound)
+
+
+@pytest.mark.parametrize("d", [0, 1, 7])
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_toeplitz_norm_product_is_the_dense_one(preset, d):
+    p = _full_model(preset, 1000).p_matrix[d:]
+    magnitude = np.abs(p)
+    dense = magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max()
+    got = engine._toeplitz_norm_product(p[-1, ::-1], d)
+    assert abs(got - dense) <= 1e-15 * dense
 
 
 @pytest.mark.parametrize("kind", LAW_KINDS)
@@ -234,6 +326,34 @@ def test_an_uncertified_isometry_falls_back_to_the_thin_svd(
         assert record.rms == engine._rms(e_got)
         u = u + l_matrix @ e
     assert np.array_equal(history[-1].input.values, loop_rows[-1][0])
+
+
+@pytest.mark.parametrize("horizon", [512, 1000, 2000])
+@pytest.mark.parametrize("preset", ["second_order", "third_order"])
+def test_toeplitz_certificate_verdicts_are_the_dense_ones(preset, horizon):
+    # the recurrence P P^T and the O(N) norms accept and refuse what the
+    # dense product and |P| do
+    _, model, _, _ = freshly_lifted_experiment(preset, horizon)
+    assert model._convolution
+    verdicts = []
+    for kind in ("p_transpose", "norm_optimal"):
+        for phi in (0.1, 1.0, 1.9):
+            law = LearningLaw(kind, phi)
+            toeplitz = engine._build_dense_law(model.p_matrix, law, model._convolution)
+            dense = engine._build_dense_law(model.p_matrix, law)
+            assert (toeplitz is None) == (dense is None)
+            verdicts.append(dense is not None)
+    assert any(verdicts)
+
+
+def test_toeplitz_certificate_refuses_a_singular_model():
+    # without its deleted row the third-order P has a singular value of
+    # about |z|^-N for its sampled zero z outside the unit circle
+    model = _full_model("third_order", 1000)
+    for kind in ("p_transpose", "norm_optimal"):
+        law = LearningLaw(kind, 1.0)
+        assert engine._build_dense_law(model.p_matrix, law) is None
+        assert engine._build_dense_law(model.p_matrix, law, model._convolution) is None
 
 
 def test_factorization_is_freed_with_its_model(second_order_pair):
